@@ -37,7 +37,6 @@ from .grid import (
 from .group import (
     DyadicVector,
     GroupElement,
-    RepresentabilityError,
     ScaleBoundError,
     act,
     compose,

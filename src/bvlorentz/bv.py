@@ -36,7 +36,6 @@ __all__ = [
     "bv_norm",
     "compose_scalar",
     "embedding_audit_bv",
-    "grad_l1_norm",
     "l1_norm_on",
     "lattice_tv_sum",
     "total_variation",
@@ -75,11 +74,6 @@ def _local_contributions(u: GridFunction) -> tuple[tuple[int, ...], np.ndarray]:
 def total_variation(u: GridFunction) -> float:
     _, contrib = _local_contributions(u)
     return float(np.sum(contrib))
-
-
-def grad_l1_norm(u: GridFunction) -> float:
-    """Identical sum to :func:`total_variation`; named for Sobolev data."""
-    return total_variation(u)
 
 
 def _padded_centers(u: GridFunction, origin: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:

@@ -26,7 +26,7 @@ from . import counterexample as cx
 from . import layers
 from . import profiles as prof
 from .corpus import corpus_elements, corpus_grids, corpus_steps
-from .grid import GridFunction, load_grid, support_measure
+from .grid import GridFunction, MemoryGuardError, load_grid, support_measure
 from .group import isometry_defect
 from .rearrange import (
     LorentzIndex,
@@ -448,7 +448,7 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
+    except (FileNotFoundError, MemoryGuardError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

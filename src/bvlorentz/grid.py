@@ -171,15 +171,16 @@ def from_sampler(
     dim: int,
     level: int,
     box: Sequence[tuple[float, float]],
-    sampler: Callable[[np.ndarray], float],
+    sampler: Callable[[np.ndarray], np.ndarray],
     *,
     cell_guard: int | None = None,
 ) -> GridFunction:
     """Sample ``sampler`` at cell centers of the dyadic cells covering ``box``.
 
     ``box`` is one (lo, hi) pair per axis; it is snapped outward to cell
-    boundaries at ``level``.  The sampler receives a length-``dim`` coordinate
-    array and returns the cell value.
+    boundaries at ``level``.  The sampler is called once, with all centers
+    as a ``(cells, dim)`` array, and returns one value per row (a scalar is
+    broadcast to every cell).
     """
     _check_dim(dim)
     if len(box) != dim:
@@ -194,13 +195,10 @@ def from_sampler(
         top = int(np.ceil(hi * scale))
         origin.append(o)
         extents.append(top - o)
-    _guard(int(np.prod(extents)), cell_guard)
     out = grid_zeros(dim, level, origin, extents, cell_guard=cell_guard)
-    vals = np.empty(tuple(extents))
-    for idx in np.ndindex(*extents):
-        center = (np.asarray(origin, dtype=float) + np.asarray(idx) + 0.5) * out.spacing
-        vals[idx] = float(sampler(center))
-    return GridFunction(dim, level, tuple(origin), tuple(extents), vals)
+    pts = out.centers()
+    vals = np.broadcast_to(np.asarray(sampler(pts), dtype=np.float64), pts.shape[:1])
+    return GridFunction(dim, level, tuple(origin), tuple(extents), vals.reshape(extents))
 
 
 def refine(u: GridFunction, to_level: int, *, cell_guard: int | None = None) -> GridFunction:

@@ -23,7 +23,6 @@ from .grid import GridFunction, refine
 __all__ = [
     "DyadicVector",
     "GroupElement",
-    "RepresentabilityError",
     "ScaleBoundError",
     "act",
     "compose",
@@ -35,10 +34,6 @@ __all__ = [
 #: Largest |j| accepted by the action; <= 20 keeps every scale factor exact
 #: and every flattened level within desk range.
 DEFAULT_SCALE_BOUND = 20
-
-
-class RepresentabilityError(ValueError):
-    """Raised when a translation is not exactly representable on the target grid."""
 
 
 class ScaleBoundError(ValueError):

@@ -7,6 +7,9 @@ profile at its original scale and position.  The score of a cube is the L1
 mass of the rescaled function on it; with the variation-preserving
 normalization this is invariant when a feature is moved to its native scale,
 so a bubble of fixed shape scores the same wherever the sequence put it.
+Rescaling only relabels cells, so one pyramid per cluster of pairwise block
+sums of |c| scores every cube at every scale; ties go to the smallest |s|
+(negative first), then to the lexicographically smallest cube.
 
 The limit proxy is the trimmed materialization of the last aligned element,
 guarded by a Cauchy check on the aligned tail.  Sequences that concentrate
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bv
-from .grid import GridFunction, box_mass, from_sampler, load_grid, resample_to, save_grid, trim
-from .group import DyadicVector, GroupElement, act, identity, inverse
+from .grid import GridFunction, MemoryGuardError, from_sampler, load_grid, save_grid, trim
+from .group import DyadicVector, GroupElement, inverse
 from .multiscale import DyadicSum, dyadic_sum
 from .rearrange import LorentzIndex, lorentz_norm, step_from_pairs
 
@@ -49,7 +52,8 @@ __all__ = [
 
 # Materialization windows stay under this many cells; the cap keeps the
 # limit-proxy resamples cheap (a window is a proxy, not a replica of the
-# finest grid in the sequence).
+# finest grid in the sequence).  A radius or level override that needs more
+# raises MemoryGuardError.
 WINDOW_CELL_GUARD = 2**20
 
 
@@ -112,81 +116,94 @@ class ProfileDecomposition:
 
 # -- cube search -------------------------------------------------------------
 
-def _best_cube_at_scale(clusters: list[GridFunction], s: int, dim: int):
-    """Best integer unit cube for the rescaled sum, scored by exact L1 mass.
+def _halve(a: np.ndarray, origin: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Pairwise sums over blocks of two cells per axis, block index = cell
+    index >> 1.  An odd start or length is padded with one zero, which keeps
+    blocks on the lattice and mirror-image sums bit-identical."""
+    a = np.pad(a, [(o & 1, (n + o) & 1) for o, n in zip(origin, a.shape)])
+    for axis in range(a.ndim):
+        a = a.reshape(a.shape[:axis] + (-1, 2) + a.shape[axis + 1 :]).sum(axis=axis + 1)
+    return a, tuple(o >> 1 for o in origin)
 
-    Candidates are the per-cluster maximizers (every nonzero level-0 cube of
-    a fine cluster; the corner of the largest cell of a coarse one); each
-    candidate is then scored exactly against all clusters.  For separated
-    clusters this is exhaustive.
+
+def _mass_pyramids(clusters: list[GridFunction], scale_window: int) -> list:
+    """Per cluster: (level, [(origin, block sums of |c| over 2^p cells per
+    axis) for p = 0 .. level + scale_window])."""
+    out = []
+    for c in clusters:
+        a, origin = np.abs(c.values), c.origin
+        sums = [(np.asarray(origin), a)]
+        for _ in range(max(0, c.level + scale_window)):
+            a, origin = _halve(a, origin)
+            sums.append((np.asarray(origin), a))
+        out.append((c.level, sums))
+    return out
+
+
+def _cube_masses(pyramids: list, s: int, dim: int, cubes: np.ndarray) -> np.ndarray:
+    """Exact L1 mass of the sum rescaled by 2^s on each integer unit cube.
+
+    A cluster at level m = c.level + s covers cube k with its block k of 2^m
+    cells per axis when m > 0, and holds it inside cell k >> -m when m <= 0.
+    Clusters are added in order, starting from 0.0.
     """
-    zero = DyadicVector.zero(dim)
-    acted = [act(GroupElement(s, zero), c) for c in clusters]
-    candidates: set = set()
-    for c in acted:
-        if c.level <= 0:
-            idx = np.unravel_index(int(np.argmax(np.abs(c.values))), c.extents)
-            side = 2 ** (-c.level)
-            candidates.add(tuple((o + i) * side for o, i in zip(c.origin, idx)))
-        else:
-            absu = GridFunction(dim, c.level, c.origin, c.extents, np.abs(c.values))
-            lo = tuple(int(math.floor(x)) for x in c.box_lo())
-            hi = tuple(int(math.ceil(x)) for x in c.box_hi())
-            coarse = resample_to(absu, 0, lo, tuple(b - a for a, b in zip(lo, hi)))
-            for row in np.argwhere(coarse.values > 0.0):
-                candidates.add(tuple(int(a + r) for a, r in zip(lo, row)))
-    if not candidates:
-        return None
+    total = np.zeros(len(cubes))
+    for level, sums in pyramids:
+        m = level + s
+        origin, block = sums[max(m, 0)]
+        idx = (cubes >> max(-m, 0)) - origin
+        inside = np.all((idx >= 0) & (idx < block.shape), axis=1)
+        total[inside] += block[tuple(idx[inside].T)] * 2.0 ** ((dim - 1) * s - dim * max(m, 0))
+    return total
 
-    boxes = [(c.box_lo(), c.box_hi()) for c in acted]
-    best = None
-    for cube in sorted(candidates):
-        lo = np.array(cube, dtype=np.float64)
-        hi = lo + 1.0
-        total = 0.0
-        for c, (blo, bhi) in zip(acted, boxes):
-            if np.all(lo < bhi) and np.all(hi > blo):
-                total += box_mass(c, lo, hi)
-        if best is None or total > best[0]:
-            best = (total, cube)
-    return best
+
+def _best_cube_at_scale(pyramids: list, s: int, dim: int) -> tuple[float, tuple[int, ...]]:
+    """(mass, cube) of the best unit cube at scale s, lexicographically first
+    among ties.  Candidates are the per-cluster maximizers (every nonzero
+    block of a fine cluster, the corner of the largest cell of a coarse
+    one), which is exhaustive for separated clusters."""
+    keys = []
+    for level, sums in pyramids:
+        m = level + s
+        origin, block = sums[max(m, 0)]
+        if m > 0:
+            keys.append(np.argwhere(block > 0.0) + origin)
+        else:
+            idx = np.unravel_index(int(np.argmax(block)), block.shape)
+            keys.append(((origin + idx) << -m)[None, :])
+    cubes = np.unique(np.concatenate(keys), axis=0)
+    total = _cube_masses(pyramids, s, dim, cubes)
+    best = int(np.argmax(total))
+    return float(total[best]), tuple(int(k) for k in cubes[best])
 
 
 def _best_alignment(r: DyadicSum, scale_window: int):
     """(score, h): h maps the best-scoring feature onto the unit cube at 0.
 
-    Scales are visited smallest magnitude first and cubes in lexicographic
-    order, so exact ties resolve deterministically.
+    Scales are visited smallest magnitude first (negative before positive)
+    and cubes in lexicographic order, so exact ties resolve deterministically;
+    a zero sum gets the identity.
     """
     clusters = r.clusters()
-    if not clusters:
-        return 0.0, identity(r.dim)
-    best_mass = 0.0
-    best: tuple | None = None
-    for s in sorted(range(-scale_window, scale_window + 1), key=lambda t: (abs(t), t)):
-        found = _best_cube_at_scale(clusters, s, r.dim)
-        if found is None:
-            continue
-        mass, cube = found
+    pyramids = _mass_pyramids(clusters, scale_window)
+    best_mass, best_s, best_cube = 0.0, 0, (0,) * r.dim
+    scales = sorted(range(-scale_window, scale_window + 1), key=lambda t: (abs(t), t))
+    for s in scales if clusters else ():
+        mass, cube = _best_cube_at_scale(pyramids, s, r.dim)
         if mass > best_mass:
-            best_mass, best = mass, (s, cube)
-    if best is None:
-        return 0.0, identity(r.dim)
-    s, cube = best
-    shift = DyadicVector.integers(*(-c for c in cube))
-    return best_mass, GroupElement(s, shift)
+            best_mass, best_s, best_cube = mass, s, cube
+    return best_mass, GroupElement(best_s, DyadicVector.integers(*(-c for c in best_cube)))
 
 
 def _window_level(tail, radius: int, dim: int, override: int | None) -> int:
     if override is not None:
         return override
     cap = int(math.floor((math.log2(WINDOW_CELL_GUARD) - dim * math.log2(2 * radius)) / dim))
-    lv = 0
-    for t in tail:
-        for c in t.clusters():
-            inside = np.all(c.box_lo() < radius) and np.all(c.box_hi() > -radius)
-            if inside:
-                lv = max(lv, c.level)
+    lv = max(
+        (c.level for t in tail for c in t.clusters()
+         if np.all(c.box_lo() < radius) and np.all(c.box_hi() > -radius)),
+        default=0,
+    )
     return max(0, min(lv, cap))
 
 
@@ -223,9 +240,14 @@ def extract_profiles(
         aligned_tail = [r.apply(h) for r, h in zip(remainders[-3:], aligns[-3:])]
         lv = _window_level(aligned_tail, R, dim, profile_level)
         levels.append(lv)
-        cells = 2**lv
-        origin = (-R * cells,) * dim
-        extents = (2 * R * cells,) * dim
+        side = 2 * R * 2**lv
+        if side**dim > WINDOW_CELL_GUARD:
+            raise MemoryGuardError(
+                f"window of radius {R} at level {lv} needs {side**dim} cells, "
+                f"guard is {WINDOW_CELL_GUARD}"
+            )
+        origin = (-side // 2,) * dim
+        extents = (side,) * dim
         mats = [t.materialize(lv, origin, extents) for t in aligned_tail]
 
         # termination first: a candidate below the size threshold is no

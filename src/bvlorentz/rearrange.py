@@ -11,7 +11,6 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -76,11 +75,6 @@ class LorentzIndex:
             raise LorentzIndexError(f"q must be positive, got {self.q}")
 
 
-@runtime_checkable
-class Rearrangeable(Protocol):
-    def value_measure_pairs(self) -> tuple[np.ndarray, np.ndarray]: ...
-
-
 @dataclass(frozen=True)
 class StepFunction:
     """A non-increasing step function on (0, total measure), zero afterward.
@@ -128,9 +122,6 @@ class StepFunction:
         idx = np.searchsorted(edges, t, side="right")
         padded = np.append(self.values, 0.0)
         return padded[idx]
-
-
-_EMPTY = (np.zeros(0), np.zeros(0))
 
 
 def step_from_pairs(values: np.ndarray, measures: np.ndarray) -> StepFunction | None:

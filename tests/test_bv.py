@@ -9,7 +9,6 @@ from bvlorentz.bv import (
     bv_norm,
     compose_scalar,
     embedding_audit_bv,
-    grad_l1_norm,
     l1_norm_on,
     lattice_tv_sum,
     total_variation,
@@ -62,10 +61,6 @@ def test_scale_equivariance():
     assert total_variation(shrunk) == pytest.approx(
         0.5 * total_variation(u), rel=1e-14
     )
-
-
-def test_grad_l1_alias(checker2d):
-    assert grad_l1_norm(checker2d) == total_variation(checker2d)
 
 
 def test_tv_on_region_partition(checker2d):

@@ -148,6 +148,16 @@ def test_decompose_cauchy_failure_exit_one(tmp_path, capsys):
     assert "not Cauchy" in capsys.readouterr().err
 
 
+def test_decompose_window_guard_is_usage_error(tmp_path, capsys):
+    seq_dir = tmp_path / "seq"
+    save_sequence(str(seq_dir), two_profile_sequence(range(1, 9), level=3))
+    argv = ["decompose", "--input", str(seq_dir), "--epsilon", "0.1", "--out-dir", str(tmp_path / "o")]
+    assert main(argv + ["--profile-level", "9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: window of radius 4 at level 9 needs 16777216 cells")
+    assert err.count("\n") == 1
+
+
 def test_decompose_requires_epsilon(tmp_path, capsys):
     seq_dir = tmp_path / "seq"
     save_sequence(str(seq_dir), two_profile_sequence(range(1, 4), level=4))

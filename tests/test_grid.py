@@ -205,6 +205,37 @@ def test_from_sampler_snaps_box_outward():
         from_sampler(2, 2, [(0.0, 1.0)], lambda x: 1.0)
 
 
+def _sample_per_center(u, sampler):
+    """One sampler call per cell center, in row-major order."""
+    vals = np.empty(u.extents)
+    for idx in np.ndindex(*u.extents):
+        center = (np.asarray(u.origin, dtype=float) + np.asarray(idx) + 0.5) * u.spacing
+        vals[idx] = float(sampler(center))
+    return vals
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_from_sampler_matches_per_center_calls(monkeypatch, dim):
+    from bvlorentz import corpus, profiles
+
+    calls = []
+
+    def recording(dim, level, box, sampler, **kw):
+        u = from_sampler(dim, level, box, sampler, **kw)
+        calls.append((u, sampler))
+        return u
+
+    for module in (profiles, corpus):
+        monkeypatch.setattr(module, "from_sampler", recording)
+    profiles.tent_bump(dim, level=4, height=1.5)
+    corpus.corpus_grids(11, dim, 3)  # the third corpus kind is the bump
+    assert len(calls) == 2
+    for u, sampler in calls:
+        np.testing.assert_array_equal(u.values, _sample_per_center(u, sampler))
+    u = from_sampler(dim, 3, [(-0.3, 0.6)] * dim, lambda x: 2.5)
+    np.testing.assert_array_equal(u.values, _sample_per_center(u, lambda x: 2.5))
+
+
 small_grids = st.builds(
     lambda level, origin, vals: GridFunction(
         1, level, (origin,), (len(vals),), np.array(vals)

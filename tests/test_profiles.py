@@ -1,12 +1,17 @@
 """Profile extraction: recovery, termination, guards, audits, round-trips."""
 import json
+import math
 
 import numpy as np
 import pytest
 
+from bvlorentz import profiles
 from bvlorentz.bv import total_variation
-from bvlorentz.grid import load_grid
+from bvlorentz.grid import GridFunction, MemoryGuardError, box_mass, load_grid, resample_to
+from bvlorentz.group import DyadicVector, GroupElement
+from bvlorentz.multiscale import dyadic_sum
 from bvlorentz.profiles import (
+    WINDOW_CELL_GUARD,
     NonConvergentSubsequenceError,
     energy_audit,
     extract_profiles,
@@ -152,3 +157,105 @@ def test_decomposition_roundtrip(tmp_path, two_profile_decomp):
         back = load_grid(d / pdoc["grid"])
         np.testing.assert_array_equal(back.values, decomp.profiles[i].function.values)
         assert pdoc["tv"] == decomp.profiles[i].tv
+
+
+# -- cube search ---------------------------------------------------------------
+
+def _reference_best_cube(clusters, s, dim):
+    """Brute force: the per-cluster candidate cubes, each scored with one
+    box_mass call per overlapping rescaled cluster, strict > in sorted order.
+
+    Clusters are rescaled by relabeling (the action of GroupElement(s, 0)
+    without the refinement that act applies below level 0), so 3-D clusters
+    at very coarse scales stay within the cell guard.
+    """
+    acted = [
+        GridFunction(dim, c.level + s, c.origin, c.extents, c.values * 2.0 ** ((dim - 1) * s))
+        for c in clusters
+    ]
+    candidates = set()
+    for c in acted:
+        if c.level <= 0:
+            idx = np.unravel_index(int(np.argmax(np.abs(c.values))), c.extents)
+            side = 2 ** (-c.level)
+            candidates.add(tuple(int((o + i) * side) for o, i in zip(c.origin, idx)))
+        else:
+            absu = GridFunction(dim, c.level, c.origin, c.extents, np.abs(c.values))
+            lo = tuple(math.floor(x) for x in c.box_lo())
+            hi = tuple(math.ceil(x) for x in c.box_hi())
+            coarse = resample_to(absu, 0, lo, tuple(b - a for a, b in zip(lo, hi)))
+            for row in np.argwhere(coarse.values > 0.0):
+                candidates.add(tuple(int(a + r) for a, r in zip(lo, row)))
+    best = None
+    for cube in sorted(candidates):
+        lo = np.array(cube, dtype=np.float64)
+        hi = lo + 1.0
+        total = 0.0
+        for c in acted:
+            if np.all(lo < c.box_hi()) and np.all(hi > c.box_lo()):
+                total += box_mass(c, lo, hi)
+        if best is None or total > best[0]:
+            best = (total, cube)
+    return best
+
+
+def _assert_pyramid_matches_reference(sums):
+    for r in sums:
+        clusters = r.clusters()
+        pyramids = profiles._mass_pyramids(clusters, 10)
+        for s in range(-10, 11):
+            got = profiles._best_cube_at_scale(pyramids, s, r.dim)
+            assert got == _reference_best_cube(clusters, s, r.dim), s
+
+
+@pytest.mark.parametrize("level", [5, 6])
+def test_pyramid_scores_equal_box_mass_on_planted_fixture(level):
+    seq = two_profile_sequence(range(1, 9), level=level)
+    # first pass on the elements, second pass on what is left after the broad bump
+    second = extract_profiles(seq, epsilon=0.1, max_profiles=1).remainders
+    _assert_pyramid_matches_reference(list(seq) + list(second))
+
+
+def test_pyramid_scores_equal_box_mass_on_near_fixture():
+    _assert_pyramid_matches_reference(two_profile_sequence(range(1, 5)))
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_pyramid_scores_equal_box_mass_in_other_dims(dim):
+    # eighths keep every block sum exact in any summation order
+    rng = np.random.default_rng(dim)
+    sums = []
+    for j, shift in ((2, 3), (-1, -2), (4, 1)):
+        vals = rng.integers(0, 9, (5,) * dim) / 8.0
+        u = GridFunction(dim, 2, (-3,) * dim, (5,) * dim, vals)
+        g = GroupElement(j, DyadicVector.integers(*([shift] + [0] * (dim - 1))))
+        sums.append(dyadic_sum(u).with_term(0.5, g, u))
+    _assert_pyramid_matches_reference(sums)
+
+
+def test_staircase_ties_go_to_the_smallest_mirror_cube():
+    # the staircase is symmetric through the origin; pairwise block sums keep
+    # that symmetry bit for bit, so the four mirror cubes tie and the
+    # lexicographically smallest one wins, for every element alike
+    mirrors = np.array([(-1, -1), (-1, 0), (0, -1), (0, 0)])
+    for r in staircase_sequence((4, 5, 6)):
+        score, h = profiles._best_alignment(r, 10)
+        assert h == GroupElement(-1, DyadicVector.integers(1, 1))
+        pyramids = profiles._mass_pyramids(r.clusters(), 10)
+        assert profiles._best_cube_at_scale(pyramids, -1, 2) == (score, (-1, -1))
+        masses = profiles._cube_masses(pyramids, -1, 2, mirrors)
+        assert masses.tolist() == [score] * 4
+
+
+# -- window guard ----------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "kwargs, cells",
+    [({"window_radius": 1024}, 2048**2), ({"profile_level": 9}, (8 * 2**9) ** 2)],
+)
+def test_window_guard_holds_on_every_path(kwargs, cells):
+    seq = two_profile_sequence(range(1, 9), level=3)
+    with pytest.raises(MemoryGuardError) as exc:
+        extract_profiles(seq, epsilon=0.1, **kwargs)
+    assert f"needs {cells} cells" in str(exc.value)
+    assert f"guard is {WINDOW_CELL_GUARD}" in str(exc.value)
