@@ -17,6 +17,7 @@ from .bv import (
     total_variation_on,
 )
 from .grid import (
+    GridFormatError,
     GridFunction,
     MemoryGuardError,
     Region,

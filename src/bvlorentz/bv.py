@@ -179,22 +179,52 @@ class TVReport:
         }
 
 
+def _axis_cubes(origin: int, n: int, level: int) -> np.ndarray:
+    """Unit-cube coordinate of the center of each cell ``origin + i``.
+
+    Integer arithmetic only: at level L >= 0 a cell of index k lies in cube
+    k >> L; at L < 0 each cell spans 2^-L cubes and its center lies in cube
+    (k << -L) + 2^(-L-1).
+    """
+    k = origin + np.arange(n, dtype=np.int64)
+    if level >= 0:
+        return k >> level
+    return (k << -level) + (1 << (-level - 1))
+
+
 def lattice_tv_sum(u: GridFunction) -> TVReport:
     """Split TV over the integer lattice of unit cubes.
 
-    Each cell's contribution is booked to the unit cube holding its center;
-    the sum over cubes is checked against 3^dim times the total, the overlap
-    factor coming from differences that read one cell beyond each cube.
+    Each cell's contribution is booked to the unit cube holding its center,
+    found by integer shifts of the cell index.  ``np.bincount`` adds each
+    cube's contributions in flat cell order from 0.0, and ``per_cube`` lists
+    the cubes in order of their first nonzero cell.  The sum over cubes is
+    checked against 3^dim times the total, the overlap factor coming from
+    differences that read one cell beyond each cube.
     """
     origin, contrib = _local_contributions(u)
-    centers = _padded_centers(u, origin, contrib.shape)
-    cubes = np.floor(centers).astype(int)
     flat = contrib.ravel()
-    per_cube: dict[tuple[int, ...], float] = {}
     nz = np.flatnonzero(flat)
-    for i in nz:
-        key = tuple(cubes[i])
-        per_cube[key] = per_cube.get(key, 0.0) + float(flat[i])
+    # per axis: the distinct cube coordinates, and each padded cell's rank
+    # among them, so cube keys stay dense whatever the level
+    axes = [
+        np.unique(_axis_cubes(o, n, int(u.level)), return_inverse=True)
+        for o, n in zip(origin, contrib.shape)
+    ]
+    cube_shape = tuple(len(c) for c, _ in axes)
+    n_cubes = int(np.prod(cube_shape))
+    keys = np.ravel_multi_index(np.ix_(*(rank for _, rank in axes)), cube_shape).ravel()[nz]
+    sums = np.bincount(keys, weights=flat[nz], minlength=n_cubes)
+    # position of each cube's first nonzero cell; nz.size marks an empty cube
+    first = np.full(n_cubes, nz.size)
+    np.minimum.at(first, keys, np.arange(nz.size))
+    booked = np.flatnonzero(first < nz.size)
+    ordered = booked[np.argsort(first[booked], kind="stable")]
+    ranks = np.unravel_index(ordered, cube_shape)
+    coords = np.stack([c[r] for (c, _), r in zip(axes, ranks)], axis=-1)
+    per_cube: dict[tuple[int, ...], float] = dict(
+        zip(map(tuple, coords.tolist()), sums[ordered].tolist())
+    )
     total = float(np.sum(flat))
     sum_per_cube = float(sum(per_cube.values()))
     bound = 3**u.dim * total

@@ -26,7 +26,7 @@ from . import counterexample as cx
 from . import layers
 from . import profiles as prof
 from .corpus import corpus_elements, corpus_grids, corpus_steps
-from .grid import GridFunction, MemoryGuardError, load_grid, support_measure
+from .grid import GridFormatError, GridFunction, MemoryGuardError, load_grid, support_measure
 from .group import isometry_defect
 from .rearrange import (
     LorentzIndex,
@@ -35,7 +35,6 @@ from .rearrange import (
     lorentz_norm,
     lorentz_norm_symmetrization,
     lorentz_norm_weak,
-    step_from_pairs,
 )
 
 SCHEMA_VERSION = 1
@@ -126,8 +125,7 @@ def cmd_norms(cfg: dict) -> int:
     if not cfg["input"]:
         raise _UsageError("norms: --input is required")
     u = load_grid(cfg["input"])
-    vals, meas = u.value_measure_pairs()
-    step = step_from_pairs(vals, meas)
+    step = u.rearrangement
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "input": os.path.basename(str(cfg["input"])),
@@ -209,6 +207,8 @@ def cmd_decompose(cfg: dict) -> int:
     except prof.NonConvergentSubsequenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except prof.ExtractionArgumentError as err:
+        raise _UsageError(f"decompose: {err}") from err
     energy = prof.energy_audit(decomp, float(cfg["delta"]))
     sep = prof.separation_check(decomp, float(cfg["separation_floor"]))
     outdir = str(cfg["out_dir"])
@@ -448,7 +448,7 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, MemoryGuardError) as err:
+    except (FileNotFoundError, GridFormatError, MemoryGuardError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

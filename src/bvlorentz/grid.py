@@ -11,15 +11,20 @@ values, never interpolate.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .rearrange import StepFunction, step_from_pairs, unit_ball_volume
+
 __all__ = [
     "DimensionMismatchError",
+    "GridFormatError",
     "GridFunction",
     "MemoryGuardError",
     "Region",
@@ -50,6 +55,10 @@ DEFAULT_CELL_GUARD = 2**27
 
 _MAGIC = b"BVLGRID1"
 
+#: Bound on |level| * dim for loaded grids: the cell measure 2^(-level*dim)
+#: and its inverse stay normal doubles.
+_MAX_LEVEL_DIM = 1022
+
 
 class UnsupportedDimensionError(ValueError):
     """Raised for dimensions outside {1, 2, 3}."""
@@ -67,6 +76,10 @@ class MemoryGuardError(MemoryError):
     """Raised before an operation would materialise too many cells."""
 
 
+class GridFormatError(ValueError):
+    """Raised when a saved grid file is malformed; names the path and the fault."""
+
+
 def _check_dim(dim: int) -> int:
     if dim not in (1, 2, 3):
         raise UnsupportedDimensionError(f"dimension must be 1, 2 or 3, got {dim}")
@@ -81,7 +94,12 @@ def _guard(cells: int, cell_guard: int | None) -> None:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Piecewise-constant function on a box of dyadic cells, zero outside."""
+    """Piecewise-constant function on a box of dyadic cells, zero outside.
+
+    Instances are immutable (the values array is read-only), so derived
+    data that depends only on the values may be cached on the object: the
+    decreasing rearrangement is computed once, by one values-only sort.
+    """
 
     dim: int
     level: int
@@ -143,6 +161,15 @@ class GridFunction:
         keep = flat > 0.0
         vals = flat[keep]
         return vals, np.full(vals.shape, self.cell_measure)
+
+    @cached_property
+    def rearrangement(self) -> StepFunction | None:
+        """The decreasing rearrangement u* (None for the zero function).
+
+        Every cell has the same measure, so only the values are sorted; the
+        result equals ``step_from_pairs(*self.value_measure_pairs())``.
+        """
+        return step_from_pairs(self.values, self.cell_measure)
 
     def l1_norm(self) -> float:
         return float(np.sum(np.abs(self.values))) * self.cell_measure
@@ -410,8 +437,6 @@ class Region:
         if self.kind == "mask":
             return float(np.count_nonzero(self.mask)) * 2.0 ** (-self.level * self.dim)
         if self.kind == "annulus":
-            from .rearrange import unit_ball_volume
-
             return unit_ball_volume(self.dim) * (
                 self.r_out**self.dim - self.r_in**self.dim
             )
@@ -488,15 +513,42 @@ def save_grid(u: GridFunction, path: str | Path, metadata: dict | None = None) -
 
 
 def load_grid(path: str | Path) -> GridFunction:
+    """Read a file written by :func:`save_grid`, checking it before use.
+
+    Raises GridFormatError, naming the path and the mismatch, for a wrong
+    magic, a dimension outside {1, 2, 3}, a level whose cell measure is not
+    a normal double, a truncated header, a nonpositive extent, more cells
+    than ``DEFAULT_CELL_GUARD``, or a payload that is not exactly 8 bytes
+    per cell.
+    """
     raw = Path(path).read_bytes()
+
+    def bad(why: str) -> GridFormatError:
+        return GridFormatError(f"{path}: {why}")
+
     if raw[: len(_MAGIC)] != _MAGIC:
-        raise ValueError(f"{path}: not a grid file")
+        raise bad("not a grid file (bad magic)")
     off = len(_MAGIC)
+    if len(raw) < off + 16:
+        raise bad(f"header truncated at {len(raw)} bytes")
     dim, level = struct.unpack_from("<qq", raw, off)
+    if dim not in (1, 2, 3):
+        raise bad(f"dimension must be 1, 2 or 3, got {dim}")
+    if abs(level) * dim > _MAX_LEVEL_DIM:
+        raise bad(f"level {level} is out of range for dimension {dim}")
     off += 16
+    if len(raw) < off + 16 * dim:
+        raise bad(f"header truncated at {len(raw)} bytes, needs {off + 16 * dim}")
     origin = struct.unpack_from(f"<{dim}q", raw, off)
     off += 8 * dim
     extents = struct.unpack_from(f"<{dim}q", raw, off)
     off += 8 * dim
+    if any(n <= 0 for n in extents):
+        raise bad(f"extents must be positive, got {extents}")
+    cells = math.prod(extents)
+    if cells > DEFAULT_CELL_GUARD:
+        raise bad(f"{cells} cells exceed the guard of {DEFAULT_CELL_GUARD}")
+    if len(raw) - off != 8 * cells:
+        raise bad(f"payload is {len(raw) - off} bytes, extents {extents} need {8 * cells}")
     vals = np.frombuffer(raw, dtype="<f8", offset=off).reshape(extents).copy()
-    return GridFunction(int(dim), int(level), tuple(origin), tuple(extents), vals)
+    return GridFunction(dim, level, origin, extents, vals)

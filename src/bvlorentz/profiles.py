@@ -32,6 +32,7 @@ from .multiscale import DyadicSum, dyadic_sum
 from .rearrange import LorentzIndex, lorentz_norm, step_from_pairs
 
 __all__ = [
+    "ExtractionArgumentError",
     "NonConvergentSubsequenceError",
     "ExtractedProfile",
     "ProfileDecomposition",
@@ -55,6 +56,10 @@ __all__ = [
 # finest grid in the sequence).  A radius or level override that needs more
 # raises MemoryGuardError.
 WINDOW_CELL_GUARD = 2**20
+
+
+class ExtractionArgumentError(ValueError):
+    """Raised for extraction arguments outside their documented range."""
 
 
 class NonConvergentSubsequenceError(RuntimeError):
@@ -218,9 +223,19 @@ def extract_profiles(
     cauchy_tol: float = 0.05,
     stride: int = 1,
 ) -> ProfileDecomposition:
-    seq = [dyadic_sum(u) for u in elements][:: max(1, stride)]
+    if window_radius < 1:
+        raise ExtractionArgumentError(f"window_radius must be at least 1, got {window_radius}")
+    if stride < 1:
+        raise ExtractionArgumentError(f"stride must be at least 1, got {stride}")
+    if scale_window < 0:
+        raise ExtractionArgumentError(f"scale_window must be nonnegative, got {scale_window}")
+    if not cauchy_tol >= 0:
+        raise ExtractionArgumentError(f"cauchy_tol must be nonnegative, got {cauchy_tol}")
+    seq = [dyadic_sum(u) for u in elements][::stride]
     if len(seq) < 3:
-        raise ValueError("need at least three sequence elements for the tail check")
+        raise ExtractionArgumentError(
+            f"need at least three sequence elements for the tail check, got {len(seq)}"
+        )
     dim = seq[0].dim
     original_tv = tuple(r.total_variation() for r in seq)
 
@@ -267,7 +282,7 @@ def extract_profiles(
             ]
             rel = max(gaps) / denom
             if rel > cauchy_tol:
-                raise NonConvergentSubsequenceError(rel, cauchy_tol, 2 * max(1, stride))
+                raise NonConvergentSubsequenceError(rel, cauchy_tol, 2 * stride)
 
         placements = tuple(inverse(h) for h in aligns)
         profiles.append(

@@ -124,34 +124,48 @@ class StepFunction:
         return padded[idx]
 
 
-def step_from_pairs(values: np.ndarray, measures: np.ndarray) -> StepFunction | None:
+def step_from_pairs(values: np.ndarray, measures) -> StepFunction | None:
     """Sort |values| decreasingly, merge equal values, drop zeros.
 
+    ``measures`` is one measure per value, or a scalar when every value
+    sits on a set of the same measure (the cells of a grid).  In the scalar
+    case only the values are sorted, and a run of k equal values gets
+    measure k * m, the exact sum of its k equal dyadic cell measures.
     Returns None for the zero function (empty chunk list).
     """
     v = np.abs(np.asarray(values, dtype=np.float64).ravel())
-    m = np.asarray(measures, dtype=np.float64).ravel()
-    if v.shape != m.shape:
+    m = np.asarray(measures, dtype=np.float64)
+    uniform = m.ndim == 0
+    m = m if uniform else m.ravel()
+    if not uniform and v.shape != m.shape:
         raise ValueError("values and measures must have equal length")
     if np.any(m < 0):
         raise ValueError("measures must be nonnegative")
     keep = (v > 0) & (m > 0)
-    v, m = v[keep], m[keep]
+    if uniform:
+        v = np.sort(v[keep])[::-1]
+    else:
+        v, m = v[keep], m[keep]
+        order = np.argsort(-v, kind="stable")
+        v, m = v[order], m[order]
     if v.size == 0:
         return None
-    order = np.argsort(-v, kind="stable")
-    v, m = v[order], m[order]
     # merge runs of identical values so chunk values are strictly decreasing
     boundaries = np.concatenate(([True], np.diff(v) != 0.0))
     starts = np.flatnonzero(boundaries)
     merged_v = v[starts]
-    merged_m = np.add.reduceat(m, starts)
+    if uniform:
+        merged_m = np.diff(np.append(starts, v.size)) * m
+    else:
+        merged_m = np.add.reduceat(m, starts)
     return StepFunction(merged_v, merged_m)
 
 
 def _as_step(u) -> StepFunction | None:
     if isinstance(u, StepFunction):
         return u
+    if hasattr(u, "rearrangement"):
+        return u.rearrangement
     if hasattr(u, "value_measure_pairs"):
         return step_from_pairs(*u.value_measure_pairs())
     raise TypeError(f"cannot rearrange object of type {type(u).__name__}")

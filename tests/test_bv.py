@@ -183,3 +183,61 @@ def test_tanh_contracts_variation(u):
     squash = ScalarC1(np.tanh, 1.0, "tanh")
     _, rep = compose_scalar(squash, u)
     assert rep.ok
+
+
+# -- integer-keyed lattice splitting against the float-centre dict loop ------
+
+def _reference_lattice_tv_sum(u):
+    """The former implementation: cubes from floor(float centres) of the
+    nonzero cells, one dict update per nonzero cell, in flat cell order."""
+    from bvlorentz.bv import SPLITTING_SLACK, TVReport, _local_contributions
+
+    origin, contrib = _local_contributions(u)
+    flat = contrib.ravel()
+    nz = np.flatnonzero(flat)
+    cells = np.unravel_index(nz, contrib.shape)
+    centers = [(origin[a] + cells[a] + 0.5) * u.spacing for a in range(u.dim)]
+    cubes = np.floor(np.stack(centers, axis=-1)).astype(int)
+    per_cube = {}
+    for key, x in zip(map(tuple, cubes.tolist()), flat[nz].tolist()):
+        per_cube[key] = per_cube.get(key, 0.0) + x
+    total = float(np.sum(flat))
+    sum_per_cube = float(sum(per_cube.values()))
+    bound = 3**u.dim * total
+    return TVReport(total, per_cube, sum_per_cube, bound, sum_per_cube <= bound * (1.0 + SPLITTING_SLACK))
+
+
+def _assert_same_split(u):
+    new, ref = lattice_tv_sum(u), _reference_lattice_tv_sum(u)
+    assert list(new.per_cube.items()) == list(ref.per_cube.items())
+    assert all(type(c) is int for key in new.per_cube for c in key)
+    assert new.total == ref.total
+    assert new.sum_per_cube == ref.sum_per_cube
+    assert new.splitting_bound == ref.splitting_bound
+    assert new.ok == ref.ok
+    assert new.to_dict() == ref.to_dict()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lattice_split_matches_reference_on_corpus(dim):
+    from bvlorentz.corpus import corpus_grids
+
+    for seed in range(40):
+        for u in corpus_grids(seed, dim, 5):
+            _assert_same_split(u)
+
+
+@pytest.mark.parametrize("level", [-3, -1, 0, 1, 2, 5])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lattice_split_matches_reference_at_every_level(level, dim):
+    rng = np.random.default_rng(1000 * dim + level)
+    for _ in range(6):
+        extents = tuple(int(n) for n in rng.integers(1, 12 if dim < 3 else 6, dim))
+        origin = tuple(int(o) for o in rng.integers(-40, 5, dim))
+        vals = rng.choice([0.0, 0.125, 1.0, -0.5], size=extents)
+        _assert_same_split(GridFunction(dim, level, origin, extents, vals))
+
+
+def test_lattice_split_zero_function():
+    rep = lattice_tv_sum(GridFunction(2, 1, (-3, 2), (2, 3), np.zeros((2, 3))))
+    assert rep.per_cube == {} and rep.total == 0.0 and rep.sum_per_cube == 0.0 and rep.ok

@@ -2,10 +2,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bvlorentz.cli import main
-from bvlorentz.grid import save_grid
+from bvlorentz.grid import GridFunction, save_grid
 from bvlorentz.profiles import save_sequence, two_profile_sequence
 
 
@@ -49,6 +50,15 @@ def test_norms_missing_input_is_usage_error(capsys):
 
 def test_norms_missing_file(tmp_path, capsys):
     assert main(["norms", "--input", str(tmp_path / "nope.grid")]) == 2
+
+
+def test_norms_truncated_grid_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "u.grid"
+    save_grid(GridFunction(2, 3, (0, 0), (8, 8), np.ones((8, 8))), p)
+    p.write_bytes(p.read_bytes()[:200])
+    assert main(["norms", "--input", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {p}: payload is 144 bytes, extents (8, 8) need 512\n"
 
 
 def test_threads_flag_accepted(saved_grid, capsys):
@@ -156,6 +166,27 @@ def test_decompose_window_guard_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: window of radius 4 at level 9 needs 16777216 cells")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--window-radius", "0", "window_radius must be at least 1, got 0"),
+        ("--stride", "0", "stride must be at least 1, got 0"),
+        ("--stride", "-3", "stride must be at least 1, got -3"),
+        ("--scale-window", "-1", "scale_window must be nonnegative, got -1"),
+        ("--cauchy-tol", "-1", "cauchy_tol must be nonnegative, got -1.0"),
+        ("--stride", "3", "need at least three sequence elements for the tail check, got 2"),
+    ],
+)
+def test_decompose_bad_argument_is_usage_error(tmp_path, capsys, flag, value, message):
+    seq_dir = tmp_path / "seq"
+    save_sequence(str(seq_dir), two_profile_sequence(range(1, 5)))
+    out = tmp_path / "o"
+    argv = ["decompose", "--input", str(seq_dir), "--epsilon", "0.1", "--out-dir", str(out)]
+    assert main(argv + [flag, value]) == 2
+    assert capsys.readouterr().err == f"error: decompose: {message}\n"
+    assert not out.exists()
 
 
 def test_decompose_requires_epsilon(tmp_path, capsys):

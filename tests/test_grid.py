@@ -1,10 +1,16 @@
 """Grid construction, exact bookkeeping, box queries, serialization."""
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvlorentz.grid import (
+    DEFAULT_CELL_GUARD,
     DimensionMismatchError,
+    GridFormatError,
     GridFunction,
     MemoryGuardError,
     RefinementDirectionError,
@@ -184,6 +190,86 @@ def test_save_load_roundtrip(tmp_path, single_cell):
     bad.write_bytes(b"NOTAGRID" + b"\x00" * 64)
     with pytest.raises(ValueError):
         load_grid(bad)
+
+
+def _grid_bytes(dim, level, origin, extents, payload=b""):
+    return (
+        b"BVLGRID1"
+        + struct.pack("<qq", dim, level)
+        + struct.pack(f"<{dim}q", *origin)
+        + struct.pack(f"<{dim}q", *extents)
+        + payload
+    )
+
+
+@pytest.mark.parametrize(
+    "raw, why",
+    [
+        (b"BVLGRID2" + b"\x00" * 64, "not a grid file (bad magic)"),
+        (b"BVLGRID1" + b"\x00" * 9, "header truncated at 17 bytes"),
+        (_grid_bytes(4, 0, (0,) * 4, (1,) * 4, b"\x00" * 8), "dimension must be 1, 2 or 3, got 4"),
+        (_grid_bytes(2, 600, (0, 0), (1, 1), b"\x00" * 8), "level 600 is out of range for dimension 2"),
+        (_grid_bytes(2, 0, (0, 0), (1, 1))[:-3], "header truncated at 53 bytes, needs 56"),
+        (_grid_bytes(2, 0, (0, 0), (3, 0)), "extents must be positive, got (3, 0)"),
+        (_grid_bytes(2, 0, (0, 0), (2**14, 2**14)), f"268435456 cells exceed the guard of {DEFAULT_CELL_GUARD}"),
+        (_grid_bytes(2, 0, (0, 0), (8, 8), b"\x00" * 144), "payload is 144 bytes, extents (8, 8) need 512"),
+        (_grid_bytes(1, 0, (0,), (2,), b"\x00" * 17), "payload is 17 bytes, extents (2,) need 16"),
+    ],
+)
+def test_load_grid_names_each_fault(tmp_path, raw, why):
+    p = tmp_path / "bad.grid"
+    p.write_bytes(raw)
+    with pytest.raises(GridFormatError) as err:
+        load_grid(p)
+    assert str(err.value) == f"{p}: {why}"
+    assert isinstance(err.value, ValueError)
+
+
+saved_grids = st.integers(1, 3).flatmap(
+    lambda dim: st.builds(
+        lambda level, origin, extents, seed: GridFunction(
+            dim, level, tuple(origin), tuple(extents),
+            np.random.default_rng(seed).normal(size=tuple(extents)),
+        ),
+        st.integers(-3, 6),
+        st.lists(st.integers(-20, 20), min_size=dim, max_size=dim),
+        st.lists(st.integers(1, 4), min_size=dim, max_size=dim),
+        st.integers(0, 2**16),
+    )
+)
+
+
+@given(saved_grids)
+@settings(max_examples=25, deadline=None)
+def test_every_proper_prefix_is_refused(u):
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "u.grid"
+        save_grid(u, p)
+        raw = p.read_bytes()
+        np.testing.assert_array_equal(load_grid(p).values, u.values)
+        for cut in range(len(raw)):
+            p.write_bytes(raw[:cut])
+            with pytest.raises(GridFormatError):
+                load_grid(p)
+
+
+@given(saved_grids, st.data())
+@settings(max_examples=80, deadline=None)
+def test_header_byte_flip_loads_or_is_refused(u, data):
+    header_end = 8 + 16 + 16 * u.dim
+    pos = data.draw(st.integers(0, header_end - 1))
+    flip = data.draw(st.integers(1, 255))
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "u.grid"
+        save_grid(u, p)
+        raw = bytearray(p.read_bytes())
+        raw[pos] ^= flip
+        p.write_bytes(bytes(raw))
+        try:
+            back = load_grid(p)
+        except GridFormatError:
+            return
+    assert isinstance(back, GridFunction)
 
 
 def test_memory_guard():

@@ -233,3 +233,61 @@ def test_save_load_step_roundtrip(tmp_path):
     # repr() serialization round-trips doubles bit-exactly
     np.testing.assert_array_equal(back.values, s.values)
     np.testing.assert_array_equal(back.measures, s.measures)
+
+
+# -- values-only rearrangement of grid functions against the pairs path ------
+
+def _grid_cases(checker2d):
+    from bvlorentz.corpus import corpus_grids
+    from bvlorentz.grid import GridFunction
+
+    cases = [u for seed in range(8) for d in (1, 2, 3) for u in corpus_grids(seed, d, 5)]
+    rng = np.random.default_rng(5)
+    cases += [
+        checker2d,
+        GridFunction(2, 3, (-4, 1), (5, 7), np.full((5, 7), 0.75)),
+        GridFunction(3, -1, (-2, 0, 3), (3, 4, 2), rng.choice([-2.0, -0.5, 0.0, 0.5, 1.0], (3, 4, 2))),
+        GridFunction(1, 2, (-9,), (40,), rng.normal(size=40)),
+    ]
+    return cases
+
+
+def test_grid_rearrangement_matches_pairs_path(checker2d):
+    for u in _grid_cases(checker2d):
+        fast = u.rearrangement
+        ref = step_from_pairs(*u.value_measure_pairs())
+        assert np.array_equal(fast.values, ref.values)
+        assert np.array_equal(fast.measures, ref.measures)
+
+
+def test_grid_rearrangement_of_zero_grid_is_none():
+    from bvlorentz.grid import GridFunction
+
+    u = GridFunction(2, 1, (0, 0), (3, 3), np.zeros((3, 3)))
+    assert u.rearrangement is None
+    assert step_from_pairs(*u.value_measure_pairs()) is None
+    assert lorentz_norm(u, LorentzIndex(2.0, 1.0)) == 0.0
+
+
+def test_scalar_measure_validation():
+    assert step_from_pairs(np.array([1.0, 2.0]), 0.0) is None
+    with pytest.raises(ValueError, match="nonnegative"):
+        step_from_pairs(np.array([1.0, 2.0]), -0.25)
+
+
+def test_four_norms_sort_a_grid_once(monkeypatch, checker2d):
+    from bvlorentz import grid
+    from bvlorentz.grid import GridFunction
+
+    calls = []
+
+    def counting(values, measures):
+        calls.append(np.size(values))
+        return step_from_pairs(values, measures)
+
+    monkeypatch.setattr(grid, "step_from_pairs", counting)
+    u = GridFunction(2, 2, (0, 0), (4, 4), checker2d.values + 1.0)
+    norms = [lorentz_norm(u, LorentzIndex(2.0, q)) for q in (1.0, 1.5, 2.0, math.inf)]
+    assert calls == [16]
+    assert norms[2] == pytest.approx(lebesgue_norm(u, 2.0), rel=1e-12)
+    assert calls == [16]
