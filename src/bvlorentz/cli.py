@@ -126,6 +126,8 @@ def cmd_norms(cfg: dict) -> int:
         raise _UsageError("norms: --input is required")
     u = load_grid(cfg["input"])
     step = u.rearrangement
+    tv = bv.total_variation(u)
+    l1 = u.l1_norm()
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "input": os.path.basename(str(cfg["input"])),
@@ -133,12 +135,13 @@ def cmd_norms(cfg: dict) -> int:
         "level": u.level,
         "cells": u.cell_count,
         "support_measure": support_measure(u),
-        "tv": bv.total_variation(u),
-        "bv_norm": bv.bv_norm(u),
-        "l1": u.l1_norm(),
+        "tv": tv,
+        # bv.bv_norm(u) over the full region, without recomputing both terms
+        "bv_norm": tv + l1,
+        "l1": l1,
         "sup": u.sup_norm(),
         "lebesgue": {
-            "p1": u.l1_norm(),
+            "p1": l1,
             "p2": 0.0 if step is None else lebesgue_norm(step, 2.0),
         },
     }
@@ -159,7 +162,20 @@ def cmd_norms(cfg: dict) -> int:
 
 def cmd_counterexample(cfg: dict) -> int:
     qs = tuple(_parse_floats(cfg["q_list"]))
-    rep = cx.run_counterexample(int(cfg["dim"]), int(cfg["n_max"]), qs)
+    dim, n_max, quad_level = int(cfg["dim"]), int(cfg["n_max"]), int(cfg["quad_level"])
+    if dim not in (2, 3):
+        raise _UsageError(f"counterexample: --dim must be 2 or 3, got {dim}")
+    if n_max < 2:
+        raise _UsageError(f"counterexample: --n-max must be at least 2, got {n_max}")
+    if quad_level < 0:
+        raise _UsageError(f"counterexample: --quad-level must be at least 0, got {quad_level}")
+    rep = cx.run_counterexample(dim, n_max, qs)
+    ok = rep.ok
+    probe = None
+    if cfg["probe"]:
+        # before any file is written: an oversized quadrature leaves no partial output
+        probe = cx.dvanishing_probe(dim, tuple(range(1, n_max + 1)), quad_level=quad_level)
+        ok = ok and cx.probe_ok(probe)
     outdir = str(cfg["out_dir"])
     os.makedirs(outdir, exist_ok=True)
     _write_text("\n".join(rep.csv_lines()) + "\n", os.path.join(outdir, "counterexample.csv"))
@@ -168,15 +184,8 @@ def cmd_counterexample(cfg: dict) -> int:
         cx.gnuplot_script("counterexample.csv", qs),
         os.path.join(outdir, "counterexample.plt"),
     )
-    ok = rep.ok
-    if cfg["probe"]:
-        probe = cx.dvanishing_probe(
-            int(cfg["dim"]),
-            tuple(range(1, int(cfg["n_max"]) + 1)),
-            quad_level=int(cfg["quad_level"]),
-        )
+    if probe is not None:
         _emit(probe.to_dict(), os.path.join(outdir, "probe.json"))
-        ok = ok and cx.probe_ok(probe)
         print(
             f"probe: best captured mass fits n^{probe.fit_exponent:.3f} "
             f"(target {cx.PROBE_FIT_TARGET} +/- {cx.PROBE_FIT_TOL})"

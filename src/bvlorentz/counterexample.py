@@ -10,12 +10,14 @@ of order ``1/n``.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import DEFAULT_CELL_GUARD, MemoryGuardError
 from .group import DyadicVector, GroupElement
 from .radial import (
     RadialStep,
@@ -235,21 +237,31 @@ class ProbeReport:
         }
 
 
-def _captured_mass(u: RadialStep, g: GroupElement, quad_level: int) -> float:
-    """Midpoint quadrature of |g u| over the unit cube (0,1)^dim."""
-    dim = u.dim
+def _shell_index(breaks: np.ndarray, g: GroupElement, dim: int, quad_level: int) -> np.ndarray:
+    """Fine-shell index of |2^j (x - y)| at the midpoint nodes of (0,1)^dim.
+
+    Index 0 is r = 0, index k the shell breaks[k-1] < r <= breaks[k], and
+    len(breaks) is r > breaks[-1]: the side of ``RadialStep.evaluate``.
+    """
     m = 2**quad_level
-    h = 1.0 / m
-    axis = (np.arange(m) + 0.5) * h
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    y = np.array(g.y.as_floats())
+    axis = (np.arange(m) + 0.5) * (1.0 / m)
+    y = g.y.as_floats()
     scale = 2.0**g.j
-    radius_sq = np.zeros_like(grids[0])
+    radius_sq = np.zeros((m,) * dim)
     for k in range(dim):
-        radius_sq += (scale * (grids[k] - y[k])) ** 2
-    vals = u.evaluate(np.sqrt(radius_sq))
-    factor = 2.0 ** ((dim - 1) * g.j)
-    return float(factor * np.abs(vals).mean())
+        # per node the same terms, added in the same order, as over a full meshgrid
+        radius_sq += ((scale * (axis - y[k])) ** 2).reshape((m,) + (1,) * (dim - 1 - k))
+    return np.searchsorted(breaks, np.sqrt(radius_sq), side="left")
+
+
+def _shell_lookup(u: RadialStep, breaks: np.ndarray) -> np.ndarray:
+    """|u| per fine-shell index of :func:`_shell_index`.
+
+    ``u.radii`` must be a subset of ``breaks``, so u is constant on every
+    fine shell and its value at the closed upper radius is its value there.
+    """
+    r = np.concatenate(([0.0], breaks[1:], [np.inf]))
+    return np.abs(u.evaluate(r))
 
 
 def dvanishing_probe(
@@ -258,18 +270,47 @@ def dvanishing_probe(
     elements: list[GroupElement] | None = None,
     quad_level: int = 9,
 ) -> ProbeReport:
+    """Midpoint quadrature of |g u_n| over the unit cube (0,1)^dim, for every
+    staircase ``u_n`` (n in ``n_list``) and group element g.
+
+    The radius field |2^j (x - y)| depends only on g, so it is computed once
+    per element and located once among the union of all staircase
+    breakpoints.  Every staircase's breakpoints lie in that union (they are
+    nested: {0} and 2^-i for i <= n), so a per-n lookup table built by
+    ``RadialStep.evaluate`` at each fine shell's upper radius reproduces
+    ``u_n.evaluate`` at every node exactly.  Each mass is the mean over the
+    same (2^quad_level,)*dim array of |u_n| values as a per-(n, g)
+    evaluation would build, so every mass is bit-identical to it.
+
+    Raises ``ValueError`` for a negative ``quad_level`` and
+    ``MemoryGuardError``, before allocating, when the (2^quad_level)^dim
+    nodes exceed ``DEFAULT_CELL_GUARD``.
+    """
+    if quad_level < 0:
+        raise ValueError(f"quad_level must be at least 0, got {quad_level}")
+    nodes = 2 ** (quad_level * dim)
+    if nodes > DEFAULT_CELL_GUARD:
+        raise MemoryGuardError(
+            f"probe quadrature at level {quad_level} needs {nodes} nodes in dim {dim}, "
+            f"guard is {DEFAULT_CELL_GUARD}"
+        )
     if elements is None:
         elements = aligned_probe_elements(dim, max(n_list))
+    family = [staircase(dim, n) for n in n_list]
+    breaks = functools.reduce(np.union1d, (u.radii for u in family))
+    lookups = [_shell_lookup(u, breaks) for u in family]
+    # captured[e][i]: mass of element e on staircase n_list[i]
+    captured = []
+    for g in elements:
+        idx = _shell_index(breaks, g, dim, quad_level)
+        factor = 2.0 ** ((dim - 1) * g.j)
+        captured.append([float(factor * np.take(lut, idx).mean()) for lut in lookups])
     per_element: dict[tuple, list[float]] = {}
     best: list[float] = []
-    for n in n_list:
-        u = staircase(dim, n)
-        masses = []
-        for g in elements:
+    for masses in zip(*captured):  # one n at a time, masses in element order
+        for g, mass in zip(elements, masses):
             key = (g.j, tuple(g.y.as_floats()))
-            mass = _captured_mass(u, g, quad_level)
             per_element.setdefault(key, []).append(mass)
-            masses.append(mass)
         best.append(max(masses))
     fit = decay_fit(n_list, best)
     return ProbeReport(

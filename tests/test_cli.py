@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bvlorentz import bv
+from bvlorentz import counterexample as cx
 from bvlorentz.cli import main
-from bvlorentz.grid import GridFunction, save_grid
+from bvlorentz.corpus import corpus_grids
+from bvlorentz.grid import DEFAULT_CELL_GUARD, GridFunction, save_grid
 from bvlorentz.profiles import save_sequence, two_profile_sequence
 
 
@@ -59,6 +62,26 @@ def test_norms_truncated_grid_is_usage_error(tmp_path, capsys):
     assert main(["norms", "--input", str(p)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {p}: payload is 144 bytes, extents (8, 8) need 512\n"
+
+
+@pytest.mark.parametrize(
+    "u",
+    [u for d in (1, 2, 3) for u in corpus_grids(5, d, 4)]
+    + [GridFunction(2, 3, (0, 0), (8, 8), np.zeros((8, 8)))],
+)
+def test_norms_bv_norm_equals_library(tmp_path, u):
+    p, out = tmp_path / "u.grid", tmp_path / "norms.json"
+    save_grid(u, p)
+    assert main(["norms", "--input", str(p), "--out", str(out)]) == 0
+    doc = _read(out)
+    assert doc["bv_norm"] == bv.bv_norm(u)
+    assert doc["tv"] == bv.total_variation(u) and doc["l1"] == doc["lebesgue"]["p1"] == u.l1_norm()
+
+
+def test_norms_bv_norm_equals_library_checker(tmp_path, saved_grid, checker2d):
+    out = tmp_path / "norms.json"
+    assert main(["norms", "--input", str(saved_grid), "--out", str(out)]) == 0
+    assert _read(out)["bv_norm"] == bv.bv_norm(checker2d)
 
 
 def test_threads_flag_accepted(saved_grid, capsys):
@@ -114,6 +137,38 @@ def test_counterexample_outputs_and_determinism(tmp_path, capsys):
     assert abs(probe["fit_exponent"] + 1.0) <= 0.2
     plt = (d1 / "counterexample.plt").read_text()
     assert "set logscale xy" in plt
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--n-max", "0", "--n-max must be at least 2, got 0"),
+        ("--n-max", "1", "--n-max must be at least 2, got 1"),
+        ("--dim", "1", "--dim must be 2 or 3, got 1"),
+        ("--dim", "4", "--dim must be 2 or 3, got 4"),
+        ("--quad-level", "-1", "--quad-level must be at least 0, got -1"),
+    ],
+)
+def test_counterexample_bad_argument_is_usage_error(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "o"
+    assert main(["counterexample", "--out-dir", str(out), flag, value]) == 2
+    assert capsys.readouterr().err == f"error: counterexample: {message}\n"
+    assert not out.exists()
+
+
+def test_counterexample_quadrature_guard_is_usage_error(tmp_path, capsys, monkeypatch):
+    def no_quadrature(*args):
+        raise AssertionError("quadrature nodes allocated past the guard")
+
+    monkeypatch.setattr(cx, "_shell_index", no_quadrature)
+    out = tmp_path / "o"
+    argv = ["counterexample", "--n-max", "4", "--quad-level", "14", "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: probe quadrature at level 14 needs {2**28} nodes in dim 2, "
+        f"guard is {DEFAULT_CELL_GUARD}\n"
+    )
+    assert not out.exists()
 
 
 # -- decompose --------------------------------------------------------------------

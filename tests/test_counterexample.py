@@ -1,6 +1,13 @@
 """The staircase family: bounded variation, vanishing norms, mass escape."""
+import functools
+
+import numpy as np
 import pytest
 
+from bvlorentz import counterexample as cx
+from bvlorentz.grid import DEFAULT_CELL_GUARD, MemoryGuardError
+from bvlorentz.group import DyadicVector, GroupElement
+from bvlorentz.radial import RadialStep, staircase
 from bvlorentz.counterexample import (
     PROBE_FIT_TOL,
     aligned_probe_elements,
@@ -108,6 +115,114 @@ def test_probe_mass_near_one_over_n():
     probe = dvanishing_probe(dim=2, n_list=(4, 8), quad_level=9)
     for n, m in zip(probe.ns, probe.masses):
         assert m == pytest.approx(0.9566 / n, rel=0.05)
+
+
+# -- exactness of the per-element probe ------------------------------------------
+
+def _captured_mass(u: RadialStep, g: GroupElement, quad_level: int) -> float:
+    """Reference: one midpoint quadrature of |g u| over (0,1)^dim per (n, g)."""
+    dim = u.dim
+    m = 2**quad_level
+    h = 1.0 / m
+    axis = (np.arange(m) + 0.5) * h
+    grids = np.meshgrid(*([axis] * dim), indexing="ij")
+    y = np.array(g.y.as_floats())
+    scale = 2.0**g.j
+    radius_sq = np.zeros_like(grids[0])
+    for k in range(dim):
+        radius_sq += (scale * (grids[k] - y[k])) ** 2
+    vals = u.evaluate(np.sqrt(radius_sq))
+    factor = 2.0 ** ((dim - 1) * g.j)
+    return float(factor * np.abs(vals).mean())
+
+
+def _reference_probe(dim, n_list, elements, quad_level):
+    """The per-(n, g) loop the probe replaced: masses, per_element, fit."""
+    per_element = {}
+    best = []
+    for n in n_list:
+        u = staircase(dim, n)
+        masses = []
+        for g in elements:
+            key = (g.j, tuple(g.y.as_floats()))
+            mass = _captured_mass(u, g, quad_level)
+            per_element.setdefault(key, []).append(mass)
+            masses.append(mass)
+        best.append(max(masses))
+    return tuple(best), [(k, tuple(v)) for k, v in per_element.items()], decay_fit(n_list, best)
+
+
+def _assert_probe_exact(dim, n_list, elements, quad_level):
+    probe = dvanishing_probe(dim, n_list, elements, quad_level)
+    masses, per_element, fit = _reference_probe(
+        dim, n_list, elements or aligned_probe_elements(dim, max(n_list)), quad_level
+    )
+    assert probe.masses == masses
+    assert list(probe.per_element.items()) == per_element
+    assert probe.fit_exponent == fit
+
+
+@pytest.mark.parametrize(
+    "dim, quad_level", [(2, q) for q in range(9)] + [(3, q) for q in range(6)]
+)
+def test_probe_equals_per_pair_quadrature(dim, quad_level):
+    _assert_probe_exact(dim, tuple(range(1, 13)), None, quad_level)
+
+
+def test_probe_equals_per_pair_quadrature_custom_elements():
+    els = aligned_probe_elements(2, 8)[::-1]
+    # y on a node (1/256, 65/256) of the level-7 quadrature: radii 0, 2^-2 and
+    # 2^-1 are hit exactly, so the closed side of every shell is exercised
+    on_node = DyadicVector((1, 65), 8)
+    els = els[3:] + els[:3] + [GroupElement(0, on_node), GroupElement(1, on_node)]
+    _assert_probe_exact(2, (4, 8), els, 7)
+    els3 = aligned_probe_elements(3, 8)[::-1]
+    _assert_probe_exact(3, (4, 8), els3[1::2] + els3[::2], 5)
+
+
+@pytest.mark.parametrize("dim, n_list", [(2, tuple(range(1, 13))), (3, tuple(range(1, 13))), (2, (4, 8))])
+def test_shell_lookup_equals_evaluate(dim, n_list):
+    family = [staircase(dim, n) for n in n_list]
+    breaks = functools.reduce(np.union1d, (u.radii for u in family))
+    r = np.concatenate((
+        [0.0],
+        breaks,
+        np.nextafter(breaks, -np.inf)[1:],
+        np.nextafter(breaks, np.inf),
+        [2.0, 1e300, np.inf],
+    ))
+    idx = np.searchsorted(breaks, r, side="left")
+    for u in family:
+        assert np.array_equal(cx._shell_lookup(u, breaks)[idx], np.abs(u.evaluate(r)))
+
+
+def test_probe_guard_refuses_before_allocating(monkeypatch):
+    def no_quadrature(*args):
+        raise AssertionError("quadrature nodes allocated past the guard")
+
+    monkeypatch.setattr(cx, "_shell_index", no_quadrature)
+    with pytest.raises(MemoryGuardError) as exc:
+        dvanishing_probe(dim=2, n_list=(1, 2), quad_level=14)
+    assert str(exc.value) == (
+        f"probe quadrature at level 14 needs {2**28} nodes in dim 2, guard is {DEFAULT_CELL_GUARD}"
+    )
+    with pytest.raises(MemoryGuardError):
+        dvanishing_probe(dim=3, n_list=(1, 2), quad_level=10)
+
+
+def test_probe_refuses_negative_quad_level():
+    with pytest.raises(ValueError, match="quad_level must be at least 0, got -1"):
+        dvanishing_probe(dim=2, n_list=(1, 2), quad_level=-1)
+
+
+def test_probe_guard_boundary(monkeypatch):
+    monkeypatch.setattr(cx, "DEFAULT_CELL_GUARD", 2**12)
+    dvanishing_probe(dim=2, n_list=(1, 2), quad_level=6)  # 4096 nodes: at the guard
+    dvanishing_probe(dim=3, n_list=(1, 2), quad_level=4)
+    with pytest.raises(MemoryGuardError):
+        dvanishing_probe(dim=2, n_list=(1, 2), quad_level=7)
+    with pytest.raises(MemoryGuardError):
+        dvanishing_probe(dim=3, n_list=(1, 2), quad_level=5)
 
 
 def test_gnuplot_script_shape():
