@@ -57,23 +57,41 @@ def _local_contributions(u: GridFunction) -> tuple[tuple[int, ...], np.ndarray]:
     """Per-cell variation, attributed to the base cell of each forward pair.
 
     Returns the origin of the padded index domain (one cell below the box on
-    every axis) and the array of h^{dim-1} * sum_k |forward difference|.
+    every axis) and the array of h^{dim-1} * sum_k |forward difference| over
+    that domain: (n+2)^dim cells, the layout of the zero-padded values.
+
+    The padded copy itself is never made, and the result is bit-identical to
+    forward differences of it.  Across axis k, the face above padded cell i
+    adds |v[0]| at i = 0, |v[i] - v[i-1]| for 0 < i < n and |v[n-1]| at
+    i = n, exactly the differences against the zero padding.  Rows on the
+    border of another axis would add |0 - 0|; they get nothing, and adding
+    +0.0 to a sum of absolute values leaves it unchanged.  So each cell gets
+    the same terms, added in the same axis order from 0.0, and is then scaled
+    by the same h^{dim-1}, in place; the array has the same contiguous
+    layout, so ``np.sum`` over it groups the terms the same way too.
     """
-    padded = np.pad(u.values, (1, 1))
-    acc = np.zeros_like(padded)
+    v = u.values
+    acc = np.zeros(tuple(n + 2 for n in v.shape))
+    box = (slice(1, -1),) * u.dim
     for axis in range(u.dim):
-        d = np.abs(np.diff(padded, axis=axis))
-        head = tuple(
-            slice(0, padded.shape[a] - (1 if a == axis else 0)) for a in range(u.dim)
-        )
-        acc[head] += d
-    h_face = u.spacing ** (u.dim - 1)
-    return tuple(o - 1 for o in u.origin), acc * h_face
+        lead = (slice(None),) * axis  # v: every row of the axes before `axis`
+        pre, post = box[:axis], box[axis + 1 :]  # acc: box rows of the other axes
+        diff = np.subtract(v[lead + (slice(1, None),)], v[lead + (slice(None, -1),)])
+        np.abs(diff, out=diff)
+        faces = acc[pre + (slice(1, -2),) + post]
+        faces += diff
+        del diff  # free it before the next axis allocates its own
+        faces = acc[pre + (slice(0, 1),) + post]
+        faces += np.abs(v[lead + (slice(0, 1),)])
+        faces = acc[pre + (slice(-2, -1),) + post]
+        faces += np.abs(v[lead + (slice(-1, None),)])
+    acc *= u.spacing ** (u.dim - 1)
+    return tuple(o - 1 for o in u.origin), acc
 
 
 def total_variation(u: GridFunction) -> float:
-    _, contrib = _local_contributions(u)
-    return float(np.sum(contrib))
+    """Per-face variation of ``u``, computed once per grid function."""
+    return u.variation
 
 
 def _padded_centers(u: GridFunction, origin: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:

@@ -140,6 +140,12 @@ def run_counterexample(
     n_max: int = 12,
     q_list: tuple = (1.0, 1.2, 1.5, 2.0),
 ) -> CounterexampleReport:
+    """Norms and invariants of the staircases n = 1..n_max.
+
+    Raises ``ValueError`` for ``n_max < 1``.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     t0 = time.perf_counter()
     p = critical_exponent(dim)
     rows = []

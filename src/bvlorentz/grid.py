@@ -96,9 +96,11 @@ def _guard(cells: int, cell_guard: int | None) -> None:
 class GridFunction:
     """Piecewise-constant function on a box of dyadic cells, zero outside.
 
-    Instances are immutable (the values array is read-only), so derived
-    data that depends only on the values may be cached on the object: the
-    decreasing rearrangement is computed once, by one values-only sort.
+    Instances are immutable (the values array is read-only, and every value
+    is finite), so derived data that depends only on the values may be cached
+    on the object: the decreasing rearrangement is computed once, by one
+    values-only sort, and the total variation once, by one pass over the
+    faces.
     """
 
     dim: int
@@ -120,6 +122,10 @@ class GridFunction:
             raise ValueError(
                 f"values shape {vals.shape} != extents {tuple(self.extents)}"
             )
+        finite = np.isfinite(vals)
+        if not finite.all():
+            bad = vals.size - np.count_nonzero(finite)
+            raise ValueError(f"values must be finite: {bad} of {vals.size} cells hold NaN or inf")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -170,6 +176,17 @@ class GridFunction:
         result equals ``step_from_pairs(*self.value_measure_pairs())``.
         """
         return step_from_pairs(self.values, self.cell_measure)
+
+    @cached_property
+    def variation(self) -> float:
+        """The per-face total variation (see :mod:`bvlorentz.bv`).
+
+        Only the scalar is kept; the per-cell array it sums is freed.
+        """
+        from .bv import _local_contributions
+
+        _, contrib = _local_contributions(self)
+        return float(np.sum(contrib))
 
     def l1_norm(self) -> float:
         return float(np.sum(np.abs(self.values))) * self.cell_measure
@@ -518,8 +535,8 @@ def load_grid(path: str | Path) -> GridFunction:
     Raises GridFormatError, naming the path and the mismatch, for a wrong
     magic, a dimension outside {1, 2, 3}, a level whose cell measure is not
     a normal double, a truncated header, a nonpositive extent, more cells
-    than ``DEFAULT_CELL_GUARD``, or a payload that is not exactly 8 bytes
-    per cell.
+    than ``DEFAULT_CELL_GUARD``, a payload that is not exactly 8 bytes per
+    cell, or a NaN or infinite value.
     """
     raw = Path(path).read_bytes()
 
@@ -551,4 +568,7 @@ def load_grid(path: str | Path) -> GridFunction:
     if len(raw) - off != 8 * cells:
         raise bad(f"payload is {len(raw) - off} bytes, extents {extents} need {8 * cells}")
     vals = np.frombuffer(raw, dtype="<f8", offset=off).reshape(extents).copy()
-    return GridFunction(dim, level, origin, extents, vals)
+    try:
+        return GridFunction(dim, level, origin, extents, vals)
+    except ValueError as err:  # the header is checked: only non-finite values remain
+        raise bad(str(err)) from err

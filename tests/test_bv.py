@@ -1,8 +1,11 @@
 """Total variation: exactness, chain rule, lattice splitting."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvlorentz import bv
 from bvlorentz.bv import (
     ScalarC1,
     SupportViolationError,
@@ -241,3 +244,124 @@ def test_lattice_split_matches_reference_at_every_level(level, dim):
 def test_lattice_split_zero_function():
     rep = lattice_tv_sum(GridFunction(2, 1, (-3, 2), (2, 3), np.zeros((2, 3))))
     assert rep.per_cube == {} and rep.total == 0.0 and rep.sum_per_cube == 0.0 and rep.ok
+
+
+# -- the face-slab kernel against the former zero-padded kernel ---------------
+
+def _reference_local_contributions(u):
+    """The former kernel: forward differences of a zero-padded copy."""
+    padded = np.pad(u.values, (1, 1))
+    acc = np.zeros_like(padded)
+    for axis in range(u.dim):
+        d = np.abs(np.diff(padded, axis=axis))
+        head = tuple(
+            slice(0, padded.shape[a] - (1 if a == axis else 0)) for a in range(u.dim)
+        )
+        acc[head] += d
+    h_face = u.spacing ** (u.dim - 1)
+    return tuple(o - 1 for o in u.origin), acc * h_face
+
+
+def _assert_same_variation(u):
+    regions = [
+        cube_region(u.dim, 0, (0,) * u.dim, 1),
+        cube_region(u.dim, 1, (-1,) * u.dim, 2),
+        cube_region(u.dim, u.level, u.origin, 1),
+    ]
+    with np.errstate(over="ignore"):  # values near 1e305 overflow on purpose
+        origin, contrib = bv._local_contributions(u)
+        ref_origin, ref = _reference_local_contributions(u)
+        new_on = [total_variation_on(u, r) for r in regions]
+        new_split = lattice_tv_sum(u)
+        with mock.patch.object(bv, "_local_contributions", _reference_local_contributions):
+            ref_on = [total_variation_on(u, r) for r in regions]
+            ref_split = lattice_tv_sum(u)
+        assert total_variation(u) == float(np.sum(ref))
+    assert origin == ref_origin
+    assert contrib.shape == ref.shape and contrib.tobytes() == ref.tobytes()
+    assert new_on == ref_on
+    assert new_split.total == ref_split.total
+    assert new_split.sum_per_cube == ref_split.sum_per_cube
+    assert list(new_split.per_cube.items()) == list(ref_split.per_cube.items())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_variation_kernel_matches_padded_reference_on_corpus(dim):
+    from bvlorentz.corpus import corpus_grids
+
+    for seed in range(10):
+        for u in corpus_grids(seed, dim, 5):
+            _assert_same_variation(u)
+
+
+@st.composite
+def _kernel_grids(draw):
+    dim = draw(st.integers(1, 3))
+    extents = tuple(draw(st.lists(st.integers(1, 5), min_size=dim, max_size=dim)))
+    origin = tuple(draw(st.lists(st.integers(-6, 6), min_size=dim, max_size=dim)))
+    level = draw(st.integers(-6, 7))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    cells = int(np.prod(extents))
+    flat = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 0.125, -0.5, 1e-5, -1e5]), st.floats(-1e5, 1e5)),
+        min_size=cells, max_size=cells,
+    ))
+    vals = np.array(flat).reshape(extents) * scale
+    return GridFunction(dim, level, origin, extents, vals)
+
+
+@given(_kernel_grids())
+@settings(max_examples=300, deadline=None)
+def test_variation_kernel_matches_padded_reference(u):
+    # extents of 1, levels -6..7 and values near 1e-300 or 1e305 reach
+    # subnormal and overflowing h^{dim-1} products
+    _assert_same_variation(u)
+
+
+def test_variation_kernel_extreme_scales_reach_subnormal_and_inf():
+    tiny = GridFunction(3, 7, (0, 0, 0), (1, 1, 2), np.array([[[1e-305, 0.0]]]))
+    assert 0.0 < total_variation(tiny) < np.finfo(float).tiny
+    _assert_same_variation(tiny)
+    huge = GridFunction(3, -6, (0, 0, 0), (1, 1, 2), np.array([[[1e305, -1e305]]]))
+    with np.errstate(over="ignore"):
+        assert total_variation(huge) == np.inf
+    _assert_same_variation(huge)
+
+
+# -- the variation is computed once per grid function -------------------------
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = []
+    kernel = bv._local_contributions
+
+    def counted(u):
+        calls.append(u)
+        return kernel(u)
+
+    monkeypatch.setattr(bv, "_local_contributions", counted)
+    return calls
+
+
+def test_total_variation_runs_the_kernel_once(kernel_calls, checker2d):
+    first = total_variation(checker2d)
+    assert total_variation(checker2d) == first
+    assert kernel_calls == [checker2d]
+
+
+def test_compose_scalar_reuses_the_input_variation(kernel_calls, checker2d):
+    maps = [
+        ScalarC1(lambda t: 0.5 * t, 0.5, "half"),
+        ScalarC1(np.tanh, 1.0, "tanh"),
+        ScalarC1(lambda t: -t, 1.0, "negate"),
+    ]
+    composed = [compose_scalar(phi, checker2d)[0] for phi in maps]
+    assert len(kernel_calls) == 1 + len(maps)
+    assert kernel_calls[0] is checker2d
+    assert all(a is b for a, b in zip(kernel_calls[1:], composed))
+
+
+def test_new_grid_function_from_same_values_recomputes(kernel_calls, checker2d):
+    twin = GridFunction(2, checker2d.level, checker2d.origin, checker2d.extents, checker2d.values)
+    assert total_variation(checker2d) == total_variation(twin)
+    assert len(kernel_calls) == 2 and kernel_calls[1] is twin

@@ -64,6 +64,16 @@ def test_norms_truncated_grid_is_usage_error(tmp_path, capsys):
     assert err == f"error: {p}: payload is 144 bytes, extents (8, 8) need 512\n"
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_norms_non_finite_grid_is_usage_error(tmp_path, capsys, bad):
+    p = tmp_path / "u.grid"
+    save_grid(GridFunction(2, 3, (0, 0), (8, 8), np.ones((8, 8))), p)
+    p.write_bytes(p.read_bytes()[:-8] + np.array(bad, dtype="<f8").tobytes())
+    assert main(["norms", "--input", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {p}: values must be finite: 1 of 64 cells hold NaN or inf\n"
+
+
 @pytest.mark.parametrize(
     "u",
     [u for d in (1, 2, 3) for u in corpus_grids(5, d, 4)]

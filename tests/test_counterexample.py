@@ -236,3 +236,14 @@ def test_gnuplot_script_shape():
 def test_runs_fast(report):
     # the whole family, all norms: well under the one-second budget
     assert report.elapsed_seconds < 1.0
+
+
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_run_counterexample_needs_a_staircase(n_max):
+    with pytest.raises(ValueError, match=f"n_max must be at least 1, got {n_max}"):
+        run_counterexample(2, n_max)
+
+
+def test_run_counterexample_single_staircase():
+    rep = run_counterexample(2, 1)
+    assert [r.n for r in rep.rows] == [1]

@@ -357,3 +357,22 @@ def test_linear_combine_is_exact_addition(a, b):
     ra = resample_to(a, lvl, s.origin, s.extents)
     rb = resample_to(b, lvl, s.origin, s.extents)
     np.testing.assert_allclose(s.values, ra.values + rb.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_are_refused(tmp_path, bad):
+    vals = np.ones((3, 4))
+    vals[1, 2] = bad
+    why = "values must be finite: 1 of 12 cells hold NaN or inf"
+    with pytest.raises(ValueError, match=why):
+        GridFunction(2, 1, (0, 0), (3, 4), vals)
+    # the same value in a saved file: the payload ends the file, one double per cell
+    p = tmp_path / "u.grid"
+    save_grid(GridFunction(2, 1, (0, 0), (3, 4), np.ones((3, 4))), p)
+    raw = bytearray(p.read_bytes())
+    at = len(raw) - 8 * 12 + 8 * (1 * 4 + 2)
+    raw[at : at + 8] = struct.pack("<d", bad)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(GridFormatError) as err:
+        load_grid(p)
+    assert str(err.value) == f"{p}: {why}"
