@@ -10,12 +10,14 @@ names with dashes turned into underscores); explicit flags override the
 config, which overrides built-in defaults.  Outputs are byte-identical
 across runs: keys sorted, no timestamps, floats through the JSON shortest
 representation.  Exit codes: 0 success, 1 failed validation or audit,
-2 usage error.
+2 usage error (including an input whose norms overflow a double: no JSON
+output ever holds NaN or infinity).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -81,7 +83,12 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
     path = getattr(args, "config", None)
     if path:
         with open(path) as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except ValueError as err:
+                raise _UsageError(f"config {path} is not valid JSON: {err}") from err
+        if not isinstance(loaded, dict):
+            raise _UsageError(f"config {path} must hold a JSON object")
         bad = sorted(set(loaded) - set(cfg))
         if bad:
             raise _UsageError(f"unknown config keys for {command}: {', '.join(bad)}")
@@ -93,20 +100,42 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
     return cfg
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_q_list(command: str, text: str) -> list[float]:
+    """Second indices from a comma list; each must be a number q > 0 (inf allowed)."""
     out = []
     for tok in str(text).split(","):
         tok = tok.strip()
         if not tok:
             continue
-        out.append(float("inf") if tok in ("inf", "Inf") else float(tok))
+        try:
+            q = float(tok)
+        except ValueError:
+            q = float("nan")
+        if not q > 0:
+            raise _UsageError(f"{command}: --q-list entries must be positive numbers, got {tok!r}")
+        out.append(q)
     if not out:
-        raise _UsageError(f"empty number list: {text!r}")
+        raise _UsageError(f"{command}: empty --q-list: {text!r}")
     return out
 
 
+def _first_non_finite(doc: dict, prefix: str = "") -> str | None:
+    """Dotted key of the first float in ``doc`` that is NaN or infinite."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            found = _first_non_finite(value, f"{prefix}{key}.")
+            if found:
+                return found
+        elif isinstance(value, float) and not math.isfinite(value):
+            return prefix + key
+    return None
+
+
 def _emit(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as err:  # a backstop: JSON has no NaN or infinity
+        raise _UsageError(f"{path or 'stdout'}: output holds a value that overflows a double") from err
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -124,6 +153,7 @@ def _write_text(text: str, path: str) -> None:
 def cmd_norms(cfg: dict) -> int:
     if not cfg["input"]:
         raise _UsageError("norms: --input is required")
+    qs = _parse_q_list("norms", cfg["q_list"])
     u = load_grid(cfg["input"])
     step = u.rearrangement
     tv = bv.total_variation(u)
@@ -136,9 +166,9 @@ def cmd_norms(cfg: dict) -> int:
         "cells": u.cell_count,
         "support_measure": support_measure(u),
         "tv": tv,
+        "l1": l1,
         # bv.bv_norm(u) over the full region, without recomputing both terms
         "bv_norm": tv + l1,
-        "l1": l1,
         "sup": u.sup_norm(),
         "lebesgue": {
             "p1": l1,
@@ -150,10 +180,13 @@ def cmd_norms(cfg: dict) -> int:
         doc["critical_exponent"] = p
         doc["lebesgue"]["pcrit"] = 0.0 if step is None else lebesgue_norm(step, p)
         table = {}
-        for q in _parse_floats(cfg["q_list"]):
+        for q in qs:
             key = "qinf" if q == float("inf") else f"q{q:g}"
             table[key] = 0.0 if step is None else lorentz_norm(step, LorentzIndex(p, q))
         doc["lorentz_critical"] = table
+    bad = _first_non_finite(doc)
+    if bad:
+        raise _UsageError(f"norms: {bad} of {cfg['input']} overflows a double")
     _emit(doc, cfg["out"])
     return 0
 
@@ -161,7 +194,7 @@ def cmd_norms(cfg: dict) -> int:
 # -- counterexample ---------------------------------------------------------------
 
 def cmd_counterexample(cfg: dict) -> int:
-    qs = tuple(_parse_floats(cfg["q_list"]))
+    qs = tuple(_parse_q_list("counterexample", cfg["q_list"]))
     dim, n_max, quad_level = int(cfg["dim"]), int(cfg["n_max"]), int(cfg["quad_level"])
     if dim not in (2, 3):
         raise _UsageError(f"counterexample: --dim must be 2 or 3, got {dim}")
@@ -349,7 +382,13 @@ def _suite_nesting(seed: int, count: int) -> dict:
 def cmd_audit(cfg: dict) -> int:
     seed = int(cfg["seed"])
     count = int(cfg["count"])
-    dims = [int(x) for x in str(cfg["dims"]).split(",")]
+    if count < 1:
+        raise _UsageError(f"audit: --count must be at least 1, got {count}")
+    dims = [tok.strip() for tok in str(cfg["dims"]).split(",")]
+    for tok in dims:
+        if tok not in ("1", "2", "3"):
+            raise _UsageError(f"audit: --dims entries must be 1, 2 or 3, got {tok!r}")
+    dims = [int(tok) for tok in dims]
     negative = str(cfg["negative_control"])
     suites = {
         "rearrangement_equality": _suite_rearrangement(seed, count),

@@ -336,24 +336,6 @@ def support_measure(u: GridFunction) -> float:
 
 # -- exact box queries -------------------------------------------------------
 
-def _axis_overlap(
-    src_origin: int, src_n: int, src_h: float, dst_origin: int, dst_n: int, dst_h: float
-) -> np.ndarray:
-    """Overlap lengths between destination and source intervals on one axis.
-
-    Returns a (dst_n, src_n) matrix whose (i, j) entry is the length of the
-    intersection of destination cell i with source cell j.  Exact for the
-    piecewise-constant data model.
-    """
-    src_lo = (src_origin + np.arange(src_n, dtype=float)) * src_h
-    src_hi = src_lo + src_h
-    dst_lo = (dst_origin + np.arange(dst_n, dtype=float)) * dst_h
-    dst_hi = dst_lo + dst_h
-    lo = np.maximum(dst_lo[:, None], src_lo[None, :])
-    hi = np.minimum(dst_hi[:, None], src_hi[None, :])
-    return np.clip(hi - lo, 0.0, None)
-
-
 def _interval_weights(lo: float, hi: float, origin: int, n: int, h: float) -> np.ndarray:
     cell_lo = (origin + np.arange(n, dtype=float)) * h
     cell_hi = cell_lo + h
@@ -376,6 +358,42 @@ def box_mass(u: GridFunction, lo: Sequence[float], hi: Sequence[float]) -> float
     return float(np.einsum("i,j,k,ijk->", weights[0], weights[1], weights[2], vals))
 
 
+# -- dyadic block sums ---------------------------------------------------------
+
+def _halve(a: np.ndarray, origin: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Pairwise sums over blocks of two cells per axis, block index = cell
+    index >> 1.  An odd start or length is padded with one zero, which keeps
+    blocks on the lattice and mirror-image sums bit-identical."""
+    pad = [(o & 1, (o + n) & 1) for o, n in zip(origin, a.shape)]
+    if any(lo or hi for lo, hi in pad):
+        padded = np.zeros(tuple(lo + n + hi for n, (lo, hi) in zip(a.shape, pad)))
+        padded[tuple(slice(lo, lo + n) for n, (lo, _) in zip(a.shape, pad))] = a
+        a = padded
+    for axis in range(a.ndim):
+        head = (slice(None),) * axis
+        a = a[head + (slice(0, None, 2),)] + a[head + (slice(1, None, 2),)]
+    return a, tuple(o >> 1 for o in origin)
+
+
+def _overlap_box(
+    u: GridFunction, level: int, origin: Sequence[int], extents: Sequence[int]
+) -> tuple[list[int], list[int]] | None:
+    """Cell-index box at ``level`` where the footprint of ``u`` meets the
+    target box, as (lo, hi) per axis; None when they do not meet."""
+    d = u.level - level
+    if d <= 0:
+        flo = [o << -d for o in u.origin]
+        fhi = [(o + n) << -d for o, n in zip(u.origin, u.extents)]
+    else:
+        flo = [o >> d for o in u.origin]
+        fhi = [((o + n - 1) >> d) + 1 for o, n in zip(u.origin, u.extents)]
+    lo = [max(a, int(o)) for a, o in zip(flo, origin)]
+    hi = [min(b, int(o) + int(n)) for b, o, n in zip(fhi, origin, extents)]
+    if any(b <= a for a, b in zip(lo, hi)):
+        return None
+    return lo, hi
+
+
 def resample_to(
     u: GridFunction,
     level: int,
@@ -386,25 +404,38 @@ def resample_to(
 ) -> GridFunction:
     """Cell averages of ``u`` on an arbitrary target grid.
 
-    Exact for the stored piecewise-constant function.  When the target grid
-    is a cell-aligned refinement this reproduces :func:`refine`; on coarser
-    targets it averages, which is the projection used for weak-limit proxies.
+    Exact for the stored piecewise-constant function.  Source and target lie
+    on one dyadic lattice, so at a target level at or above the source level
+    each target cell lies inside one source cell, whose value is gathered
+    (this reproduces :func:`refine`); d levels coarser, each target cell is a
+    block of 2^d source cells per axis, summed by d halvings and scaled by the
+    exact power 2^(-d*dim), which is the projection used for weak-limit
+    proxies.  Only the source cells under the target box are read.
     """
     origin = tuple(int(o) for o in origin)
     extents = tuple(int(n) for n in extents)
     _guard(int(np.prod(extents)), cell_guard)
-    dst_h = 2.0 ** (-level)
-    mats = [
-        _axis_overlap(u.origin[a], u.extents[a], u.spacing, origin[a], extents[a], dst_h)
-        for a in range(u.dim)
-    ]
-    if u.dim == 1:
-        integ = mats[0] @ u.values
-    elif u.dim == 2:
-        integ = mats[0] @ u.values @ mats[1].T
+    box = _overlap_box(u, level, origin, extents)
+    if box is None:
+        return GridFunction(u.dim, level, origin, extents, np.zeros(extents))
+    lo, hi = box
+    d = u.level - level
+    if d <= 0:
+        idx = [(np.arange(a, b) >> -d) - o for a, b, o in zip(lo, hi, u.origin)]
+        block = u.values[np.ix_(*idx)]
     else:
-        integ = np.einsum("ai,bj,ck,ijk->abc", mats[0], mats[1], mats[2], u.values)
-    return GridFunction(u.dim, level, origin, extents, integ / dst_h**u.dim)
+        src_lo = [max(a << d, o) for a, o in zip(lo, u.origin)]
+        src_hi = [min(b << d, o + n) for b, o, n in zip(hi, u.origin, u.extents)]
+        block = u.values[tuple(slice(a - o, b - o) for a, b, o in zip(src_lo, src_hi, u.origin))]
+        sub_origin = tuple(src_lo)
+        for _ in range(d):
+            block, sub_origin = _halve(block, sub_origin)
+        block = block * 2.0 ** (-d * u.dim)
+    if lo == list(origin) and hi == [o + n for o, n in zip(origin, extents)]:
+        return GridFunction(u.dim, level, origin, extents, block)
+    out = np.zeros(extents)
+    out[tuple(slice(a - o, b - o) for a, b, o in zip(lo, hi, origin))] = block
+    return GridFunction(u.dim, level, origin, extents, out)
 
 
 # -- regions -----------------------------------------------------------------

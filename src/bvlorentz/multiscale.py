@@ -17,6 +17,7 @@ import numpy as np
 from . import bv
 from .grid import (
     GridFunction,
+    _overlap_box,
     box_mass,
     linear_combine,
     resample_to,
@@ -130,10 +131,22 @@ class DyadicSum:
     def materialize(
         self, level: int, origin: tuple[int, ...], extents: tuple[int, ...]
     ) -> GridFunction:
-        """Exact cell averages of the sum on a target grid (the window proxy)."""
+        """Exact cell averages of the sum on a target grid (the window proxy).
+
+        Each cluster is resampled on its footprint clipped to the window only,
+        and added into that slice; clusters are added in order onto 0.0, and
+        those outside the window are skipped.
+        """
         acc = np.zeros(extents)
         for c in self.clusters():
-            acc += resample_to(c, level, origin, extents, cell_guard=self.cell_guard).values
+            box = _overlap_box(c, level, origin, extents)
+            if box is None:
+                continue
+            lo, hi = box
+            part = resample_to(
+                c, level, lo, [b - a for a, b in zip(lo, hi)], cell_guard=self.cell_guard
+            )
+            acc[tuple(slice(a - o, b - o) for a, b, o in zip(lo, hi, origin))] += part.values
         return GridFunction(self.dim, level, tuple(origin), tuple(extents), acc)
 
     def is_zero(self) -> bool:

@@ -26,7 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bv
-from .grid import GridFunction, MemoryGuardError, from_sampler, load_grid, save_grid, trim
+from .grid import (
+    GridFunction,
+    MemoryGuardError,
+    _halve,
+    from_sampler,
+    load_grid,
+    save_grid,
+    trim,
+)
 from .group import DyadicVector, GroupElement, inverse
 from .multiscale import DyadicSum, dyadic_sum
 from .rearrange import LorentzIndex, lorentz_norm, step_from_pairs
@@ -121,16 +129,6 @@ class ProfileDecomposition:
 
 # -- cube search -------------------------------------------------------------
 
-def _halve(a: np.ndarray, origin: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Pairwise sums over blocks of two cells per axis, block index = cell
-    index >> 1.  An odd start or length is padded with one zero, which keeps
-    blocks on the lattice and mirror-image sums bit-identical."""
-    a = np.pad(a, [(o & 1, (n + o) & 1) for o, n in zip(origin, a.shape)])
-    for axis in range(a.ndim):
-        a = a.reshape(a.shape[:axis] + (-1, 2) + a.shape[axis + 1 :]).sum(axis=axis + 1)
-    return a, tuple(o >> 1 for o in origin)
-
-
 def _mass_pyramids(clusters: list[GridFunction], scale_window: int) -> list:
     """Per cluster: (level, [(origin, block sums of |c| over 2^p cells per
     axis) for p = 0 .. level + scale_window])."""
@@ -176,10 +174,14 @@ def _best_cube_at_scale(pyramids: list, s: int, dim: int) -> tuple[float, tuple[
         else:
             idx = np.unravel_index(int(np.argmax(block)), block.shape)
             keys.append(((origin + idx) << -m)[None, :])
-    cubes = np.unique(np.concatenate(keys), axis=0)
+    # a key listed twice gets the same total, so duplicates cannot move the
+    # maximum; the lexicographically smallest cube among the maxima wins
+    cubes = np.concatenate(keys)
     total = _cube_masses(pyramids, s, dim, cubes)
-    best = int(np.argmax(total))
-    return float(total[best]), tuple(int(k) for k in cubes[best])
+    best = total.max()
+    tied = cubes[total == best]
+    first = tied[np.lexsort(tied.T[::-1])[0]]
+    return float(best), tuple(int(k) for k in first)
 
 
 def _best_alignment(r: DyadicSum, scale_window: int):

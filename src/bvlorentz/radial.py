@@ -55,8 +55,14 @@ class RadialStep:
             raise ValueError("need len(radii) == len(values) + 1")
         if r[0] != 0.0:
             raise ValueError("radii must start at 0")
-        if np.any(np.diff(r) <= 0):
+        if not np.all(np.diff(r) > 0):  # also False at NaN
             raise ValueError("radii must be strictly increasing")
+        if r[-1] == np.inf:  # increasing radii can be infinite only at the end
+            raise ValueError("radii must be finite: the outer radius is inf")
+        finite = np.isfinite(v)
+        if not finite.all():
+            bad = v.size - np.count_nonzero(finite)
+            raise ValueError(f"values must be finite: {bad} of {v.size} shells hold NaN or inf")
         while v.size and v[-1] == 0.0:
             v = v[:-1]
             r = r[:-1]

@@ -92,11 +92,18 @@ class StepFunction:
         m = np.asarray(self.measures, dtype=np.float64)
         if v.ndim != 1 or m.shape != v.shape:
             raise ValueError("values and measures must be 1-d arrays of equal length")
-        if np.any(v <= 0):
+        # v > 0 is False at NaN, and strictly decreasing positive values can
+        # be infinite only at v[0]: no extra pass finds the non-finite ones
+        if not np.all(v > 0) or (v.size and v[0] == np.inf):
+            bad = v.size - np.count_nonzero(np.isfinite(v))
+            if bad:
+                raise ValueError(
+                    f"chunk values must be finite: {bad} of {v.size} chunks hold NaN or inf"
+                )
             raise ValueError("chunk values must be positive")
         if np.any(np.diff(v) >= 0):
             raise ValueError("chunk values must be strictly decreasing")
-        if np.any(m <= 0):
+        if not np.all(m > 0):
             raise ValueError("chunk measures must be positive")
         v.setflags(write=False)
         m.setflags(write=False)

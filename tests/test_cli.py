@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bvlorentz import bv
+from bvlorentz import bv, cli
 from bvlorentz import counterexample as cx
 from bvlorentz.cli import main
 from bvlorentz.corpus import corpus_grids
@@ -94,6 +94,55 @@ def test_norms_bv_norm_equals_library_checker(tmp_path, saved_grid, checker2d):
     assert _read(out)["bv_norm"] == bv.bv_norm(checker2d)
 
 
+def _assert_refused(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "q_list, token", [("abc", "abc"), ("-1", "-1"), ("1,0", "0"), ("2,nan", "nan")]
+)
+def test_norms_bad_q_list_is_usage_error(tmp_path, saved_grid, capsys, q_list, token):
+    out = tmp_path / "n.json"
+    argv = ["norms", "--input", str(saved_grid), "--q-list", q_list, "--out", str(out)]
+    _assert_refused(
+        capsys, argv, f"norms: --q-list entries must be positive numbers, got {token!r}"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "dim, level, values, key",
+    [
+        # |values| sum past the largest double; the TV (7.68e+307) stays finite
+        (2, -6, [[1e305, -1e305], [0.0, 1e305]], "l1"),
+        # the TV itself overflows
+        (3, -6, np.where(np.indices((2, 2, 2)).sum(axis=0) % 2, 1e305, -1e305), "tv"),
+    ],
+)
+def test_norms_overflow_is_refused_without_output(tmp_path, capsys, dim, level, values, key):
+    p = tmp_path / "big.grid"
+    vals = np.asarray(values, dtype=float)
+    save_grid(GridFunction(dim, level, (0,) * dim, vals.shape, vals), p)
+    out = tmp_path / "n.json"
+    with np.errstate(over="ignore"):
+        _assert_refused(
+            capsys,
+            ["norms", "--input", str(p), "--out", str(out)],
+            f"norms: {key} of {p} overflows a double",
+        )
+    assert not out.exists()
+
+
+def test_emit_refuses_non_finite_output(tmp_path):
+    out = tmp_path / "x.json"
+    with pytest.raises(cli._UsageError, match="overflows a double"):
+        cli._emit({"a": {"b": float("inf")}}, str(out))
+    assert not out.exists()
+
+
 def test_threads_flag_accepted(saved_grid, capsys):
     rc = main(["norms", "--input", str(saved_grid), "--threads", "8"])
     assert rc == 0
@@ -129,6 +178,19 @@ def test_missing_config_file(tmp_path, capsys):
     assert rc == 2
 
 
+def test_malformed_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n_max": 3,')
+    assert main(["counterexample", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg} is not valid JSON: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    cfg.write_text("[3]")
+    _assert_refused(
+        capsys, ["audit", "--config", str(cfg)], f"config {cfg} must hold a JSON object"
+    )
+
+
 # -- counterexample --------------------------------------------------------------
 
 def test_counterexample_outputs_and_determinism(tmp_path, capsys):
@@ -157,6 +219,9 @@ def test_counterexample_outputs_and_determinism(tmp_path, capsys):
         ("--dim", "1", "--dim must be 2 or 3, got 1"),
         ("--dim", "4", "--dim must be 2 or 3, got 4"),
         ("--quad-level", "-1", "--quad-level must be at least 0, got -1"),
+        ("--q-list", "0", "--q-list entries must be positive numbers, got '0'"),
+        ("--q-list", "1,x", "--q-list entries must be positive numbers, got 'x'"),
+        ("--q-list", ",", "empty --q-list: ','"),
     ],
 )
 def test_counterexample_bad_argument_is_usage_error(tmp_path, capsys, flag, value, message):
@@ -296,3 +361,19 @@ def test_audit_negative_control_fails_exactly_chain_rule(tmp_path, capsys):
             assert not suite["ok"]
         else:
             assert suite["ok"], f"{name} must stay green under the chi control"
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--dims", "4", "--dims entries must be 1, 2 or 3, got '4'"),
+        ("--dims", "x", "--dims entries must be 1, 2 or 3, got 'x'"),
+        ("--dims", "1,,2", "--dims entries must be 1, 2 or 3, got ''"),
+        ("--count", "0", "--count must be at least 1, got 0"),
+        ("--count", "-2", "--count must be at least 1, got -2"),
+    ],
+)
+def test_audit_bad_argument_is_usage_error(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "audit.json"
+    _assert_refused(capsys, ["audit", flag, value, "--out", str(out)], f"audit: {message}")
+    assert not out.exists()

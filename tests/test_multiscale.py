@@ -1,11 +1,14 @@
 """Formal sums: clustering, exact additivity, lazy group action."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bvlorentz import grid, profiles
 from bvlorentz.bv import total_variation
 from bvlorentz.grid import GridFunction, box_mass, resample_to
 from bvlorentz.group import DyadicVector, GroupElement, act, compose, identity, inverse
 from bvlorentz.multiscale import DyadicSum, Term, dyadic_sum
+from bvlorentz.profiles import staircase_sequence, two_profile_sequence
 
 
 def _block(value=1.0):
@@ -122,3 +125,184 @@ def test_multiscale_stack_stays_lazy():
     assert s.total_variation() == pytest.approx(10.0 * total_variation(u), rel=1e-12)
     biggest = max(c.cell_count for c in s.clusters())
     assert biggest <= 4  # each realized piece is still its own 2x2 box
+
+
+# -- block-sum kernels against the dense overlap path ---------------------------
+#
+# The references below are the former kernels: one overlap matrix per axis,
+# contracted against the values, and a window accumulator that every cluster
+# is resampled onto in full.  On dyadic values every sum is exact in any
+# order, so the kernels must agree with them to the bit.
+
+def _dense_axis_overlap(src_origin, src_n, src_h, dst_origin, dst_n, dst_h):
+    src_lo = (src_origin + np.arange(src_n, dtype=float)) * src_h
+    src_hi = src_lo + src_h
+    dst_lo = (dst_origin + np.arange(dst_n, dtype=float)) * dst_h
+    dst_hi = dst_lo + dst_h
+    lo = np.maximum(dst_lo[:, None], src_lo[None, :])
+    hi = np.minimum(dst_hi[:, None], src_hi[None, :])
+    return np.clip(hi - lo, 0.0, None)
+
+
+def _dense_resample(u, level, origin, extents):
+    dst_h = 2.0 ** (-level)
+    mats = [
+        _dense_axis_overlap(u.origin[a], u.extents[a], u.spacing, origin[a], extents[a], dst_h)
+        for a in range(u.dim)
+    ]
+    if u.dim == 1:
+        integ = mats[0] @ u.values
+    elif u.dim == 2:
+        integ = mats[0] @ u.values @ mats[1].T
+    else:
+        integ = np.einsum("ai,bj,ck,ijk->abc", mats[0], mats[1], mats[2], u.values)
+    return integ / dst_h**u.dim
+
+
+def _dense_materialize(s, level, origin, extents):
+    acc = np.zeros(extents)
+    for c in s.clusters():
+        acc += _dense_resample(c, level, origin, extents)
+    return acc
+
+
+def _padded_halve(a, origin):
+    a = np.pad(a, [(o & 1, (n + o) & 1) for o, n in zip(origin, a.shape)])
+    for axis in range(a.ndim):
+        a = a.reshape(a.shape[:axis] + (-1, 2) + a.shape[axis + 1 :]).sum(axis=axis + 1)
+    return a, tuple(o >> 1 for o in origin)
+
+
+def _assert_materialize_matches(s, level, origin, extents):
+    got = s.materialize(level, origin, extents)
+    assert (got.level, got.origin, got.extents) == (level, tuple(origin), tuple(extents))
+    # bytes, not only ==: cells of subtracted terms come out as +0.0
+    assert got.values.tobytes() == _dense_materialize(s, level, origin, extents).tobytes()
+
+
+@st.composite
+def _dyadic_grids(draw, dim, levels, origins, max_extent):
+    extents = tuple(draw(st.integers(1, max_extent)) for _ in range(dim))
+    vals = draw(
+        st.lists(st.integers(-8, 8), min_size=int(np.prod(extents)), max_size=int(np.prod(extents)))
+    )
+    return GridFunction(
+        dim,
+        draw(st.integers(*levels)),
+        tuple(draw(st.integers(*origins)) for _ in range(dim)),
+        extents,
+        np.array(vals, dtype=float).reshape(extents) / 8.0,
+    )
+
+
+@st.composite
+def _resample_cases(draw):
+    dim = draw(st.integers(1, 3))
+    u = draw(_dyadic_grids(dim, (-3, 4), (-8, 8), 5 if dim < 3 else 4))
+    level = draw(st.integers(-3, 4))
+    origin = tuple(draw(st.integers(-10, 6)) for _ in range(dim))
+    extents = tuple(draw(st.integers(1, 6 if dim < 3 else 4)) for _ in range(dim))
+    return u, level, origin, extents
+
+
+@given(_resample_cases())
+@settings(max_examples=300, deadline=None)
+def test_resample_to_equals_dense_reference(case):
+    u, level, origin, extents = case
+    got = resample_to(u, level, origin, extents)
+    assert (got.level, got.origin, got.extents) == (level, origin, extents)
+    assert np.array_equal(got.values, _dense_resample(u, level, origin, extents))
+
+
+@pytest.mark.parametrize(
+    "src_level, level, origin, extents",
+    [
+        (-1, 1, (-3, -5), (4, 6)),   # level -1 cells cut by both window edges
+        (-2, 0, (1, -3), (5, 2)),    # a level -2 cell straddles the lower edge
+        (-1, -1, (-2, -1), (3, 3)),  # same level, partial overlap
+        (-2, -3, (-1, -1), (2, 2)),  # coarser than the source, negative origin
+        (2, -1, (-1, 0), (2, 1)),    # three halvings, odd source start and length
+        (1, 3, (20, 20), (2, 2)),    # disjoint: all zeros
+    ],
+)
+def test_resample_to_straddling_and_negative_levels(src_level, level, origin, extents):
+    rng = np.random.default_rng(abs(src_level) + 4 * abs(level))
+    u = GridFunction(2, src_level, (-3, -1), (3, 5), rng.integers(-9, 9, (3, 5)) / 4.0)
+    got = resample_to(u, level, origin, extents)
+    assert np.array_equal(got.values, _dense_resample(u, level, origin, extents))
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_halve_equals_padded_reference(dim, data):
+    shape = tuple(data.draw(st.integers(1, 5)) for _ in range(dim))
+    origin = tuple(data.draw(st.integers(-7, 7)) for _ in range(dim))
+    a = np.random.default_rng(sum(shape) + abs(sum(origin))).random(shape)
+    got, got_origin = grid._halve(a, origin)
+    ref, ref_origin = _padded_halve(a, origin)
+    assert got_origin == ref_origin
+    assert got.tobytes() == ref.tobytes()
+
+
+@st.composite
+def _materialize_cases(draw):
+    dim = draw(st.integers(1, 3))
+    s = DyadicSum(dim, ())
+    for _ in range(draw(st.integers(1, 3))):
+        u = draw(_dyadic_grids(dim, (0, 3), (-4, 4), 3))
+        j = draw(st.integers(-2, 2))
+        y = DyadicVector.integers(*(draw(st.integers(-6, 6)) for _ in range(dim)))
+        s = s.with_term(draw(st.sampled_from([1.0, -1.0, 0.5])), GroupElement(j, y), u)
+    level = draw(st.integers(-2, 3))
+    origin = tuple(draw(st.integers(-6, 3)) for _ in range(dim))
+    extents = tuple(draw(st.integers(1, 6)) for _ in range(dim))
+    return s, level, origin, extents
+
+
+@given(_materialize_cases())
+@settings(max_examples=200, deadline=None)
+def test_materialize_equals_dense_reference(case):
+    _assert_materialize_matches(*case)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_materialize_skips_outside_clusters_and_clears_negative_zeros(dim):
+    # a checker pattern: zeros inside the bounding box survive trim
+    vals = (np.arange(3**dim) % 2 == 0).reshape((3,) * dim) * 0.75
+    u = GridFunction(dim, 1, (0,) * dim, (3,) * dim, vals)
+    far = GroupElement(0, DyadicVector.integers(*([40] + [0] * (dim - 1))))
+    near = GroupElement(1, DyadicVector.integers(*([-1] * dim)))
+    s = dyadic_sum(u).with_term(-1.0, far, u).with_term(-1.0, near, u)
+    assert len(s.clusters()) == 3
+    # the -1.0 terms hold -0.0 cells; the far cluster lies outside the window
+    assert any(np.signbit(c.values[c.values == 0.0]).any() for c in s.clusters())
+    for level in (-1, 0, 1, 2, 3):
+        _assert_materialize_matches(s, level, (-4,) * dim, (8,) * dim)
+
+
+def _extraction_windows(seq, epsilon):
+    """(aligned element, window level, origin, extents) as extract_profiles
+    materializes them, on the elements and on what is left after one pass."""
+    rest = profiles.extract_profiles(seq, epsilon=epsilon, max_profiles=1).remainders
+    out = []
+    for r in list(seq) + list(rest):
+        _, h = profiles._best_alignment(r, 10)
+        a = r.apply(h)
+        lv = profiles._window_level([a], 4, r.dim, None)
+        side = 8 * 2**lv
+        out.append((a, lv, (-side // 2,) * r.dim, (side,) * r.dim))
+    return out
+
+
+@pytest.mark.parametrize(
+    "make, epsilon",
+    [
+        (lambda: two_profile_sequence(range(1, 9), level=5), 0.1),
+        (lambda: two_profile_sequence(range(1, 7), dim=3, level=1), 0.1),
+        (lambda: staircase_sequence((4, 5, 6)), 12.0),
+    ],
+    ids=["planted-2d", "planted-3d", "staircase"],
+)
+def test_materialize_equals_dense_reference_on_fixtures(make, epsilon):
+    for a, lv, origin, extents in _extraction_windows(make(), epsilon):
+        _assert_materialize_matches(a, lv, origin, extents)

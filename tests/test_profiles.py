@@ -233,6 +233,59 @@ def test_pyramid_scores_equal_box_mass_in_other_dims(dim):
     _assert_pyramid_matches_reference(sums)
 
 
+def _unique_best_cube_at_scale(pyramids, s, dim):
+    """The former scorer: deduplicate the candidate keys with np.unique (so
+    they come sorted), then take the first maximum."""
+    keys = []
+    for level, sums in pyramids:
+        m = level + s
+        origin, block = sums[max(m, 0)]
+        if m > 0:
+            keys.append(np.argwhere(block > 0.0) + origin)
+        else:
+            idx = np.unravel_index(int(np.argmax(block)), block.shape)
+            keys.append(((origin + idx) << -m)[None, :])
+    cubes = np.unique(np.concatenate(keys), axis=0)
+    total = profiles._cube_masses(pyramids, s, dim, cubes)
+    best = int(np.argmax(total))
+    return float(total[best]), tuple(int(k) for k in cubes[best])
+
+
+def _tied_clusters():
+    """Two equal bumps in separate clusters; the later cluster holds the
+    lexicographically smaller of the tied cubes."""
+    u = tent_bump(2, 4)
+    return dyadic_sum(u).with_term(1.0, GroupElement(0, DyadicVector.integers(-8, 0)), u)
+
+
+@pytest.mark.parametrize(
+    "make, epsilon",
+    [
+        (lambda: two_profile_sequence(range(1, 9), level=6), 0.1),
+        (lambda: two_profile_sequence(range(1, 9), level=5), 0.1),
+        (lambda: two_profile_sequence(range(1, 5)), None),
+        (lambda: two_profile_sequence(range(1, 7), dim=3, level=2), 0.1),
+        (lambda: staircase_sequence((4, 5, 6)), 12.0),
+        (lambda: staircase_sequence((6, 7, 8)), 12.0),
+        (lambda: [_tied_clusters()], None),
+    ],
+    ids=[
+        "planted-L6", "planted-L5", "near-refused", "planted-3d",
+        "staircase-456", "staircase-678", "tied-clusters",
+    ],
+)
+def test_scorer_equals_unique_reference(make, epsilon):
+    seq = make()
+    sums = list(seq)
+    if epsilon is not None:
+        sums += list(extract_profiles(seq, epsilon=epsilon, max_profiles=1).remainders)
+    for r in sums:
+        pyramids = profiles._mass_pyramids(r.clusters(), 10)
+        for s in range(-10, 11):
+            got = profiles._best_cube_at_scale(pyramids, s, r.dim)
+            assert got == _unique_best_cube_at_scale(pyramids, s, r.dim), s
+
+
 def test_staircase_ties_go_to_the_smallest_mirror_cube():
     # the staircase is symmetric through the origin; pairwise block sums keep
     # that symmetry bit for bit, so the four mirror cubes tie and the

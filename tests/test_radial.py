@@ -36,6 +36,22 @@ def test_construction_and_trimming():
     assert z.l1_norm() == 0.0
 
 
+@pytest.mark.parametrize(
+    "radii, values, message",
+    [
+        ([0.0, 1.0, np.inf], [1.0, 2.0], "radii must be finite: the outer radius is inf"),
+        ([0.0, 1.0, np.inf], [1.0, 0.0], "radii must be finite: the outer radius is inf"),
+        ([0.0, np.nan, 2.0], [1.0, 2.0], "radii must be strictly increasing"),
+        ([0.0, 1.0, 2.0], [np.nan, 2.0], "values must be finite: 1 of 2 shells hold NaN or inf"),
+        ([0.0, 1.0, 2.0], [np.inf, -np.inf], "values must be finite: 2 of 2 shells hold NaN or inf"),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, np.inf, 0.0], "values must be finite: 1 of 3 shells hold NaN or inf"),
+    ],
+)
+def test_non_finite_radial_data_is_refused(radii, values, message):
+    with pytest.raises(ValueError, match=message):
+        RadialStep(2, np.array(radii), np.array(values))
+
+
 def test_shell_measures_2d():
     u = annulus_indicator(2)
     # area of 1 < |x| <= 2 is pi(4 - 1)

@@ -89,6 +89,29 @@ def test_step_function_validation():
         StepFunction(np.array([1.0]), np.array([0.0]))
 
 
+@pytest.mark.parametrize(
+    "values, bad",
+    [
+        ([np.nan], 1),
+        ([3.0, np.nan, 1.0], 1),
+        ([np.nan, np.nan], 2),
+        ([np.inf, 2.0, 1.0], 1),
+        ([np.inf, np.inf], 2),
+        ([np.inf, -np.inf], 2),
+        ([2.0, -np.inf], 1),
+    ],
+)
+def test_step_function_refuses_non_finite_values(values, bad):
+    n = len(values)
+    with pytest.raises(ValueError, match=f"chunk values must be finite: {bad} of {n} chunks hold NaN or inf"):
+        StepFunction(np.array(values), np.ones(n))
+
+
+def test_step_function_refuses_nan_measures():
+    with pytest.raises(ValueError, match="chunk measures must be positive"):
+        StepFunction(np.array([2.0, 1.0]), np.array([1.0, np.nan]))
+
+
 def test_evaluate_right_continuous():
     s = StepFunction(np.array([3.0, 1.0]), np.array([1.0, 2.0]))
     out = s.evaluate(np.array([0.0, 0.999, 1.0, 2.999, 3.0, 10.0]))
