@@ -22,7 +22,6 @@ from .grid import (
     MemoryGuardError,
     Region,
     UnsupportedDimensionError,
-    annulus_region,
     box_mass,
     cube_region,
     from_sampler,
@@ -31,7 +30,6 @@ from .grid import (
     load_grid,
     refine,
     resample_to,
-    restrict,
     save_grid,
     trim,
 )

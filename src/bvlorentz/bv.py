@@ -25,17 +25,14 @@ from .grid import (
     Region,
     full_region,
 )
-from .rearrange import LorentzIndex, critical_exponent, lorentz_norm
 
 __all__ = [
-    "BVEmbeddingReport",
     "ChainRuleReport",
     "ScalarC1",
     "SupportViolationError",
     "TVReport",
     "bv_norm",
     "compose_scalar",
-    "embedding_audit_bv",
     "l1_norm_on",
     "lattice_tv_sum",
     "total_variation",
@@ -248,34 +245,3 @@ def lattice_tv_sum(u: GridFunction) -> TVReport:
     bound = 3**u.dim * total
     ok = sum_per_cube <= bound * (1.0 + SPLITTING_SLACK)
     return TVReport(total, per_cube, sum_per_cube, bound, ok)
-
-
-@dataclass(frozen=True)
-class BVEmbeddingReport:
-    q: float
-    norm_lorentz_q: float
-    norm_lorentz_1: float
-    norm_bv: float
-    empirical_constant: float
-    ok_q_vs_1: bool
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-def embedding_audit_bv(u: GridFunction, region: Region, q: float) -> BVEmbeddingReport:
-    """The chain L^{p,q} <= L^{p,1} <= C BV at the critical exponent.
-
-    The first inequality is asserted (it holds with constant one for q >= 1
-    at this exponent); the constant in the second is only recorded.
-    """
-    from .grid import restrict
-
-    p = critical_exponent(u.dim)
-    ru = restrict(u, region)
-    nq = lorentz_norm(ru, LorentzIndex(p, q))
-    n1 = lorentz_norm(ru, LorentzIndex(p, 1.0))
-    nbv = bv_norm(u, region)
-    const = n1 / nbv if nbv > 0 else float("inf")
-    ok = nq <= n1 * (1.0 + 1e-12)
-    return BVEmbeddingReport(q, nq, n1, nbv, const, ok)

@@ -92,6 +92,14 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
         bad = sorted(set(loaded) - set(cfg))
         if bad:
             raise _UsageError(f"unknown config keys for {command}: {', '.join(bad)}")
+        for key, value in loaded.items():  # a value passes where its text passes the flag's type
+            typ = args.flag_types.get(key)
+            try:
+                if typ and (value is not None or cfg[key] is not None):
+                    loaded[key] = typ(str(value))
+            except ValueError:
+                why = f"config key {key!r} must be {typ.__name__}, got {value!r}"
+                raise _UsageError(f"{command}: {why}") from None
         cfg.update(loaded)
     for key in cfg:
         value = getattr(args, key, None)
@@ -425,6 +433,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
         type=int,
         help="accepted for interface stability; computations are single-threaded",
     )
+    sp.set_defaults(flag_types={a.dest: a.type for a in sp._actions if a.type is not None})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -493,10 +502,8 @@ def main(argv=None) -> int:
     try:
         cfg = _merge(args, args.command)
         return _COMMANDS[args.command](cfg)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, GridFormatError, MemoryGuardError) as err:
+    except (_UsageError, FileNotFoundError, GridFormatError, MemoryGuardError,
+            prof.SequenceFormatError) as err:  # faults of the arguments or input files
         print(f"error: {err}", file=sys.stderr)
         return 2
 

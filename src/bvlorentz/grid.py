@@ -13,14 +13,14 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .rearrange import StepFunction, step_from_pairs, unit_ball_volume
+from .rearrange import StepFunction, step_from_pairs
 
 __all__ = [
     "DimensionMismatchError",
@@ -30,7 +30,6 @@ __all__ = [
     "Region",
     "RefinementDirectionError",
     "UnsupportedDimensionError",
-    "annulus_region",
     "box_mass",
     "common_refinement",
     "cube_region",
@@ -39,10 +38,8 @@ __all__ = [
     "grid_zeros",
     "linear_combine",
     "load_grid",
-    "mask_region",
     "refine",
     "resample_to",
-    "restrict",
     "save_grid",
     "support_measure",
     "translate_cells",
@@ -442,17 +439,13 @@ def resample_to(
 
 @dataclass(frozen=True)
 class Region:
-    """Geometric cell-membership test; cells belong if their center does."""
+    """Cells whose center lies in all of space (``"full"``) or in a cube."""
 
     kind: str
     dim: int
     level: int | None = None
     corner: tuple[int, ...] | None = None
     side: int | None = None
-    r_in: float | None = None
-    r_out: float | None = None
-    origin: tuple[int, ...] | None = None
-    mask: np.ndarray | None = field(default=None, repr=False)
 
     def contains_points(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -465,30 +458,7 @@ class Region:
             lo = np.asarray(self.corner, dtype=float) * h
             hi = lo + self.side * h
             return np.all((pts >= lo) & (pts < hi), axis=1)
-        if self.kind == "annulus":
-            r = np.sqrt(np.sum(pts**2, axis=1))
-            return (r > self.r_in) & (r <= self.r_out)
-        if self.kind == "mask":
-            h = 2.0 ** (-self.level)
-            idx = np.floor(pts / h).astype(int) - np.asarray(self.origin)
-            inside = np.all((idx >= 0) & (idx < np.asarray(self.mask.shape)), axis=1)
-            out = np.zeros(pts.shape[0], dtype=bool)
-            if np.any(inside):
-                sel = tuple(idx[inside].T)
-                out[inside] = self.mask[sel]
-            return out
         raise ValueError(f"unknown region kind {self.kind!r}")
-
-    def measure(self) -> float:
-        if self.kind == "cube":
-            return float(self.side**self.dim) * 2.0 ** (-self.level * self.dim)
-        if self.kind == "mask":
-            return float(np.count_nonzero(self.mask)) * 2.0 ** (-self.level * self.dim)
-        if self.kind == "annulus":
-            return unit_ball_volume(self.dim) * (
-                self.r_out**self.dim - self.r_in**self.dim
-            )
-        return float("inf")
 
 
 def cube_region(dim: int, level: int, corner: Sequence[int], side: int) -> Region:
@@ -498,39 +468,9 @@ def cube_region(dim: int, level: int, corner: Sequence[int], side: int) -> Regio
     return Region("cube", dim, level=level, corner=tuple(int(c) for c in corner), side=int(side))
 
 
-def annulus_region(dim: int, r_in: float, r_out: float) -> Region:
-    _check_dim(dim)
-    if not 0 <= r_in < r_out:
-        raise ValueError(f"need 0 <= r_in < r_out, got ({r_in}, {r_out})")
-    return Region("annulus", dim, r_in=float(r_in), r_out=float(r_out))
-
-
-def mask_region(dim: int, level: int, origin: Sequence[int], mask: np.ndarray) -> Region:
-    _check_dim(dim)
-    m = np.asarray(mask, dtype=bool)
-    if m.ndim != dim:
-        raise DimensionMismatchError("mask rank must equal dim")
-    m.setflags(write=False)
-    return Region("mask", dim, level=level, origin=tuple(int(o) for o in origin), mask=m)
-
-
 def full_region(dim: int) -> Region:
     _check_dim(dim)
     return Region("full", dim)
-
-
-def restrict(u: GridFunction, region: Region, *, cell_guard: int | None = None) -> GridFunction:
-    """Zero ``u`` outside the region.
-
-    When the region carries a finer level than ``u`` the function is refined
-    first so region boundaries cannot cut through cells.
-    """
-    if region.dim != u.dim:
-        raise DimensionMismatchError("region dim must match function dim")
-    if region.level is not None and region.level > u.level:
-        u = refine(u, region.level, cell_guard=cell_guard)
-    keep = region.contains_points(u.centers()).reshape(u.extents)
-    return GridFunction(u.dim, u.level, u.origin, u.extents, np.where(keep, u.values, 0.0))
 
 
 # -- serialization -----------------------------------------------------------

@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bv
-from .grid import (
-    GridFunction,
-    _overlap_box,
-    box_mass,
-    linear_combine,
-    resample_to,
-    trim,
-)
+from .grid import GridFunction, _overlap_box, linear_combine, resample_to, trim
 from .group import GroupElement, act, compose, identity
 
 __all__ = ["DyadicSum", "Term", "dyadic_sum"]
@@ -124,9 +117,6 @@ class DyadicSum:
         if not vals:
             return np.zeros(0), np.zeros(0)
         return np.concatenate(vals), np.concatenate(meas)
-
-    def box_mass(self, lo, hi) -> float:
-        return float(sum(box_mass(c, lo, hi) for c in self.clusters()))
 
     def materialize(
         self, level: int, origin: tuple[int, ...], extents: tuple[int, ...]

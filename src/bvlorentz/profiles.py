@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ from .rearrange import LorentzIndex, lorentz_norm, step_from_pairs
 __all__ = [
     "ExtractionArgumentError",
     "NonConvergentSubsequenceError",
+    "SequenceFormatError",
     "ExtractedProfile",
     "ProfileDecomposition",
     "extract_profiles",
@@ -68,6 +70,10 @@ WINDOW_CELL_GUARD = 2**20
 
 class ExtractionArgumentError(ValueError):
     """Raised for extraction arguments outside their documented range."""
+
+
+class SequenceFormatError(ValueError):
+    """Raised when a sequence manifest is malformed; names the path and the fault."""
 
 
 class NonConvergentSubsequenceError(RuntimeError):
@@ -451,15 +457,44 @@ def save_sequence(dirpath: str, elements) -> None:
 
 
 def load_sequence(dirpath: str) -> list[DyadicSum]:
-    with open(os.path.join(dirpath, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    dim = manifest["dim"]
+    """Read a directory written by :func:`save_sequence`, checking its manifest."""
+    path = os.path.join(dirpath, "manifest.json")
+
+    def check(ok: bool, why: str) -> None:
+        if not ok:
+            raise SequenceFormatError(f"{path}: {why}")
+
+    with open(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as err:
+            raise SequenceFormatError(f"{path}: not valid JSON: {err}") from None
+    check(isinstance(manifest, dict), "must hold a JSON object")
+    dim, version = manifest.get("dim"), manifest.get("schema_version")
+    check(type(dim) is int and dim in (1, 2, 3), f"dim must be 1, 2 or 3, got {dim!r}")
+    check(type(version) is int and version == 1, f"schema_version must be 1, got {version!r}")
+    check(isinstance(manifest.get("elements"), list), "elements must be a list")
     out = []
-    for entry in manifest["elements"]:
+    for i, entry in enumerate(manifest["elements"]):
+        terms = entry.get("terms") if isinstance(entry, dict) else None
+        check(isinstance(terms, list), f"element {i}: terms must be a list")
         s = DyadicSum(dim, ())
-        for t in entry["terms"]:
-            u = load_grid(os.path.join(dirpath, t["grid"]))
-            s = s.with_term(t["coeff"], GroupElement.from_dict(t["g"]), u)
+        for k, t in enumerate(terms):
+            at = f"element {i} term {k}:"
+            check(type(t) is dict and {"coeff", "g", "grid"} <= t.keys(), f"{at} needs coeff, g, grid")
+            c, name = t["coeff"], t["grid"]
+            ok = type(c) in (int, float) and abs(c) <= sys.float_info.max  # no bool, no huge int
+            check(ok, f"{at} coeff is not a finite number: {c!r}")
+            try:
+                g = GroupElement.from_dict(t["g"])
+            except (KeyError, TypeError, ValueError, OverflowError):
+                g = None
+            check(g is not None and g.dim == dim, f"{at} g is no dim-{dim} element: {t['g']!r}")
+            bare = name not in ("", ".", "..") and os.path.basename(str(name)) == name
+            check(bare, f"{at} grid is not a bare file name: {name!r}")
+            u = load_grid(os.path.join(dirpath, name))
+            check(u.dim == dim, f"{at} grid {name} has dim {u.dim}, manifest has dim {dim}")
+            s = s.with_term(float(c), g, u)
         out.append(s)
     return out
 

@@ -8,26 +8,21 @@ where a grid would need millions of cells.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .grid import GridFunction, MemoryGuardError, UnsupportedDimensionError, _check_dim, _guard
+from .grid import GridFunction, UnsupportedDimensionError, _check_dim, _guard
 from .rearrange import StepFunction, step_from_pairs, unit_ball_volume
 
 __all__ = [
     "RadialStep",
     "annulus_indicator",
     "dual_pairing_inverse_radius",
-    "load_radial",
     "piecewise_tv",
     "radial_tv",
     "rescale_dyadic",
-    "save_radial",
     "staircase",
     "to_grid",
     "to_stepfunction",
@@ -200,24 +195,3 @@ def to_grid(
     rr = np.sqrt(sum(m**2 for m in mesh))
     vals = u.evaluate(rr)
     return GridFunction(u.dim, level, tuple(origin), tuple(extents), vals)
-
-
-def save_radial(u: RadialStep, path: str | Path, metadata: dict | None = None) -> None:
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r_in", "r_out", "value"])
-        for r0, r1, v in zip(u.radii[:-1], u.radii[1:], u.values):
-            w.writerow([repr(float(r0)), repr(float(r1)), repr(float(v))])
-    side = {"format": "bvlorentz-radial", "format_version": 1, "dim": u.dim}
-    if metadata:
-        side["metadata"] = metadata
-    Path(str(path) + ".json").write_text(json.dumps(side, indent=2, sort_keys=True) + "\n")
-
-
-def load_radial(path: str | Path) -> RadialStep:
-    side = json.loads(Path(str(path) + ".json").read_text())
-    with Path(path).open() as fh:
-        rows = list(csv.DictReader(fh))
-    radii = [float(rows[0]["r_in"])] + [float(r["r_out"]) for r in rows]
-    values = [float(r["value"]) for r in rows]
-    return RadialStep(int(side["dim"]), np.asarray(radii), np.asarray(values))

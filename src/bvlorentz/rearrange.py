@@ -7,10 +7,8 @@ grid functions and radial step functions both do.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -18,18 +16,14 @@ __all__ = [
     "DomainError",
     "LorentzIndex",
     "LorentzIndexError",
-    "NestedEmbeddingReport",
     "StepFunction",
     "critical_exponent",
     "decreasing_rearrangement",
     "distribution_function",
-    "embedding_audit_nested",
     "lebesgue_norm",
-    "load_step",
     "lorentz_norm",
     "lorentz_norm_symmetrization",
     "lorentz_norm_weak",
-    "save_step",
     "schwarz_profile",
     "step_from_pairs",
     "unit_ball_volume",
@@ -287,58 +281,3 @@ def lebesgue_norm(u, p: float) -> float:
     tmax = s.total_measure
     core = np.sum((s.values / vmax) ** p * (s.measures / tmax))
     return vmax * tmax ** (1.0 / p) * float(core) ** (1.0 / p)
-
-
-@dataclass(frozen=True)
-class NestedEmbeddingReport:
-    p1: float
-    q1: float
-    p2: float
-    q2: float
-    region_measure: float
-    norm_first: float
-    norm_second: float
-    ratio: float
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-def embedding_audit_nested(
-    u, p1: float, q1: float, p2: float, q2: float, region_measure: float
-) -> NestedEmbeddingReport:
-    """Both norms of the nested-space pair on a finite-measure region.
-
-    Requires p1 < p2.  Reports the ratio first/second; no constant is
-    asserted, only finiteness is meaningful.
-    """
-    if not 0 < p1 < p2:
-        raise LorentzIndexError(f"need 0 < p1 < p2, got ({p1}, {p2})")
-    if region_measure <= 0:
-        raise DomainError("region measure must be positive")
-    n1 = lorentz_norm(u, LorentzIndex(p1, q1))
-    if math.isinf(p2):
-        s = _as_step(u)
-        n2 = float(s.values[0]) if s is not None else 0.0
-    else:
-        n2 = lorentz_norm(u, LorentzIndex(p2, q2))
-    ratio = n1 / n2 if n2 > 0 else (0.0 if n1 == 0 else float("inf"))
-    return NestedEmbeddingReport(p1, q1, p2, q2, region_measure, n1, n2, ratio)
-
-
-# -- serialization -----------------------------------------------------------
-
-def save_step(s: StepFunction, path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["value", "measure", "cumulative_measure"])
-        for v, m, c in zip(s.values, s.measures, s.cumulative()):
-            w.writerow([repr(float(v)), repr(float(m)), repr(float(c))])
-
-
-def load_step(path: str | Path) -> StepFunction:
-    with Path(path).open() as fh:
-        rows = list(csv.DictReader(fh))
-    vals = np.array([float(r["value"]) for r in rows])
-    meas = np.array([float(r["measure"]) for r in rows])
-    return StepFunction(vals, meas)

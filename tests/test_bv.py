@@ -11,7 +11,6 @@ from bvlorentz.bv import (
     SupportViolationError,
     bv_norm,
     compose_scalar,
-    embedding_audit_bv,
     l1_norm_on,
     lattice_tv_sum,
     total_variation,
@@ -124,16 +123,6 @@ def test_lattice_tv_sum(checker2d):
     assert rep.splitting_bound == 3**2 * rep.total
     d = rep.to_dict()
     assert set(d) == {"total", "sum_per_cube", "splitting_bound", "cubes", "ok"}
-
-
-def test_embedding_audit_bv(checker2d):
-    rep = embedding_audit_bv(checker2d, full_region(2), q=1.5)
-    assert rep.ok_q_vs_1
-    assert rep.norm_lorentz_q <= rep.norm_lorentz_1 * (1 + 1e-12)
-    assert rep.norm_bv > 0
-    assert rep.empirical_constant == pytest.approx(
-        rep.norm_lorentz_1 / rep.norm_bv, rel=1e-14
-    )
 
 
 small_1d = st.builds(

@@ -1,16 +1,21 @@
 """Command line interface: exit codes, config precedence, determinism."""
+import contextlib
+import io
 import json
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvlorentz import bv, cli
 from bvlorentz import counterexample as cx
 from bvlorentz.cli import main
 from bvlorentz.corpus import corpus_grids
 from bvlorentz.grid import DEFAULT_CELL_GUARD, GridFunction, save_grid
-from bvlorentz.profiles import save_sequence, two_profile_sequence
+from bvlorentz.profiles import load_sequence, save_sequence, two_profile_sequence
 
 
 def _read(path: Path) -> dict:
@@ -191,6 +196,75 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
     )
 
 
+# every int and float flag that a --config file may set, per subcommand
+_TYPED_KEYS = [
+    ("counterexample", "dim", "int"),
+    ("counterexample", "n_max", "int"),
+    ("counterexample", "quad_level", "int"),
+    ("decompose", "epsilon", "float"),
+    ("decompose", "max_profiles", "int"),
+    ("decompose", "scale_window", "int"),
+    ("decompose", "window_radius", "int"),
+    ("decompose", "cauchy_tol", "float"),
+    ("decompose", "stride", "int"),
+    ("decompose", "profile_level", "int"),
+    ("decompose", "delta", "float"),
+    ("decompose", "separation_floor", "float"),
+    ("audit", "seed", "int"),
+    ("audit", "count", "int"),
+]
+
+
+def test_typed_keys_cover_every_int_and_float_flag():
+    parser = cli._build_parser()
+    declared = []
+    for command, defaults in cli._DEFAULTS.items():
+        types = parser.parse_args([command]).flag_types
+        declared += [(command, k, t.__name__) for k, t in types.items() if k in defaults]
+    assert sorted(declared) == sorted(_TYPED_KEYS)
+
+
+@pytest.mark.parametrize("value", ["abc", [1], True, {"a": 1}])
+@pytest.mark.parametrize("command, key, type_name", _TYPED_KEYS)
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, key, type_name, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    _assert_refused(
+        capsys,
+        [command, "--config", str(cfg)],
+        f"{command}: config key {key!r} must be {type_name}, got {value!r}",
+    )
+
+
+@pytest.mark.parametrize("value", [2.5, "2.5", "1e3", None])
+def test_config_int_refuses_what_the_flag_refuses(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"count": value}))
+    _assert_refused(
+        capsys, ["audit", "--config", str(cfg)], f"audit: config key 'count' must be int, got {value!r}"
+    )
+
+
+def test_config_numbers_as_text_are_converted_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_max": "3", "quad_level": 4, "probe": False}))
+    assert main(["counterexample", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    assert len(_read(tmp_path / "o" / "counterexample.json")["rows"]) == 3
+    # a null keeps a default that is null, as profile_level's is
+    seq = tmp_path / "seq"
+    save_sequence(str(seq), two_profile_sequence(range(1, 9), level=3))
+    cfg.write_text(json.dumps({"epsilon": "0.1", "profile_level": None, "cauchy_tol": 1}))
+    out = tmp_path / "d"
+    assert main(["decompose", "--input", str(seq), "--config", str(cfg), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    ref = tmp_path / "r"
+    assert main(["decompose", "--input", str(seq), "--epsilon", "0.1", "--cauchy-tol", "1",
+                 "--out-dir", str(ref)]) == 0
+    capsys.readouterr()
+    for p in sorted(ref.iterdir()):
+        assert p.read_bytes() == (out / p.name).read_bytes()
+
+
 # -- counterexample --------------------------------------------------------------
 
 def test_counterexample_outputs_and_determinism(tmp_path, capsys):
@@ -324,6 +398,122 @@ def test_decompose_requires_epsilon(tmp_path, capsys):
     save_sequence(str(seq_dir), two_profile_sequence(range(1, 4), level=4))
     assert main(["decompose", "--input", str(seq_dir)]) == 2
     assert "epsilon" in capsys.readouterr().err
+
+
+# -- sequence manifests -------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def saved_seq(tmp_path_factory):
+    d = tmp_path_factory.mktemp("saved") / "seq"
+    save_sequence(str(d), two_profile_sequence(range(1, 4), level=3))
+    return d
+
+
+def _seq_copy(saved_seq, tmp_path, edit):
+    d = tmp_path / "seq"
+    shutil.copytree(saved_seq, d)
+    manifest = json.loads((d / "manifest.json").read_text())
+    text = edit(manifest)
+    (d / "manifest.json").write_text(text if isinstance(text, str) else json.dumps(manifest))
+    return d
+
+
+def _set(path, value):
+    """An edit that puts ``value`` at ``path`` (keys and indices) of the manifest."""
+    def edit(m):
+        for key in path[:-1]:
+            m = m[key]
+        m[path[-1]] = value
+    return edit
+
+
+def _drop(path):
+    def edit(m):
+        for key in path[:-1]:
+            m = m[key]
+        del m[path[-1]]
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, fault",
+    [
+        (lambda m: "[1, 2]", "must hold a JSON object"),
+        (lambda m: "", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (_drop(["dim"]), "dim must be 1, 2 or 3, got None"),
+        (_set(["dim"], 4), "dim must be 1, 2 or 3, got 4"),
+        (_set(["dim"], "2"), "dim must be 1, 2 or 3, got '2'"),
+        (_set(["dim"], True), "dim must be 1, 2 or 3, got True"),
+        (_drop(["schema_version"]), "schema_version must be 1, got None"),
+        (_set(["schema_version"], 2), "schema_version must be 1, got 2"),
+        (_set(["elements"], {"0": {}}), "elements must be a list"),
+        (_set(["elements", 1], 7), "element 1: terms must be a list"),
+        (_set(["elements", 1, "terms"], "t"), "element 1: terms must be a list"),
+        (_drop(["elements", 2, "terms", 0, "coeff"]), "element 2 term 0: needs coeff, g, grid"),
+        (_drop(["elements", 0, "terms", 1, "g"]), "element 0 term 1: needs coeff, g, grid"),
+        (_drop(["elements", 0, "terms", 0, "grid"]), "element 0 term 0: needs coeff, g, grid"),
+        (_set(["elements", 0, "terms", 0], [1]), "element 0 term 0: needs coeff, g, grid"),
+        (_set(["elements", 0, "terms", 1, "coeff"], float("nan")),
+         "element 0 term 1: coeff is not a finite number: nan"),
+        (_set(["elements", 0, "terms", 1, "coeff"], float("-inf")),
+         "element 0 term 1: coeff is not a finite number: -inf"),
+        (_set(["elements", 0, "terms", 1, "coeff"], 10**400),
+         f"element 0 term 1: coeff is not a finite number: {10**400!r}"),
+        (_set(["elements", 0, "terms", 1, "coeff"], "1.0"),
+         "element 0 term 1: coeff is not a finite number: '1.0'"),
+        (_set(["elements", 0, "terms", 1, "coeff"], True),
+         "element 0 term 1: coeff is not a finite number: True"),
+        (_set(["elements", 1, "terms", 0, "g"], {"j": 0}),
+         "element 1 term 0: g is no dim-2 element: {'j': 0}"),
+        (_set(["elements", 1, "terms", 0, "g"], {"j": "x", "y": {"numerators": [0, 0], "level": 0}}),
+         "element 1 term 0: g is no dim-2 element: {'j': 'x', 'y': {'numerators': [0, 0], 'level': 0}}"),
+        (_set(["elements", 1, "terms", 0, "g"], [0]), "element 1 term 0: g is no dim-2 element: [0]"),
+        (_set(["elements", 1, "terms", 0, "g"], {"j": 0, "y": {"numerators": [0, 0, 0], "level": 0}}),
+         "element 1 term 0: g is no dim-2 element: {'j': 0, 'y': {'numerators': [0, 0, 0], 'level': 0}}"),
+        (_set(["elements", 0, "terms", 0, "grid"], "../seq/element0_term0.grid"),
+         "element 0 term 0: grid is not a bare file name: '../seq/element0_term0.grid'"),
+        (_set(["elements", 0, "terms", 0, "grid"], "/etc/hosts"),
+         "element 0 term 0: grid is not a bare file name: '/etc/hosts'"),
+        (_set(["elements", 0, "terms", 0, "grid"], ""), "element 0 term 0: grid is not a bare file name: ''"),
+        (_set(["elements", 0, "terms", 0, "grid"], ".."),
+         "element 0 term 0: grid is not a bare file name: '..'"),
+        (_set(["elements", 0, "terms", 0, "grid"], 5), "element 0 term 0: grid is not a bare file name: 5"),
+    ],
+)
+def test_decompose_malformed_manifest_is_usage_error(saved_seq, tmp_path, capsys, edit, fault):
+    d = _seq_copy(saved_seq, tmp_path, edit)
+    out = tmp_path / "o"
+    argv = ["decompose", "--input", str(d), "--epsilon", "0.1", "--out-dir", str(out)]
+    _assert_refused(capsys, argv, f"{d / 'manifest.json'}: {fault}")
+    assert not out.exists()
+    with pytest.raises(ValueError):  # SequenceFormatError is a ValueError
+        load_sequence(str(d))
+
+
+def test_decompose_manifest_grid_of_another_dim_is_usage_error(saved_seq, tmp_path, capsys):
+    d = _seq_copy(saved_seq, tmp_path, lambda m: None)
+    save_grid(GridFunction(3, 0, (0, 0, 0), (1, 1, 1), np.ones((1, 1, 1))), d / "element0_term0.grid")
+    argv = ["decompose", "--input", str(d), "--epsilon", "0.1", "--out-dir", str(tmp_path / "o")]
+    fault = "element 0 term 0: grid element0_term0.grid has dim 3, manifest has dim 2"
+    _assert_refused(capsys, argv, f"{d / 'manifest.json'}: {fault}")
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_decompose_on_every_manifest_prefix_is_usage_error(saved_seq, data):
+    # the saved text ends in a newline; without it the manifest is whole
+    text = (saved_seq / "manifest.json").read_text().rstrip()
+    cut = data.draw(st.integers(0, len(text) - 1))
+    with tempfile.TemporaryDirectory() as d:
+        seq = Path(d) / "seq"
+        shutil.copytree(saved_seq, seq)
+        (seq / "manifest.json").write_text(text[:cut])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["decompose", "--input", str(seq), "--epsilon", "0.1", "--out-dir", str(seq / "o")])
+    assert rc == 2
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 # -- audit ------------------------------------------------------------------------

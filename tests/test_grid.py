@@ -15,7 +15,6 @@ from bvlorentz.grid import (
     MemoryGuardError,
     RefinementDirectionError,
     UnsupportedDimensionError,
-    annulus_region,
     box_mass,
     common_refinement,
     cube_region,
@@ -24,10 +23,8 @@ from bvlorentz.grid import (
     grid_zeros,
     linear_combine,
     load_grid,
-    mask_region,
     refine,
     resample_to,
-    restrict,
     save_grid,
     support_measure,
     translate_cells,
@@ -143,36 +140,17 @@ def test_value_measure_pairs(single_cell):
 
 
 def test_regions(checker2d):
+    # a cube holds the cells whose centre lies in [corner, corner + side) * h
     cube = cube_region(2, 2, (0, 0), 2)
-    inside = restrict(checker2d, cube)
-    assert support_measure(inside) <= cube.measure()
-    assert cube.measure() == 0.25
-
-    ann = annulus_region(2, 0.3, 0.9)
-    ring = restrict(checker2d, ann)
-    # cells kept by center membership only
-    centers = ring.centers()[np.abs(ring.values.ravel()) > 0]
-    r = np.sqrt(np.sum(centers**2, axis=1))
-    assert np.all((r > 0.3) & (r <= 0.9))
-
-    m = mask_region(2, 2, (0, 0), checker2d.values > 0)
-    kept = restrict(checker2d, m)
-    np.testing.assert_array_equal(kept.values, checker2d.values)
-
-    assert full_region(2).measure() == float("inf")
-    with pytest.raises(ValueError):
-        annulus_region(2, 0.9, 0.3)
+    inside = cube.contains_points(checker2d.centers()).reshape(checker2d.extents)
+    expect = np.zeros((4, 4), dtype=bool)
+    expect[:2, :2] = True
+    np.testing.assert_array_equal(inside, expect)
+    assert full_region(2).contains_points(checker2d.centers()).all()
+    with pytest.raises(DimensionMismatchError):
+        cube.contains_points(np.zeros((3, 1)))
     with pytest.raises(ValueError):
         cube_region(2, 0, (0, 0), 0)
-
-
-def test_restrict_refines_for_finer_region(checker2d):
-    fine_cube = cube_region(2, 4, (1, 1), 3)
-    out = restrict(checker2d, fine_cube)
-    assert out.level == 4
-    assert out.l1_norm() == pytest.approx(
-        box_mass(checker2d, (1 / 16, 1 / 16), (4 / 16, 4 / 16)), abs=1e-15
-    )
 
 
 def test_save_load_roundtrip(tmp_path, single_cell):

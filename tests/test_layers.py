@@ -1,10 +1,13 @@
 """Layer profile: closed-form Lipschitz constants, bands, four-coloring."""
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvlorentz.bv import compose_scalar
-from bvlorentz.grid import GridFunction, UnsupportedDimensionError
+from bvlorentz import bv, layers
+from bvlorentz.bv import compose_scalar, total_variation
+from bvlorentz.grid import GridFunction, Region, UnsupportedDimensionError
 from bvlorentz.layers import (
     BAND_SUM_FACTOR,
     BAND_SUM_SLACK,
@@ -115,9 +118,11 @@ def test_level_band_masks_values(checker2d):
     p = build_profile(2)
     band = level_band(checker2d, p, 0)
     # checkerboard values {0, 1}: only the 1s fall in [1, 2)
-    assert band.measure() == pytest.approx(
-        np.count_nonzero(checker2d.values) * checker2d.cell_measure, abs=1e-15
-    )
+    assert band.dtype == bool and band.shape == checker2d.extents
+    np.testing.assert_array_equal(band, checker2d.values == 1.0)
+    # the wide band [1/2, 4) holds the same cells; [2, 4) holds none
+    np.testing.assert_array_equal(level_band(checker2d, p, 0, wide=True), band)
+    assert not level_band(checker2d, p, 1).any()
 
 
 def test_active_scales_bracket_value_range():
@@ -171,3 +176,105 @@ def test_chain_rule_at_every_scale(j):
     _, rep = compose_scalar(scaled_chi_function(p, j), u)
     assert rep.ok
     assert rep.tv_composed <= rep.bound * (1 + 1e-9)
+
+
+# -- band sums by mask against the former float-centre region path -----------
+
+@dataclass(frozen=True)
+class _MaskRegion:
+    """The former ``"mask"`` region kind: a padded cell belongs when the
+    floor of its float centre indexes a True cell of the mask."""
+
+    dim: int
+    level: int
+    origin: tuple
+    mask: np.ndarray
+
+    def contains_points(self, pts):
+        h = 2.0 ** (-self.level)
+        idx = np.floor(pts / h).astype(int) - np.asarray(self.origin)
+        inside = np.all((idx >= 0) & (idx < np.asarray(self.mask.shape)), axis=1)
+        out = np.zeros(pts.shape[0], dtype=bool)
+        if np.any(inside):
+            out[inside] = self.mask[tuple(idx[inside].T)]
+        return out
+
+
+def _reference_band_tv(u, scales):
+    """The former band sums: one ``total_variation_on`` call per wide band."""
+    profile = build_profile(u.dim)
+    band_tv = {}
+    for j in scales:
+        lo, hi = band_bounds(profile, j, wide=True)
+        a = np.abs(u.values)
+        region = _MaskRegion(u.dim, u.level, u.origin, (a >= lo) & (a < hi))
+        band_tv[j] = bv.total_variation_on(u, region)
+    return band_tv
+
+
+def _assert_same_audit(u):
+    new = layer_energy_audit(u)
+    band_tv = _reference_band_tv(u, active_scales(u, build_profile(u.dim)))
+    band_sum = float(sum(band_tv.values()))
+    tv = total_variation(u)
+    # the former audit's band verdict; the chain and coloring parts are unchanged
+    ref = replace(
+        new, band_tv=band_tv, band_tv_sum=band_sum,
+        band_sum_ok=band_sum <= BAND_SUM_FACTOR * tv * (1.0 + BAND_SUM_SLACK) or tv == 0.0,
+    )
+    assert list(new.band_tv.items()) == list(ref.band_tv.items())
+    assert new.band_tv_sum == ref.band_tv_sum
+    assert new.to_dict() == ref.to_dict()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_band_sums_match_region_reference_on_corpus(dim):
+    for seed in range(40):
+        for u in corpus_grids(seed, dim, 5):
+            _assert_same_audit(u)
+
+
+@st.composite
+def _band_grids(draw):
+    dim = draw(st.integers(2, 3))
+    extents = tuple(draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim)))
+    origin = tuple(draw(st.lists(st.integers(-12, 3), min_size=dim, max_size=dim)))
+    level = draw(st.integers(-3, 5))
+    cells = int(np.prod(extents))
+    flat = draw(st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 0.25, 1.0, -1.5, 3.0, 6.0, -20.0, 100.0]),
+            # a subnormal value underflows its layer's value scale to 0, which
+            # breaks the chain-rule layers whatever the band sums do
+            st.floats(-300.0, 300.0, allow_nan=False, allow_subnormal=False),
+        ),
+        min_size=cells, max_size=cells,
+    ))
+    return GridFunction(dim, level, origin, extents, np.array(flat).reshape(extents))
+
+
+@given(_band_grids())
+@settings(max_examples=200, deadline=None)
+def test_band_sums_match_region_reference(u):
+    _assert_same_audit(u)
+
+
+def test_audit_runs_the_kernel_once_and_tests_no_points(monkeypatch):
+    u = corpus_grids(seed=4, dim=2, count=1)[0]
+    calls = []
+    kernel = bv._local_contributions
+
+    def counted(v):
+        calls.append(v)
+        return kernel(v)
+
+    def no_points(self, pts):
+        raise AssertionError("band sums need no point membership")
+
+    monkeypatch.setattr(bv, "_local_contributions", counted)
+    monkeypatch.setattr(layers, "_local_contributions", counted)
+    monkeypatch.setattr(Region, "contains_points", no_points)
+    audit = layer_energy_audit(u)
+    # the cached variation, the band array, then one composed layer per scale
+    assert len(audit.scales) >= 2
+    assert calls[:2] == [u, u] and len(calls) == 2 + len(audit.scales)

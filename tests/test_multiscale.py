@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from bvlorentz import grid, profiles
 from bvlorentz.bv import total_variation
-from bvlorentz.grid import GridFunction, box_mass, resample_to
+from bvlorentz.grid import GridFunction, resample_to
 from bvlorentz.group import DyadicVector, GroupElement, act, compose, identity, inverse
 from bvlorentz.multiscale import DyadicSum, Term, dyadic_sum
 from bvlorentz.profiles import staircase_sequence, two_profile_sequence
@@ -89,16 +89,6 @@ def test_apply_then_inverse_roundtrip(single_cell):
     back = s.apply(g).apply(inverse(g))
     assert back.terms[0].g == identity(2)
     assert back.l1_norm() == pytest.approx(s.l1_norm(), rel=1e-14)
-
-
-def test_box_mass_sums_clusters(single_cell):
-    far = GroupElement(0, DyadicVector.integers(10, 10))
-    s = dyadic_sum(single_cell).with_term(2.0, far, single_cell)
-    lo, hi = (-20.0, -20.0), (20.0, 20.0)
-    expect = box_mass(single_cell, lo, hi) + 2.0 * box_mass(
-        act(far, single_cell), lo, hi
-    )
-    assert s.box_mass(lo, hi) == pytest.approx(expect, rel=1e-13)
 
 
 def test_materialize_matches_dense_evaluation():

@@ -10,11 +10,9 @@ from bvlorentz.radial import (
     RadialStep,
     annulus_indicator,
     dual_pairing_inverse_radius,
-    load_radial,
     piecewise_tv,
     radial_tv,
     rescale_dyadic,
-    save_radial,
     staircase,
     to_grid,
     to_stepfunction,
@@ -137,16 +135,6 @@ def test_to_grid_sampling():
     assert box_mass(q, (0.0, 0.0), (2.0, 2.0)) == pytest.approx(
         u.l1_norm() / 4.0, rel=0.05
     )
-
-
-def test_save_load_roundtrip(tmp_path):
-    u = staircase(2, 5)
-    p = tmp_path / "stair.csv"
-    save_radial(u, p, metadata={"n": 5})
-    back = load_radial(p)
-    assert back.dim == 2
-    np.testing.assert_array_equal(back.radii, u.radii)
-    np.testing.assert_array_equal(back.values, u.values)
 
 
 @given(st.integers(min_value=1, max_value=20), st.integers(min_value=-6, max_value=6))

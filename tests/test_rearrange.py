@@ -13,13 +13,10 @@ from bvlorentz.rearrange import (
     critical_exponent,
     decreasing_rearrangement,
     distribution_function,
-    embedding_audit_nested,
     lebesgue_norm,
-    load_step,
     lorentz_norm,
     lorentz_norm_symmetrization,
     lorentz_norm_weak,
-    save_step,
     schwarz_profile,
     step_from_pairs,
     unit_ball_volume,
@@ -232,30 +229,6 @@ def test_zero_function_norms():
     assert lorentz_norm_weak(z, 2.0) == 0.0
     assert lebesgue_norm(z, 2.0) == 0.0
     assert lorentz_norm_symmetrization(z, LorentzIndex(2.0, 1.0), dim=2) == 0.0
-
-
-def test_embedding_audit_nested():
-    s = StepFunction(np.array([2.0, 1.0]), np.array([0.5, 1.5]))
-    rep = embedding_audit_nested(s, 1.0, 1.0, 2.0, 2.0, region_measure=2.0)
-    assert rep.norm_first == pytest.approx(lebesgue_norm(s, 1.0), rel=1e-14)
-    assert rep.norm_second == pytest.approx(lebesgue_norm(s, 2.0), rel=1e-14)
-    assert rep.ratio == pytest.approx(rep.norm_first / rep.norm_second, rel=1e-14)
-    d = rep.to_dict()
-    assert d["p1"] == 1.0 and "ratio" in d
-    with pytest.raises(LorentzIndexError):
-        embedding_audit_nested(s, 2.0, 1.0, 2.0, 2.0, region_measure=1.0)
-    with pytest.raises(DomainError):
-        embedding_audit_nested(s, 1.0, 1.0, 2.0, 2.0, region_measure=0.0)
-
-
-def test_save_load_step_roundtrip(tmp_path):
-    s = StepFunction(np.array([2.5, 1.0 / 3.0]), np.array([0.1, 2.0]))
-    p = tmp_path / "step.csv"
-    save_step(s, p)
-    back = load_step(p)
-    # repr() serialization round-trips doubles bit-exactly
-    np.testing.assert_array_equal(back.values, s.values)
-    np.testing.assert_array_equal(back.measures, s.measures)
 
 
 # -- values-only rearrangement of grid functions against the pairs path ------
