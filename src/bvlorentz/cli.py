@@ -100,6 +100,12 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
             except ValueError:
                 why = f"config key {key!r} must be {typ.__name__}, got {value!r}"
                 raise _UsageError(f"{command}: {why}") from None
+            choices = args.flag_choices.get(key)
+            if choices is not None and loaded[key] not in choices:
+                why = f"config key {key!r} must be one of {', '.join(map(repr, choices))}, got {value!r}"
+                raise _UsageError(f"{command}: {why}")
+            if key in args.flag_bools and type(value) is not bool:
+                raise _UsageError(f"{command}: config key {key!r} must be true or false, got {value!r}")
         cfg.update(loaded)
     for key in cfg:
         value = getattr(args, key, None)
@@ -166,6 +172,7 @@ def cmd_norms(cfg: dict) -> int:
     step = u.rearrangement
     tv = bv.total_variation(u)
     l1 = u.l1_norm()
+    p2 = 0.0 if step is None else lebesgue_norm(step, 2.0)
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "input": os.path.basename(str(cfg["input"])),
@@ -177,16 +184,15 @@ def cmd_norms(cfg: dict) -> int:
         "l1": l1,
         # bv.bv_norm(u) over the full region, without recomputing both terms
         "bv_norm": tv + l1,
-        "sup": u.sup_norm(),
-        "lebesgue": {
-            "p1": l1,
-            "p2": 0.0 if step is None else lebesgue_norm(step, 2.0),
-        },
+        # the rearrangement leads with max |u|
+        "sup": 0.0 if step is None else float(step.values[0]),
+        "lebesgue": {"p1": l1, "p2": p2},
     }
     if u.dim >= 2:
         p = critical_exponent(u.dim)
         doc["critical_exponent"] = p
-        doc["lebesgue"]["pcrit"] = 0.0 if step is None else lebesgue_norm(step, p)
+        # in 2-D the critical exponent is 2: pcrit is the p2 norm
+        doc["lebesgue"]["pcrit"] = p2 if p == 2.0 or step is None else lebesgue_norm(step, p)
         table = {}
         for q in qs:
             key = "qinf" if q == float("inf") else f"q{q:g}"
@@ -433,7 +439,11 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
         type=int,
         help="accepted for interface stability; computations are single-threaded",
     )
-    sp.set_defaults(flag_types={a.dest: a.type for a in sp._actions if a.type is not None})
+    sp.set_defaults(
+        flag_types={a.dest: a.type for a in sp._actions if a.type is not None},
+        flag_choices={a.dest: a.choices for a in sp._actions if a.choices is not None},
+        flag_bools={a.dest for a in sp._actions if isinstance(a, argparse.BooleanOptionalAction)},
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -89,6 +90,13 @@ def _guard(cells: int, cell_guard: int | None) -> None:
         raise MemoryGuardError(f"operation needs {cells} cells, guard is {limit}")
 
 
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """A fresh array that no caller holds, made read-only so that
+    :class:`GridFunction` adopts it instead of copying it."""
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Piecewise-constant function on a box of dyadic cells, zero outside.
@@ -114,7 +122,9 @@ class GridFunction:
             )
         if any(n <= 0 for n in self.extents):
             raise ValueError(f"extents must be positive, got {self.extents}")
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        vals = np.ascontiguousarray(self.values, dtype=np.float64)
+        if vals.flags.writeable and (vals is self.values or vals.base is not None):
+            vals = vals.copy()  # the caller's array stays theirs, and writeable
         if vals.shape != tuple(self.extents):
             raise ValueError(
                 f"values shape {vals.shape} != extents {tuple(self.extents)}"
@@ -188,9 +198,6 @@ class GridFunction:
     def l1_norm(self) -> float:
         return float(np.sum(np.abs(self.values))) * self.cell_measure
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
 
 def grid_zeros(
     dim: int,
@@ -204,7 +211,7 @@ def grid_zeros(
     _guard(int(np.prod(extents)), cell_guard)
     return GridFunction(
         dim, level, tuple(int(o) for o in origin), tuple(int(n) for n in extents),
-        np.zeros(tuple(int(n) for n in extents)),
+        _frozen(np.zeros(tuple(int(n) for n in extents))),
     )
 
 
@@ -257,7 +264,7 @@ def refine(u: GridFunction, to_level: int, *, cell_guard: int | None = None) -> 
     for axis in range(u.dim):
         vals = np.repeat(vals, f, axis=axis)
     return GridFunction(
-        u.dim, to_level, tuple(o * f for o in u.origin), new_extents, vals
+        u.dim, to_level, tuple(o * f for o in u.origin), new_extents, _frozen(vals)
     )
 
 
@@ -310,7 +317,7 @@ def linear_combine(
             for go, o, n in zip(g.origin, origin, g.extents)
         )
         acc[sl] += c * g.values
-    return GridFunction(fns[0].dim, level, origin, extents, acc)
+    return GridFunction(fns[0].dim, level, origin, extents, _frozen(acc))
 
 
 def trim(u: GridFunction) -> GridFunction:
@@ -414,7 +421,7 @@ def resample_to(
     _guard(int(np.prod(extents)), cell_guard)
     box = _overlap_box(u, level, origin, extents)
     if box is None:
-        return GridFunction(u.dim, level, origin, extents, np.zeros(extents))
+        return GridFunction(u.dim, level, origin, extents, _frozen(np.zeros(extents)))
     lo, hi = box
     d = u.level - level
     if d <= 0:
@@ -429,10 +436,10 @@ def resample_to(
             block, sub_origin = _halve(block, sub_origin)
         block = block * 2.0 ** (-d * u.dim)
     if lo == list(origin) and hi == [o + n for o, n in zip(origin, extents)]:
-        return GridFunction(u.dim, level, origin, extents, block)
+        return GridFunction(u.dim, level, origin, extents, _frozen(block))
     out = np.zeros(extents)
     out[tuple(slice(a - o, b - o) for a, b, o in zip(lo, hi, origin))] = block
-    return GridFunction(u.dim, level, origin, extents, out)
+    return GridFunction(u.dim, level, origin, extents, _frozen(out))
 
 
 # -- regions -----------------------------------------------------------------
@@ -507,39 +514,46 @@ def load_grid(path: str | Path) -> GridFunction:
     magic, a dimension outside {1, 2, 3}, a level whose cell measure is not
     a normal double, a truncated header, a nonpositive extent, more cells
     than ``DEFAULT_CELL_GUARD``, a payload that is not exactly 8 bytes per
-    cell, or a NaN or infinite value.
+    cell, or a NaN or infinite value.  The header is checked before any
+    allocation, and the payload is read straight into the values array.
     """
-    raw = Path(path).read_bytes()
 
     def bad(why: str) -> GridFormatError:
         return GridFormatError(f"{path}: {why}")
 
-    if raw[: len(_MAGIC)] != _MAGIC:
-        raise bad("not a grid file (bad magic)")
-    off = len(_MAGIC)
-    if len(raw) < off + 16:
-        raise bad(f"header truncated at {len(raw)} bytes")
-    dim, level = struct.unpack_from("<qq", raw, off)
-    if dim not in (1, 2, 3):
-        raise bad(f"dimension must be 1, 2 or 3, got {dim}")
-    if abs(level) * dim > _MAX_LEVEL_DIM:
-        raise bad(f"level {level} is out of range for dimension {dim}")
-    off += 16
-    if len(raw) < off + 16 * dim:
-        raise bad(f"header truncated at {len(raw)} bytes, needs {off + 16 * dim}")
-    origin = struct.unpack_from(f"<{dim}q", raw, off)
-    off += 8 * dim
-    extents = struct.unpack_from(f"<{dim}q", raw, off)
-    off += 8 * dim
-    if any(n <= 0 for n in extents):
-        raise bad(f"extents must be positive, got {extents}")
-    cells = math.prod(extents)
-    if cells > DEFAULT_CELL_GUARD:
-        raise bad(f"{cells} cells exceed the guard of {DEFAULT_CELL_GUARD}")
-    if len(raw) - off != 8 * cells:
-        raise bad(f"payload is {len(raw) - off} bytes, extents {extents} need {8 * cells}")
-    vals = np.frombuffer(raw, dtype="<f8", offset=off).reshape(extents).copy()
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        raw = fh.read(len(_MAGIC) + 16 + 16 * 3)  # the longest header, dim 3
+        if raw[: len(_MAGIC)] != _MAGIC:
+            raise bad("not a grid file (bad magic)")
+        off = len(_MAGIC)
+        if size < off + 16:
+            raise bad(f"header truncated at {size} bytes")
+        dim, level = struct.unpack_from("<qq", raw, off)
+        if dim not in (1, 2, 3):
+            raise bad(f"dimension must be 1, 2 or 3, got {dim}")
+        if abs(level) * dim > _MAX_LEVEL_DIM:
+            raise bad(f"level {level} is out of range for dimension {dim}")
+        off += 16
+        if size < off + 16 * dim:
+            raise bad(f"header truncated at {size} bytes, needs {off + 16 * dim}")
+        origin = struct.unpack_from(f"<{dim}q", raw, off)
+        off += 8 * dim
+        extents = struct.unpack_from(f"<{dim}q", raw, off)
+        off += 8 * dim
+        if any(n <= 0 for n in extents):
+            raise bad(f"extents must be positive, got {extents}")
+        cells = math.prod(extents)
+        if cells > DEFAULT_CELL_GUARD:
+            raise bad(f"{cells} cells exceed the guard of {DEFAULT_CELL_GUARD}")
+        if size - off != 8 * cells:
+            raise bad(f"payload is {size - off} bytes, extents {extents} need {8 * cells}")
+        vals = np.empty(extents, dtype="<f8")
+        fh.seek(off)
+        got = fh.readinto(vals)
+        if got != 8 * cells or fh.read(1):  # the file changed after fstat
+            raise bad(f"payload is not {8 * cells} bytes, as extents {extents} need")
     try:
-        return GridFunction(dim, level, origin, extents, vals)
+        return GridFunction(dim, level, origin, extents, _frozen(vals))
     except ValueError as err:  # the header is checked: only non-finite values remain
         raise bad(str(err)) from err

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bv
 from . import rearrange
-from .grid import GridFunction, refine
+from .grid import GridFunction, _frozen, refine
 
 __all__ = [
     "DyadicVector",
@@ -53,9 +53,11 @@ class DyadicVector:
         if level < 0:
             nums = tuple(n * 2 ** (-level) for n in nums)
             level = 0
-        while level > 0 and all(n % 2 == 0 for n in nums):
-            nums = tuple(n // 2 for n in nums)
-            level -= 1
+        # cancel the common power of two in one shift: the fewest trailing
+        # zeros of a nonzero numerator, capped at level (zero goes to level 0)
+        shift = min([(n & -n).bit_length() - 1 for n in nums if n] + [level])
+        nums = tuple(n >> shift for n in nums)
+        level -= shift
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "level", level)
 
@@ -166,7 +168,7 @@ def act(
     assert shift.level == 0
     origin = tuple(o + s for o, s in zip(u.origin, shift.numerators))
     factor = 2.0 ** ((u.dim - 1) * g.j)
-    return GridFunction(u.dim, out_level, origin, u.extents, u.values * factor)
+    return GridFunction(u.dim, out_level, origin, u.extents, _frozen(u.values * factor))
 
 
 def _norm_value(u: GridFunction, norm_id) -> float:

@@ -147,6 +147,11 @@ def active_scales(u: GridFunction, profile: TruncationProfile) -> list[int]:
     step = profile.dim - 1
     jlo = math.floor(math.log2(float(pos.min())) / step) - 1
     jhi = math.floor(math.log2(float(pos.max())) / step) + 1
+    # the wide bands reach value_scale(jlo - 1) and value_scale(jhi + 2), and
+    # each layer divides by its scale: none may underflow to 0 or overflow
+    for e, v in ((step * (jlo - 1), pos.min()), (step * (jhi + 2), pos.max())):
+        if not -1074 <= e <= 1023:
+            raise ValueError(f"value {float(v)!r} needs the value scale 2^{e}, which a double cannot hold")
     return [j for j in range(jlo, jhi + 1) if level_band(u, profile, j, wide=True).any()]
 
 

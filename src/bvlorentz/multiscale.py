@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bv
-from .grid import GridFunction, _overlap_box, linear_combine, resample_to, trim
+from .grid import GridFunction, _frozen, _overlap_box, linear_combine, resample_to, trim
 from .group import GroupElement, act, compose, identity
 
 __all__ = ["DyadicSum", "Term", "dyadic_sum"]
@@ -32,7 +32,7 @@ def _realize(t: Term, cell_guard: int | None) -> GridFunction:
     out = act(t.g, t.u, cell_guard=cell_guard)
     if t.coeff == 1.0:
         return out
-    return GridFunction(out.dim, out.level, out.origin, out.extents, out.values * t.coeff)
+    return GridFunction(out.dim, out.level, out.origin, out.extents, _frozen(out.values * t.coeff))
 
 
 def _boxes_touch(lo1, hi1, lo2, hi2) -> bool:
@@ -137,7 +137,7 @@ class DyadicSum:
                 c, level, lo, [b - a for a, b in zip(lo, hi)], cell_guard=self.cell_guard
             )
             acc[tuple(slice(a - o, b - o) for a, b, o in zip(lo, hi, origin))] += part.values
-        return GridFunction(self.dim, level, tuple(origin), tuple(extents), acc)
+        return GridFunction(self.dim, level, tuple(origin), tuple(extents), _frozen(acc))
 
     def is_zero(self) -> bool:
         return len(self.clusters()) == 0

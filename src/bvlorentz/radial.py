@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridFunction, UnsupportedDimensionError, _check_dim, _guard
+from .grid import GridFunction, UnsupportedDimensionError, _check_dim, _frozen, _guard
 from .rearrange import StepFunction, step_from_pairs, unit_ball_volume
 
 __all__ = [
@@ -193,5 +193,4 @@ def to_grid(
     axes = [(o + np.arange(n) + 0.5) * h for o, n in zip(origin, extents)]
     mesh = np.meshgrid(*axes, indexing="ij")
     rr = np.sqrt(sum(m**2 for m in mesh))
-    vals = u.evaluate(rr)
-    return GridFunction(u.dim, level, tuple(origin), tuple(extents), vals)
+    return GridFunction(u.dim, level, tuple(origin), tuple(extents), _frozen(u.evaluate(rr)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,9 +105,19 @@ class StepFunction:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "measures", m)
 
-    @property
+    @cached_property
     def total_measure(self) -> float:
         return float(np.sum(self.measures))
+
+    @cached_property
+    def normalized_cumulative(self) -> np.ndarray:
+        """0, then the cumulative measures over the total: shared by every q."""
+        return np.concatenate(([0.0], self.cumulative() / self.total_measure))
+
+    @cached_property
+    def normalized_values(self) -> np.ndarray:
+        """The values over the largest one: shared by every q."""
+        return self.values / float(self.values[0])
 
     def cumulative(self) -> np.ndarray:
         return np.cumsum(self.measures)
@@ -130,9 +141,10 @@ def step_from_pairs(values: np.ndarray, measures) -> StepFunction | None:
 
     ``measures`` is one measure per value, or a scalar when every value
     sits on a set of the same measure (the cells of a grid).  In the scalar
-    case only the values are sorted, and a run of k equal values gets
-    measure k * m, the exact sum of its k equal dyadic cell measures.
-    Returns None for the zero function (empty chunk list).
+    case only the values are sorted, in place in one fresh array, and a run
+    of k equal values gets measure k * m, the exact sum of its k equal
+    dyadic cell measures.  Returns None for the zero function (empty chunk
+    list).
     """
     v = np.abs(np.asarray(values, dtype=np.float64).ravel())
     m = np.asarray(measures, dtype=np.float64)
@@ -142,24 +154,27 @@ def step_from_pairs(values: np.ndarray, measures) -> StepFunction | None:
         raise ValueError("values and measures must have equal length")
     if np.any(m < 0):
         raise ValueError("measures must be nonnegative")
-    keep = (v > 0) & (m > 0)
     if uniform:
-        v = np.sort(v[keep])[::-1]
-    else:
-        v, m = v[keep], m[keep]
-        order = np.argsort(-v, kind="stable")
-        v, m = v[order], m[order]
+        if not m > 0:
+            v = v[:0]
+        elif v.size and not v.min() > 0:  # zeros (and NaN) drop out
+            v = v[v > 0]
+        v.sort()
+        if v.size == 0:
+            return None
+        # runs of identical values, found ascending and emitted decreasing
+        starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+        counts = np.diff(np.append(starts, v.size))
+        return StepFunction(v[starts[::-1]], counts[::-1] * m)
+    keep = (v > 0) & (m > 0)
+    v, m = v[keep], m[keep]
+    order = np.argsort(-v, kind="stable")
+    v, m = v[order], m[order]
     if v.size == 0:
         return None
     # merge runs of identical values so chunk values are strictly decreasing
-    boundaries = np.concatenate(([True], np.diff(v) != 0.0))
-    starts = np.flatnonzero(boundaries)
-    merged_v = v[starts]
-    if uniform:
-        merged_m = np.diff(np.append(starts, v.size)) * m
-    else:
-        merged_m = np.add.reduceat(m, starts)
-    return StepFunction(merged_v, merged_m)
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(v) != 0.0)))
+    return StepFunction(v[starts], np.add.reduceat(m, starts))
 
 
 def _as_step(u) -> StepFunction | None:
@@ -222,8 +237,8 @@ def lorentz_norm(u, idx: LorentzIndex) -> float:
     p, q = idx.p, idx.q
     vmax = float(s.values[0])
     tmax = s.total_measure
-    tau = np.concatenate(([0.0], s.cumulative() / tmax))
-    core = np.sum((s.values / vmax) ** q * (p / q) * np.diff(tau ** (q / p)))
+    tau = s.normalized_cumulative
+    core = np.sum(s.normalized_values ** q * (p / q) * np.diff(tau ** (q / p)))
     return vmax * tmax ** (1.0 / p) * float(core) ** (1.0 / q)
 
 
@@ -236,8 +251,8 @@ def lorentz_norm_weak(u, p: float) -> float:
         return 0.0
     vmax = float(s.values[0])
     tmax = s.total_measure
-    tau = s.cumulative() / tmax
-    return vmax * tmax ** (1.0 / p) * float(np.max((s.values / vmax) * tau ** (1.0 / p)))
+    tau = s.normalized_cumulative[1:]
+    return vmax * tmax ** (1.0 / p) * float(np.max(s.normalized_values * tau ** (1.0 / p)))
 
 
 def lorentz_norm_symmetrization(u, idx: LorentzIndex, dim: int | None = None) -> float:
@@ -279,5 +294,5 @@ def lebesgue_norm(u, p: float) -> float:
         return float(s.values[0])
     vmax = float(s.values[0])
     tmax = s.total_measure
-    core = np.sum((s.values / vmax) ** p * (s.measures / tmax))
+    core = np.sum(s.normalized_values ** p * (s.measures / tmax))
     return vmax * tmax ** (1.0 / p) * float(core) ** (1.0 / p)

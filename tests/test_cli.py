@@ -245,6 +245,34 @@ def test_config_int_refuses_what_the_flag_refuses(tmp_path, capsys, value):
     )
 
 
+@pytest.mark.parametrize("value", [5, "5", None, True])
+def test_config_choice_must_be_one_the_flag_accepts(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"negative_control": value, "count": 1, "dims": "2"}))
+    _assert_refused(
+        capsys,
+        ["audit", "--config", str(cfg), "--out", str(tmp_path / "a.json")],
+        f"audit: config key 'negative_control' must be one of 'none', 'broken-chi', got {value!r}",
+    )
+    assert not (tmp_path / "a.json").exists()
+    cfg.write_text(json.dumps({"negative_control": "broken-chi", "count": 1, "dims": "2"}))
+    assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "a.json")]) == 1
+    assert _read(tmp_path / "a.json")["negative_control"] == "broken-chi"
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None, "false"])
+def test_config_boolean_flag_needs_a_json_bool(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"probe": value, "n_max": 3}))
+    out = tmp_path / "o"
+    _assert_refused(
+        capsys,
+        ["counterexample", "--config", str(cfg), "--out-dir", str(out)],
+        f"counterexample: config key 'probe' must be true or false, got {value!r}",
+    )
+    assert not out.exists()
+
+
 def test_config_numbers_as_text_are_converted_like_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_max": "3", "quad_level": 4, "probe": False}))

@@ -45,6 +45,25 @@ def test_values_are_write_locked(checker2d):
         checker2d.values[0, 0] = 99.0
 
 
+def test_caller_array_stays_writeable_and_unshared():
+    a = np.ones((4, 4))
+    u = GridFunction(2, 0, (0, 0), (4, 4), a)
+    a[0, 0] = 2.0
+    assert a.flags.writeable and u.values[0, 0] == 1.0
+    view = a[:, :2]  # a non-contiguous view is copied by the conversion itself
+    assert GridFunction(2, 0, (0, 0), (4, 2), view).values[0, 0] == 2.0 and view.flags.writeable
+    frozen = np.zeros((2, 2))
+    frozen.setflags(write=False)
+    assert GridFunction(2, 0, (0, 0), (2, 2), frozen).values is frozen  # adopted, not copied
+
+
+def test_loaded_values_are_read_only(tmp_path, checker2d):
+    p = tmp_path / "u.grid"
+    save_grid(checker2d, p)
+    back = load_grid(p)
+    assert not back.values.flags.writeable and back.values.flags.owndata
+
+
 def test_constructor_validation():
     with pytest.raises(UnsupportedDimensionError):
         GridFunction(4, 0, (0, 0, 0, 0), (1, 1, 1, 1), np.zeros((1, 1, 1, 1)))
@@ -192,6 +211,7 @@ def _grid_bytes(dim, level, origin, extents, payload=b""):
         (_grid_bytes(2, 0, (0, 0), (2**14, 2**14)), f"268435456 cells exceed the guard of {DEFAULT_CELL_GUARD}"),
         (_grid_bytes(2, 0, (0, 0), (8, 8), b"\x00" * 144), "payload is 144 bytes, extents (8, 8) need 512"),
         (_grid_bytes(1, 0, (0,), (2,), b"\x00" * 17), "payload is 17 bytes, extents (2,) need 16"),
+        (_grid_bytes(2, 0, (0, 0), (2, 2), b"\x00" * 33), "payload is 33 bytes, extents (2, 2) need 32"),
     ],
 )
 def test_load_grid_names_each_fault(tmp_path, raw, why):

@@ -1,4 +1,7 @@
 """Group axioms hold exactly; the action is a norm isometry."""
+import json
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +17,7 @@ from bvlorentz.group import (
     isometry_defect,
 )
 from bvlorentz.grid import GridFunction, MemoryGuardError
+from bvlorentz.profiles import load_sequence, save_sequence
 from bvlorentz.rearrange import critical_exponent
 
 
@@ -187,3 +191,39 @@ def test_noncritical_lebesgue_is_not_isometric(single_cell):
 def test_norm_id_validation(single_cell):
     with pytest.raises(ValueError):
         isometry_defect(identity(2), single_cell, ("unknown",))
+
+
+def _loop_normalized(nums, level):
+    """Normalization one level per step, as DyadicVector did it before the closed form."""
+    nums, level = tuple(nums), int(level)
+    if level < 0:
+        nums, level = tuple(n * 2 ** (-level) for n in nums), 0
+    while level > 0 and all(n % 2 == 0 for n in nums):
+        nums, level = tuple(n // 2 for n in nums), level - 1
+    return nums, level
+
+
+_numerators = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.builds(lambda k, e: k << e, st.integers(-7, 7), st.integers(0, 80)),
+)
+
+
+@given(st.lists(_numerators, min_size=1, max_size=3), st.integers(-8, 90))
+@settings(max_examples=400, deadline=None)
+def test_closed_form_normalization_equals_the_loop(nums, level):
+    v = DyadicVector(tuple(nums), level)
+    assert (v.numerators, v.level) == _loop_normalized(nums, level)
+
+
+def test_deep_zero_translation_in_a_manifest_loads_fast(tmp_path):
+    save_sequence(str(tmp_path), [GridFunction(2, 0, (0, 0), (2, 2), np.ones((2, 2)))])
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    g = {"j": 0, "y": {"numerators": [0, 0], "level": 10**6}}
+    manifest["elements"][0]["terms"][0]["g"] = g
+    path.write_text(json.dumps(manifest))
+    start = time.perf_counter()
+    seq = load_sequence(str(tmp_path))
+    assert time.perf_counter() - start < 0.010  # one level per loop step took 2 s
+    assert seq[0].terms[0].g == GroupElement(0, DyadicVector.zero(2))

@@ -1,4 +1,5 @@
 """Layer profile: closed-form Lipschitz constants, bands, four-coloring."""
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -278,3 +279,27 @@ def test_audit_runs_the_kernel_once_and_tests_no_points(monkeypatch):
     # the cached variation, the band array, then one composed layer per scale
     assert len(audit.scales) >= 2
     assert calls[:2] == [u, u] and len(calls) == 2 + len(audit.scales)
+
+
+def test_subnormal_value_is_refused_by_name():
+    u = GridFunction(2, 0, (0, 0), (1, 1), np.array([[5e-324]]))
+    with pytest.raises(ValueError, match=r"^value 5e-324 needs the value scale 2\^-1076"):
+        layer_energy_audit(u)
+
+
+@given(
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: x != 0.0),
+    st.sampled_from([0.0, 1.0, -3.0]),
+    st.integers(2, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_audit_of_extreme_values_holds_or_is_refused(x, y, dim):
+    shape = (1,) * (dim - 1) + (2,)
+    u = GridFunction(dim, 0, (0,) * dim, shape, np.array([x, y]).reshape(shape))
+    try:
+        with np.errstate(over="ignore"):
+            audit = layer_energy_audit(u)
+    except ValueError as err:
+        assert str(err).startswith("value ") and "cannot hold" in str(err)
+        return
+    assert audit.ok and all(math.isfinite(v) for v in audit.band_tv.values())

@@ -287,3 +287,69 @@ def test_four_norms_sort_a_grid_once(monkeypatch, checker2d):
     assert calls == [16]
     assert norms[2] == pytest.approx(lebesgue_norm(u, 2.0), rel=1e-12)
     assert calls == [16]
+
+
+# values for the scalar-measure path: signed zeros, negatives, duplicates, subnormals
+_cell_values = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 2.0**-1060]),
+        st.floats(-1e300, 1e300, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(_cell_values, st.sampled_from([2.0**-12, 0.25, 1.0, 8.0]), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_scalar_measure_path_equals_weighted_path(vals, m, frozen):
+    v = np.array(vals)
+    if frozen:
+        v.setflags(write=False)
+    before = v.copy()
+    fast = step_from_pairs(v, m)
+    ref = step_from_pairs(v, np.full(v.size, m))
+    np.testing.assert_array_equal(v, before)  # the caller's values are not sorted in place
+    if ref is None:
+        assert fast is None
+        return
+    assert np.array_equal(fast.values, ref.values) and np.array_equal(fast.measures, ref.measures)
+    assert fast.values.flags.c_contiguous and fast.measures.flags.c_contiguous
+
+
+def _seed_lorentz(s, p, q):
+    """The norm formulas as they stood before the normalized prefix sums were cached."""
+    vmax = float(s.values[0])
+    tmax = float(np.sum(s.measures))
+    if math.isinf(q):
+        tau = np.cumsum(s.measures) / tmax
+        return vmax * tmax ** (1.0 / p) * float(np.max((s.values / vmax) * tau ** (1.0 / p)))
+    tau = np.concatenate(([0.0], np.cumsum(s.measures) / tmax))
+    core = np.sum((s.values / vmax) ** q * (p / q) * np.diff(tau ** (q / p)))
+    return vmax * tmax ** (1.0 / p) * float(core) ** (1.0 / q)
+
+
+def _seed_lebesgue(s, p):
+    vmax = float(s.values[0])
+    tmax = float(np.sum(s.measures))
+    core = np.sum((s.values / vmax) ** p * (s.measures / tmax))
+    return vmax * tmax ** (1.0 / p) * float(core) ** (1.0 / p)
+
+
+def _assert_seed_norms(s, p):
+    for q in (1.0, 1.45, 1.5, 2.0, math.inf):
+        assert lorentz_norm(s, LorentzIndex(p, q)) == _seed_lorentz(s, p, q)
+    for r in (1.0, 1.5, 2.0, 3.0):
+        assert lebesgue_norm(s, r) == _seed_lebesgue(s, r)
+
+
+@given(chunk_lists, st.sampled_from([1.5, 2.0, 3.0]))
+@settings(max_examples=100, deadline=None)
+def test_cached_prefix_sums_give_the_seed_norms_exactly(chunks, p):
+    _assert_seed_norms(_step(chunks), p)
+
+
+def test_grid_norms_equal_the_seed_formulas(checker2d):
+    for u in _grid_cases(checker2d):
+        if u.rearrangement is not None and u.dim >= 2:
+            _assert_seed_norms(u.rearrangement, critical_exponent(u.dim))
