@@ -25,7 +25,6 @@ from .grid import (
     box_mass,
     cube_region,
     from_sampler,
-    grid_zeros,
     linear_combine,
     load_grid,
     refine,
@@ -56,8 +55,6 @@ from .rearrange import (
     LorentzIndex,
     StepFunction,
     critical_exponent,
-    decreasing_rearrangement,
-    distribution_function,
     lebesgue_norm,
     lorentz_norm,
     lorentz_norm_symmetrization,

@@ -19,12 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import (
-    DimensionMismatchError,
-    GridFunction,
-    Region,
-    full_region,
-)
+from .grid import DimensionMismatchError, GridFunction, Region, _cell_centers, full_region
 
 __all__ = [
     "ChainRuleReport",
@@ -91,13 +86,6 @@ def total_variation(u: GridFunction) -> float:
     return u.variation
 
 
-def _padded_centers(u: GridFunction, origin: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
-    h = u.spacing
-    axes = [(origin[a] + np.arange(shape[a]) + 0.5) * h for a in range(u.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def total_variation_on(u: GridFunction, region: Region) -> float:
     """Variation restricted to cells whose center lies in the region.
 
@@ -107,14 +95,14 @@ def total_variation_on(u: GridFunction, region: Region) -> float:
     if region.dim != u.dim:
         raise DimensionMismatchError("region dim must match function dim")
     origin, contrib = _local_contributions(u)
-    inside = region.contains_points(_padded_centers(u, origin, contrib.shape))
+    inside = region.contains_points(_cell_centers(u.level, origin, contrib.shape))
     return float(np.sum(contrib.ravel()[inside]))
 
 
 def l1_norm_on(u: GridFunction, region: Region) -> float:
     if region.dim != u.dim:
         raise DimensionMismatchError("region dim must match function dim")
-    inside = region.contains_points(u.centers()).reshape(u.extents)
+    inside = region.contains_points(_cell_centers(u.level, u.origin, u.extents)).reshape(u.extents)
     return float(np.sum(np.abs(u.values)[inside])) * u.cell_measure
 
 

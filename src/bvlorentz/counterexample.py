@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,15 +93,12 @@ class CounterexampleReport:
     q_list: tuple
     rows: tuple
     invariants: dict
-    elapsed_seconds: float
 
     @property
     def ok(self) -> bool:
         return all(entry["ok"] for entry in self.invariants.values())
 
     def to_dict(self) -> dict:
-        # elapsed_seconds stays off the document: emitted files must be
-        # byte-identical across runs
         return {
             "schema_version": 1,
             "dim": self.dim,
@@ -146,7 +142,6 @@ def run_counterexample(
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    t0 = time.perf_counter()
     p = critical_exponent(dim)
     rows = []
     for n in range(1, n_max + 1):
@@ -196,8 +191,7 @@ def run_counterexample(
     bound = max(rows[0].tv_radial, rows[0].tv_piecewise) * (1.0 + 1e-12)
     invariants["tv_bounded"] = {"max": max(tvs), "bound": bound, "ok": max(tvs) <= bound}
 
-    elapsed = time.perf_counter() - t0
-    return CounterexampleReport(dim, tuple(float(q) for q in q_list), tuple(rows), invariants, elapsed)
+    return CounterexampleReport(dim, tuple(float(q) for q in q_list), tuple(rows), invariants)
 
 
 def decay_fit(ns, values) -> float:
@@ -228,7 +222,6 @@ class ProbeReport:
     dim: int
     ns: tuple
     masses: tuple          # best captured mass per n (max over elements)
-    per_element: dict      # (j, y-ints) -> tuple of masses per n
     fit_exponent: float
     quad_level: int
 
@@ -311,19 +304,12 @@ def dvanishing_probe(
         idx = _shell_index(breaks, g, dim, quad_level)
         factor = 2.0 ** ((dim - 1) * g.j)
         captured.append([float(factor * np.take(lut, idx).mean()) for lut in lookups])
-    per_element: dict[tuple, list[float]] = {}
-    best: list[float] = []
-    for masses in zip(*captured):  # one n at a time, masses in element order
-        for g, mass in zip(elements, masses):
-            key = (g.j, tuple(g.y.as_floats()))
-            per_element.setdefault(key, []).append(mass)
-        best.append(max(masses))
+    best = [max(masses) for masses in zip(*captured)]  # one n at a time
     fit = decay_fit(n_list, best)
     return ProbeReport(
         dim=dim,
         ns=tuple(n_list),
         masses=tuple(best),
-        per_element={k: tuple(v) for k, v in per_element.items()},
         fit_exponent=fit,
         quad_level=quad_level,
     )
@@ -333,7 +319,7 @@ def probe_ok(report: ProbeReport) -> bool:
     return abs(report.fit_exponent - PROBE_FIT_TARGET) <= PROBE_FIT_TOL
 
 
-def gnuplot_script(csv_name: str, q_list: tuple, out_name: str = "counterexample.png") -> str:
+def gnuplot_script(csv_name: str, q_list: tuple) -> str:
     """Log-log decay plot of the Lorentz columns against n."""
     lines = [
         "set datafile separator ','",
@@ -342,7 +328,7 @@ def gnuplot_script(csv_name: str, q_list: tuple, out_name: str = "counterexample
         "set xlabel 'n'",
         "set ylabel 'quasinorm'",
         "set term pngcairo size 900,600",
-        f"set output '{out_name}'",
+        "set output 'counterexample.png'",
     ]
     plots = []
     for i, q in enumerate(q_list):

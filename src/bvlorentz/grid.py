@@ -4,9 +4,9 @@ A :class:`GridFunction` is a piecewise-constant function on an axis-aligned
 box of cells of an infinite dyadic lattice.  At level ``L`` the cell spacing
 is ``h = 2**-L``; the box is addressed by an integer ``origin`` (index of the
 lowest cell) and integer ``extents`` (cells per axis).  The function is zero
-outside the box.  All bookkeeping operations (refinement, cell translation,
-linear combination) are exact: they only relabel, repeat or add stored
-values, never interpolate.
+outside the box.  All bookkeeping operations (refinement, linear
+combination) are exact: they only relabel, repeat or add stored values,
+never interpolate.
 """
 from __future__ import annotations
 
@@ -36,14 +36,11 @@ __all__ = [
     "cube_region",
     "from_sampler",
     "full_region",
-    "grid_zeros",
     "linear_combine",
     "load_grid",
     "refine",
     "resample_to",
     "save_grid",
-    "support_measure",
-    "translate_cells",
     "trim",
 ]
 
@@ -53,8 +50,9 @@ DEFAULT_CELL_GUARD = 2**27
 
 _MAGIC = b"BVLGRID1"
 
-#: Bound on |level| * dim for loaded grids: the cell measure 2^(-level*dim)
-#: and its inverse stay normal doubles.
+#: Bound on |level| * dim for loaded grids, so that the cell measure
+#: 2^(-level*dim) and its inverse stay normal doubles, and on the |level| of
+#: a loaded translation.
 _MAX_LEVEL_DIM = 1022
 
 
@@ -84,10 +82,17 @@ def _check_dim(dim: int) -> int:
     return dim
 
 
-def _guard(cells: int, cell_guard: int | None) -> None:
-    limit = DEFAULT_CELL_GUARD if cell_guard is None else cell_guard
-    if cells > limit:
-        raise MemoryGuardError(f"operation needs {cells} cells, guard is {limit}")
+def _guard(cells: int) -> None:
+    if cells > DEFAULT_CELL_GUARD:
+        raise MemoryGuardError(f"operation needs {cells} cells, guard is {DEFAULT_CELL_GUARD}")
+
+
+def _cell_centers(level: int, origin: Sequence[int], extents: Sequence[int]) -> np.ndarray:
+    """Centers of the cells of a box at ``level``, as an array of shape (cells, dim)."""
+    h = 2.0 ** (-level)
+    axes = [(o + np.arange(n, dtype=float) + 0.5) * h for o, n in zip(origin, extents)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:
@@ -157,16 +162,6 @@ class GridFunction:
         n = np.asarray(self.extents, dtype=float)
         return (o + n) * self.spacing
 
-    def axis_centers(self, axis: int) -> np.ndarray:
-        idx = np.arange(self.extents[axis], dtype=float)
-        return (self.origin[axis] + idx + 0.5) * self.spacing
-
-    def centers(self) -> np.ndarray:
-        """All cell centers, as an array of shape (cells, dim)."""
-        axes = [self.axis_centers(a) for a in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
     # -- rearrangement hook --------------------------------------------------
     def value_measure_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Nonzero |values| with their cell measures, for rearrangement."""
@@ -199,29 +194,11 @@ class GridFunction:
         return float(np.sum(np.abs(self.values))) * self.cell_measure
 
 
-def grid_zeros(
-    dim: int,
-    level: int,
-    origin: Sequence[int],
-    extents: Sequence[int],
-    *,
-    cell_guard: int | None = None,
-) -> GridFunction:
-    _check_dim(dim)
-    _guard(int(np.prod(extents)), cell_guard)
-    return GridFunction(
-        dim, level, tuple(int(o) for o in origin), tuple(int(n) for n in extents),
-        _frozen(np.zeros(tuple(int(n) for n in extents))),
-    )
-
-
 def from_sampler(
     dim: int,
     level: int,
     box: Sequence[tuple[float, float]],
     sampler: Callable[[np.ndarray], np.ndarray],
-    *,
-    cell_guard: int | None = None,
 ) -> GridFunction:
     """Sample ``sampler`` at cell centers of the dyadic cells covering ``box``.
 
@@ -243,13 +220,13 @@ def from_sampler(
         top = int(np.ceil(hi * scale))
         origin.append(o)
         extents.append(top - o)
-    out = grid_zeros(dim, level, origin, extents, cell_guard=cell_guard)
-    pts = out.centers()
+    _guard(math.prod(extents))
+    pts = _cell_centers(level, origin, extents)
     vals = np.broadcast_to(np.asarray(sampler(pts), dtype=np.float64), pts.shape[:1])
     return GridFunction(dim, level, tuple(origin), tuple(extents), vals.reshape(extents))
 
 
-def refine(u: GridFunction, to_level: int, *, cell_guard: int | None = None) -> GridFunction:
+def refine(u: GridFunction, to_level: int) -> GridFunction:
     """Re-express ``u`` at a finer level.  Values are copied, never changed."""
     if to_level < u.level:
         raise RefinementDirectionError(
@@ -259,7 +236,7 @@ def refine(u: GridFunction, to_level: int, *, cell_guard: int | None = None) -> 
         return u
     f = 2 ** (to_level - u.level)
     new_extents = tuple(n * f for n in u.extents)
-    _guard(int(np.prod(new_extents)), cell_guard)
+    _guard(math.prod(new_extents))
     vals = u.values
     for axis in range(u.dim):
         vals = np.repeat(vals, f, axis=axis)
@@ -268,16 +245,7 @@ def refine(u: GridFunction, to_level: int, *, cell_guard: int | None = None) -> 
     )
 
 
-def translate_cells(u: GridFunction, shift: Sequence[int]) -> GridFunction:
-    if len(shift) != u.dim:
-        raise DimensionMismatchError("shift rank must equal dim")
-    origin = tuple(o + int(s) for o, s in zip(u.origin, shift))
-    return GridFunction(u.dim, u.level, origin, u.extents, u.values)
-
-
-def common_refinement(
-    fns: Iterable[GridFunction], *, cell_guard: int | None = None
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+def common_refinement(fns: Iterable[GridFunction]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Common level, origin and extents of the smallest box holding all inputs."""
     fns = list(fns)
     if not fns:
@@ -295,23 +263,18 @@ def common_refinement(
     origin = tuple(min(lo[a] for lo in los) for a in range(dim))
     top = tuple(max(hi[a] for hi in his) for a in range(dim))
     extents = tuple(t - o for o, t in zip(origin, top))
-    _guard(int(np.prod(extents)), cell_guard)
+    _guard(math.prod(extents))
     return level, origin, extents
 
 
-def linear_combine(
-    coeffs: Sequence[float],
-    fns: Sequence[GridFunction],
-    *,
-    cell_guard: int | None = None,
-) -> GridFunction:
+def linear_combine(coeffs: Sequence[float], fns: Sequence[GridFunction]) -> GridFunction:
     """Exact linear combination on the common refinement of all operands."""
     if len(coeffs) != len(fns):
         raise ValueError("one coefficient per function")
-    level, origin, extents = common_refinement(fns, cell_guard=cell_guard)
+    level, origin, extents = common_refinement(fns)
     acc = np.zeros(extents)
     for c, f in zip(coeffs, fns):
-        g = refine(f, level, cell_guard=cell_guard)
+        g = refine(f, level)
         sl = tuple(
             slice(go - o, go - o + n)
             for go, o, n in zip(g.origin, origin, g.extents)
@@ -332,10 +295,6 @@ def trim(u: GridFunction) -> GridFunction:
     origin = tuple(o + a for o, a in zip(u.origin, lo))
     extents = tuple(b - a for a, b in zip(lo, hi))
     return GridFunction(u.dim, u.level, origin, extents, u.values[sl])
-
-
-def support_measure(u: GridFunction) -> float:
-    return int(np.count_nonzero(u.values)) * u.cell_measure
 
 
 # -- exact box queries -------------------------------------------------------
@@ -399,12 +358,7 @@ def _overlap_box(
 
 
 def resample_to(
-    u: GridFunction,
-    level: int,
-    origin: Sequence[int],
-    extents: Sequence[int],
-    *,
-    cell_guard: int | None = None,
+    u: GridFunction, level: int, origin: Sequence[int], extents: Sequence[int]
 ) -> GridFunction:
     """Cell averages of ``u`` on an arbitrary target grid.
 
@@ -418,7 +372,7 @@ def resample_to(
     """
     origin = tuple(int(o) for o in origin)
     extents = tuple(int(n) for n in extents)
-    _guard(int(np.prod(extents)), cell_guard)
+    _guard(math.prod(extents))
     box = _overlap_box(u, level, origin, extents)
     if box is None:
         return GridFunction(u.dim, level, origin, extents, _frozen(np.zeros(extents)))
@@ -482,7 +436,7 @@ def full_region(dim: int) -> Region:
 
 # -- serialization -----------------------------------------------------------
 
-def save_grid(u: GridFunction, path: str | Path, metadata: dict | None = None) -> None:
+def save_grid(u: GridFunction, path: str | Path) -> None:
     """Single self-describing binary file plus a JSON sidecar.
 
     Layout: magic, then dim/level/origin/extents as little-endian int64,
@@ -502,8 +456,6 @@ def save_grid(u: GridFunction, path: str | Path, metadata: dict | None = None) -
         "origin": list(u.origin),
         "extents": list(u.extents),
     }
-    if metadata:
-        side["metadata"] = metadata
     Path(str(path) + ".json").write_text(json.dumps(side, indent=2, sort_keys=True) + "\n")
 
 

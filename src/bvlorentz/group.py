@@ -12,13 +12,12 @@ origin moves), so isometry defects are float-rounding only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import bv
 from . import rearrange
-from .grid import GridFunction, _frozen, refine
+from .grid import _MAX_LEVEL_DIM, GridFunction, _frozen, refine
 
 __all__ = [
     "DyadicVector",
@@ -37,7 +36,7 @@ DEFAULT_SCALE_BOUND = 20
 
 
 class ScaleBoundError(ValueError):
-    """Raised when a scale exponent exceeds the configured bound."""
+    """Raised when a scale exponent exceeds DEFAULT_SCALE_BOUND."""
 
 
 @dataclass(frozen=True)
@@ -50,6 +49,8 @@ class DyadicVector:
     def __post_init__(self) -> None:
         nums = tuple(int(n) for n in self.numerators)
         level = int(self.level)
+        if level < -_MAX_LEVEL_DIM:  # before 2^-level is multiplied out
+            raise ValueError(f"level {level} is below -{_MAX_LEVEL_DIM}")
         if level < 0:
             nums = tuple(n * 2 ** (-level) for n in nums)
             level = 0
@@ -70,9 +71,6 @@ class DyadicVector:
 
     def as_floats(self) -> np.ndarray:
         return np.asarray(self.numerators, dtype=float) * 2.0**-self.level
-
-    def as_fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, 2**self.level) for n in self.numerators)
 
     def scaled_pow2(self, k: int) -> "DyadicVector":
         """Exact multiplication by 2^k."""
@@ -141,34 +139,34 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(-g.j, -g.y.scaled_pow2(g.j))
 
 
-def act(
-    g: GroupElement,
-    u: GridFunction,
-    *,
-    scale_bound: int | None = None,
-    cell_guard: int | None = None,
-) -> GridFunction:
+def _placement(g: GroupElement, u: GridFunction) -> tuple[int, tuple[int, ...]]:
+    """Where ``act(g, u)`` puts the cells of ``u``, in Python ints.
+
+    Returns the level ``u`` is refined to (never coarsened: y must be a whole
+    number of cells at the output level, which is that level + j) and the
+    origin of the result at the output level.
+    """
+    level = max(u.level, g.y.level - g.j)
+    f = 2 ** (level - u.level)
+    shift = g.y.scaled_pow2(level + g.j)
+    return level, tuple(o * f + s for o, s in zip(u.origin, shift.numerators))
+
+
+def act(g: GroupElement, u: GridFunction) -> GridFunction:
     """Apply the group element to a grid function, exactly.
 
     The result lives at level ``u.level + j``.  If the translation is not
     representable there, ``u`` is refined first (never coarsened), which is
     where the cell guard can fire.
     """
-    bound = DEFAULT_SCALE_BOUND if scale_bound is None else scale_bound
-    if abs(g.j) > bound:
-        raise ScaleBoundError(f"|j| = {abs(g.j)} exceeds scale bound {bound}")
+    if abs(g.j) > DEFAULT_SCALE_BOUND:
+        raise ScaleBoundError(f"|j| = {abs(g.j)} exceeds scale bound {DEFAULT_SCALE_BOUND}")
     if g.dim != u.dim:
         raise ValueError("dimension mismatch")
-    # y must be a whole number of cells at the output level
-    needed = g.y.level - (u.level + g.j)
-    if needed > 0:
-        u = refine(u, u.level + needed, cell_guard=cell_guard)
-    out_level = u.level + g.j
-    shift = g.y.scaled_pow2(out_level)
-    assert shift.level == 0
-    origin = tuple(o + s for o, s in zip(u.origin, shift.numerators))
+    level, origin = _placement(g, u)
+    u = refine(u, level)
     factor = 2.0 ** ((u.dim - 1) * g.j)
-    return GridFunction(u.dim, out_level, origin, u.extents, _frozen(u.values * factor))
+    return GridFunction(u.dim, level + g.j, origin, u.extents, _frozen(u.values * factor))
 
 
 def _norm_value(u: GridFunction, norm_id) -> float:

@@ -28,8 +28,8 @@ class Term:
     u: GridFunction
 
 
-def _realize(t: Term, cell_guard: int | None) -> GridFunction:
-    out = act(t.g, t.u, cell_guard=cell_guard)
+def _realize(t: Term) -> GridFunction:
+    out = act(t.g, t.u)
     if t.coeff == 1.0:
         return out
     return GridFunction(out.dim, out.level, out.origin, out.extents, _frozen(out.values * t.coeff))
@@ -46,7 +46,6 @@ class DyadicSum:
 
     dim: int
     terms: tuple[Term, ...]
-    cell_guard: int | None = None
     _cluster_cache: list = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -57,19 +56,19 @@ class DyadicSum:
 
     # -- construction --------------------------------------------------------
     def with_term(self, coeff: float, g: GroupElement, u: GridFunction) -> "DyadicSum":
-        return DyadicSum(self.dim, self.terms + (Term(float(coeff), g, u),), self.cell_guard)
+        return DyadicSum(self.dim, self.terms + (Term(float(coeff), g, u),))
 
     def apply(self, g: GroupElement) -> "DyadicSum":
         """Group action on the whole sum: composes onto every term, no arrays."""
         new = tuple(Term(t.coeff, compose(g, t.g), t.u) for t in self.terms)
-        return DyadicSum(self.dim, new, self.cell_guard)
+        return DyadicSum(self.dim, new)
 
     # -- cluster decomposition ------------------------------------------------
     def clusters(self) -> list[GridFunction]:
         """Concrete grid functions with pairwise separated supports."""
         if self._cluster_cache is not None:
             return self._cluster_cache
-        realized = [trim(_realize(t, self.cell_guard)) for t in self.terms]
+        realized = [trim(_realize(t)) for t in self.terms]
         realized = [r for r in realized if np.any(r.values)]
         n = len(realized)
         parent = list(range(n))
@@ -93,9 +92,7 @@ class DyadicSum:
             if len(members) == 1:
                 flat = members[0]
             else:
-                flat = trim(
-                    linear_combine([1.0] * len(members), members, cell_guard=self.cell_guard)
-                )
+                flat = trim(linear_combine([1.0] * len(members), members))
             if np.any(flat.values):
                 out.append(flat)
         object.__setattr__(self, "_cluster_cache", out)
@@ -133,9 +130,7 @@ class DyadicSum:
             if box is None:
                 continue
             lo, hi = box
-            part = resample_to(
-                c, level, lo, [b - a for a, b in zip(lo, hi)], cell_guard=self.cell_guard
-            )
+            part = resample_to(c, level, lo, [b - a for a, b in zip(lo, hi)])
             acc[tuple(slice(a - o, b - o) for a, b, o in zip(lo, hi, origin))] += part.values
         return GridFunction(self.dim, level, tuple(origin), tuple(extents), _frozen(acc))
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import bv
 from .grid import (
+    _MAX_LEVEL_DIM,
     GridFunction,
     MemoryGuardError,
     _halve,
@@ -36,7 +37,7 @@ from .grid import (
     save_grid,
     trim,
 )
-from .group import DyadicVector, GroupElement, inverse
+from .group import DEFAULT_SCALE_BOUND, DyadicVector, GroupElement, _placement, inverse
 from .multiscale import DyadicSum, dyadic_sum
 from .rearrange import LorentzIndex, lorentz_norm, step_from_pairs
 
@@ -457,7 +458,12 @@ def save_sequence(dirpath: str, elements) -> None:
 
 
 def load_sequence(dirpath: str) -> list[DyadicSum]:
-    """Read a directory written by :func:`save_sequence`, checking its manifest."""
+    """Read a directory written by :func:`save_sequence`, checking its manifest.
+
+    A term is refused when its scale exceeds ``DEFAULT_SCALE_BOUND``, its
+    translation has a level outside +-1022, or its realized cell box leaves
+    +-2^53, beyond which cell indices and box corners are not exact floats.
+    """
     path = os.path.join(dirpath, "manifest.json")
 
     def check(ok: bool, why: str) -> None:
@@ -490,10 +496,15 @@ def load_sequence(dirpath: str) -> list[DyadicSum]:
             except (KeyError, TypeError, ValueError, OverflowError):
                 g = None
             check(g is not None and g.dim == dim, f"{at} g is no dim-{dim} element: {t['g']!r}")
+            check(abs(g.j) <= DEFAULT_SCALE_BOUND, f"{at} |j| = {abs(g.j)} exceeds {DEFAULT_SCALE_BOUND}")
+            check(g.y.level <= _MAX_LEVEL_DIM, f"{at} y has level {g.y.level}, above {_MAX_LEVEL_DIM}")
             bare = name not in ("", ".", "..") and os.path.basename(str(name)) == name
             check(bare, f"{at} grid is not a bare file name: {name!r}")
             u = load_grid(os.path.join(dirpath, name))
             check(u.dim == dim, f"{at} grid {name} has dim {u.dim}, manifest has dim {dim}")
+            level, lo = _placement(g, u)
+            hi = tuple(o + n * 2 ** (level - u.level) for o, n in zip(lo, u.extents))
+            check(max(map(abs, lo + hi)) <= 2**53, f"{at} g places grid {name} outside +-2^53 cells")
             s = s.with_term(float(c), g, u)
         out.append(s)
     return out

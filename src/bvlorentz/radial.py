@@ -9,8 +9,6 @@ where a grid would need millions of cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .grid import GridFunction, UnsupportedDimensionError, _check_dim, _frozen, _guard
@@ -22,7 +20,6 @@ __all__ = [
     "dual_pairing_inverse_radius",
     "piecewise_tv",
     "radial_tv",
-    "rescale_dyadic",
     "staircase",
     "to_grid",
     "to_stepfunction",
@@ -99,14 +96,6 @@ def annulus_indicator(dim: int) -> RadialStep:
     return RadialStep(dim, np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0]))
 
 
-def rescale_dyadic(u: RadialStep, i: int) -> RadialStep:
-    """The mass-critical rescaling: radii / 2^i, values * 2^{i (dim-1)}.
-
-    Exact: radii and values are multiplied by powers of two.
-    """
-    return RadialStep(u.dim, u.radii * 2.0**-i, u.values * 2.0 ** (i * (u.dim - 1)))
-
-
 def staircase(dim: int, n: int) -> RadialStep:
     """Average of the first n dyadic rescalings of the annulus indicator.
 
@@ -170,27 +159,14 @@ def dual_pairing_inverse_radius(u: RadialStep) -> float:
     return float(np.sum(u.values * dim * omega * diffs / (dim - 1)))
 
 
-def to_grid(
-    u: RadialStep,
-    level: int,
-    box: Sequence[tuple[float, float]] | None = None,
-    *,
-    cell_guard: int | None = None,
-) -> GridFunction:
-    """Sample the radial function at cell centers of a dyadic grid.
-
-    Default box is the symmetric cube just covering the support.
-    """
-    if box is None:
-        R = u.outer_radius
-        box = [(-R, R)] * u.dim
+def to_grid(u: RadialStep, level: int) -> GridFunction:
+    """Sample the radial function at the cell centers of the dyadic grid on
+    the symmetric cube just covering the support."""
     scale = 2 ** level
-    origin = [int(np.floor(lo * scale)) for lo, _ in box]
-    top = [int(np.ceil(hi * scale)) for _, hi in box]
-    extents = [t - o for o, t in zip(origin, top)]
-    _guard(int(np.prod(extents)), cell_guard)
-    h = 2.0 ** (-level)
-    axes = [(o + np.arange(n) + 0.5) * h for o, n in zip(origin, extents)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    o = int(np.floor(-u.outer_radius * scale))
+    n = int(np.ceil(u.outer_radius * scale)) - o
+    _guard(n**u.dim)
+    axis = (o + np.arange(n) + 0.5) * 2.0 ** (-level)
+    mesh = np.meshgrid(*[axis] * u.dim, indexing="ij")
     rr = np.sqrt(sum(m**2 for m in mesh))
-    return GridFunction(u.dim, level, tuple(origin), tuple(extents), _frozen(u.evaluate(rr)))
+    return GridFunction(u.dim, level, (o,) * u.dim, (n,) * u.dim, _frozen(u.evaluate(rr)))

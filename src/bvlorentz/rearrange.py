@@ -14,13 +14,10 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "DomainError",
     "LorentzIndex",
     "LorentzIndexError",
     "StepFunction",
     "critical_exponent",
-    "decreasing_rearrangement",
-    "distribution_function",
     "lebesgue_norm",
     "lorentz_norm",
     "lorentz_norm_symmetrization",
@@ -36,10 +33,6 @@ _BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 
 class LorentzIndexError(ValueError):
     """Raised for inadmissible Lorentz exponents."""
-
-
-class DomainError(ValueError):
-    """Raised for arguments outside a function's domain, e.g. negative heights."""
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -125,16 +118,6 @@ class StepFunction:
     def value_measure_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         return self.values, self.measures
 
-    def evaluate(self, t: np.ndarray) -> np.ndarray:
-        """Right-continuous evaluation at t >= 0."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise DomainError("rearrangements live on t >= 0")
-        edges = self.cumulative()
-        idx = np.searchsorted(edges, t, side="right")
-        padded = np.append(self.values, 0.0)
-        return padded[idx]
-
 
 def step_from_pairs(values: np.ndarray, measures) -> StepFunction | None:
     """Sort |values| decreasingly, merge equal values, drop zeros.
@@ -185,21 +168,6 @@ def _as_step(u) -> StepFunction | None:
     if hasattr(u, "value_measure_pairs"):
         return step_from_pairs(*u.value_measure_pairs())
     raise TypeError(f"cannot rearrange object of type {type(u).__name__}")
-
-
-def decreasing_rearrangement(u) -> StepFunction | None:
-    """The decreasing rearrangement u* as a step function (None if u == 0)."""
-    return _as_step(u)
-
-
-def distribution_function(u, lam: float) -> float:
-    """Measure of {|u| > lam}; exact sum of chunk measures."""
-    if lam < 0:
-        raise DomainError(f"threshold must be nonnegative, got {lam}")
-    s = _as_step(u)
-    if s is None:
-        return 0.0
-    return float(np.sum(s.measures[s.values > lam]))
 
 
 def schwarz_profile(u, dim: int | None = None) -> StepFunction | None:

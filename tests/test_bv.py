@@ -22,7 +22,6 @@ from bvlorentz.grid import (
     cube_region,
     full_region,
     refine,
-    translate_cells,
 )
 
 
@@ -49,7 +48,7 @@ def test_refinement_invariance_exact(checker2d, single_cell):
 
 
 def test_additivity_separated_supports(single_cell):
-    far = translate_cells(single_cell, (40, 0))
+    far = GridFunction(2, single_cell.level, (40, 0), single_cell.extents, single_cell.values)
     from bvlorentz.grid import linear_combine
 
     both = linear_combine([1.0, 1.0], [single_cell, far])

@@ -498,6 +498,16 @@ def _drop(path):
         (_set(["elements", 1, "terms", 0, "g"], [0]), "element 1 term 0: g is no dim-2 element: [0]"),
         (_set(["elements", 1, "terms", 0, "g"], {"j": 0, "y": {"numerators": [0, 0, 0], "level": 0}}),
          "element 1 term 0: g is no dim-2 element: {'j': 0, 'y': {'numerators': [0, 0, 0], 'level': 0}}"),
+        (_set(["elements", 1, "terms", 1, "g", "y", "level"], -10**7),
+         "element 1 term 1: g is no dim-2 element: {'j': 2, 'y': {'level': -10000000, 'numerators': [2, 0]}}"),
+        (_set(["elements", 1, "terms", 1, "g", "y", "level"], -70),
+         "element 1 term 1: g places grid element1_term1.grid outside +-2^53 cells"),
+        (_set(["elements", 1, "terms", 1, "g", "y", "level"], -1000),
+         "element 1 term 1: g places grid element1_term1.grid outside +-2^53 cells"),
+        (_set(["elements", 1, "terms", 1, "g"], {"j": 0, "y": {"numerators": [1, 0], "level": 2000}}),
+         "element 1 term 1: y has level 2000, above 1022"),
+        (_set(["elements", 1, "terms", 1, "g", "j"], 21), "element 1 term 1: |j| = 21 exceeds 20"),
+        (_set(["elements", 1, "terms", 1, "g", "j"], -10**12), "element 1 term 1: |j| = 1000000000000 exceeds 20"),
         (_set(["elements", 0, "terms", 0, "grid"], "../seq/element0_term0.grid"),
          "element 0 term 0: grid is not a bare file name: '../seq/element0_term0.grid'"),
         (_set(["elements", 0, "terms", 0, "grid"], "/etc/hosts"),

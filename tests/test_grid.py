@@ -1,6 +1,8 @@
 """Grid construction, exact bookkeeping, box queries, serialization."""
+import json
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,21 +17,21 @@ from bvlorentz.grid import (
     MemoryGuardError,
     RefinementDirectionError,
     UnsupportedDimensionError,
+    _cell_centers,
     box_mass,
     common_refinement,
     cube_region,
     from_sampler,
     full_region,
-    grid_zeros,
     linear_combine,
     load_grid,
     refine,
     resample_to,
     save_grid,
-    support_measure,
-    translate_cells,
     trim,
 )
+from bvlorentz.group import DyadicVector, GroupElement, act
+from bvlorentz.radial import annulus_indicator, to_grid
 
 
 def test_basic_geometry(checker2d):
@@ -87,14 +89,6 @@ def test_refine_repeats_values(single_cell):
         refine(single_cell, 1)
 
 
-def test_translate_cells(single_cell):
-    moved = translate_cells(single_cell, (3, -2))
-    assert moved.origin == (3, -2)
-    np.testing.assert_array_equal(moved.values, single_cell.values)
-    with pytest.raises(DimensionMismatchError):
-        translate_cells(single_cell, (1,))
-
-
 def test_common_refinement_and_linear_combine():
     a = GridFunction(1, 1, (0,), (2,), np.array([1.0, 2.0]))
     b = GridFunction(1, 3, (2,), (4,), np.array([4.0, 4.0, 8.0, 8.0]))
@@ -145,9 +139,9 @@ def test_trim_and_support_measure(single_cell):
     assert t.extents == (1, 1)
     assert t.origin == (1, 2)
     assert t.values[0, 0] == 3.0
-    assert support_measure(single_cell) == single_cell.cell_measure
+    assert single_cell.rearrangement.total_measure == single_cell.cell_measure
 
-    z = grid_zeros(2, 3, (5, 5), (4, 4))
+    z = GridFunction(2, 3, (5, 5), (4, 4), np.zeros((4, 4)))
     tz = trim(z)
     assert tz.extents == (1, 1) and tz.l1_norm() == 0.0
 
@@ -161,11 +155,12 @@ def test_value_measure_pairs(single_cell):
 def test_regions(checker2d):
     # a cube holds the cells whose centre lies in [corner, corner + side) * h
     cube = cube_region(2, 2, (0, 0), 2)
-    inside = cube.contains_points(checker2d.centers()).reshape(checker2d.extents)
+    centers = _cell_centers(checker2d.level, checker2d.origin, checker2d.extents)
+    inside = cube.contains_points(centers).reshape(checker2d.extents)
     expect = np.zeros((4, 4), dtype=bool)
     expect[:2, :2] = True
     np.testing.assert_array_equal(inside, expect)
-    assert full_region(2).contains_points(checker2d.centers()).all()
+    assert full_region(2).contains_points(centers).all()
     with pytest.raises(DimensionMismatchError):
         cube.contains_points(np.zeros((3, 1)))
     with pytest.raises(ValueError):
@@ -174,14 +169,16 @@ def test_regions(checker2d):
 
 def test_save_load_roundtrip(tmp_path, single_cell):
     p = tmp_path / "u.grid"
-    save_grid(single_cell, p, metadata={"note": "fixture"})
+    save_grid(single_cell, p)
     back = load_grid(p)
     assert back.dim == single_cell.dim
     assert back.level == single_cell.level
     assert back.origin == single_cell.origin
     assert back.extents == single_cell.extents
     np.testing.assert_array_equal(back.values, single_cell.values)
-    assert (tmp_path / "u.grid.json").exists()
+    side = json.loads((tmp_path / "u.grid.json").read_text())
+    assert side == {"format": "bvlorentz-grid", "format_version": 1, "dim": 2, "level": 2,
+                    "origin": [0, 0], "extents": [4, 4]}
 
     bad = tmp_path / "bad.grid"
     bad.write_bytes(b"NOTAGRID" + b"\x00" * 64)
@@ -270,12 +267,91 @@ def test_header_byte_flip_loads_or_is_refused(u, data):
     assert isinstance(back, GridFunction)
 
 
-def test_memory_guard():
-    with pytest.raises(MemoryGuardError):
-        grid_zeros(2, 0, (0, 0), (1000, 1000), cell_guard=100)
-    u = grid_zeros(2, 0, (0, 0), (8, 8))
-    with pytest.raises(MemoryGuardError):
-        refine(u, 10, cell_guard=1000)
+def _ones(origin=(0, 0), n=2):
+    return GridFunction(2, 0, origin, (n, n), np.ones((n, n)))
+
+
+def _never_called(pts):
+    raise AssertionError("the sampler ran past the guard")
+
+
+# each call needs 2^14 x 2^14 = 2^28 cells, twice DEFAULT_CELL_GUARD
+GUARD_SITES = {
+    "from_sampler": lambda: from_sampler(2, 0, [(0.0, 2.0**14)] * 2, _never_called),
+    "refine": lambda: refine(_ones(), 13),
+    "act": lambda: act(GroupElement(0, DyadicVector((1, 1), 13)), _ones()),
+    "linear_combine": lambda: linear_combine([1.0, 1.0], [_ones(n=1), _ones((2**14 - 1,) * 2, 1)]),
+    "resample_to": lambda: resample_to(_ones(), 0, (0, 0), (2**14, 2**14)),
+    "to_grid": lambda: to_grid(annulus_indicator(2), 12),
+}
+
+
+@pytest.mark.parametrize("site", sorted(GUARD_SITES))
+def test_cell_guard_fires_before_allocating(site):
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryGuardError, match=f"needs 268435456 cells, guard is {DEFAULT_CELL_GUARD}$"):
+            GUARD_SITES[site]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the cells themselves would take 2 GiB
+
+
+def test_cell_guard_counts_cells_past_int64():
+    # an int64 product of these extents wraps to 0, which passed the guard
+    with pytest.raises(MemoryGuardError, match=f"needs {2**64} cells"):
+        resample_to(_ones(), 0, (0, 0), (2**32, 2**32))
+
+
+def _stacked(axes):
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+boxes = st.integers(1, 3).flatmap(
+    lambda dim: st.tuples(
+        st.integers(-40, 40),
+        st.lists(st.integers(-(2**40), 2**40), min_size=dim, max_size=dim),
+        st.lists(st.integers(1, 5), min_size=dim, max_size=dim),
+    )
+)
+
+
+@given(boxes)
+@settings(max_examples=200, deadline=None)
+def test_cell_centers_equal_the_formulas_they_replace(box):
+    level, origin, extents = box
+    h = 2.0 ** (-level)
+    # GridFunction.centers, which from_sampler called on a zero grid
+    float_index = _stacked([(o + np.arange(n, dtype=float) + 0.5) * h for o, n in zip(origin, extents)])
+    # bv._padded_centers, over the padded box of the variation array
+    int_index = _stacked([(o + np.arange(n) + 0.5) * h for o, n in zip(origin, extents)])
+    centers = _cell_centers(level, origin, extents)
+    assert centers.shape == (int(np.prod(extents)), len(origin))
+    assert np.array_equal(centers, float_index) and np.array_equal(centers, int_index)
+
+
+sparse_grids = st.integers(1, 3).flatmap(
+    lambda dim: st.builds(
+        lambda level, extents, seed: GridFunction(
+            dim, level, (0,) * dim, tuple(extents),
+            np.random.default_rng(seed).integers(-3, 4, size=tuple(extents)) * 0.75,
+        ),
+        st.integers(-1014 // dim, 1022 // dim),  # 6^3 < 2^8 cells: no overflow
+        st.lists(st.integers(1, 6), min_size=dim, max_size=dim),
+        st.integers(0, 2**16),
+    )
+)
+
+
+@given(sparse_grids)
+@settings(max_examples=200, deadline=None)
+def test_rearranged_measure_is_the_support_measure(u):
+    # every chunk is a whole number of cells, each a normal power of two
+    step = u.rearrangement
+    measure = 0.0 if step is None else step.total_measure
+    assert measure == int(np.count_nonzero(u.values)) * u.cell_measure
 
 
 def test_from_sampler_snaps_box_outward():

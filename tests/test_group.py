@@ -16,7 +16,7 @@ from bvlorentz.group import (
     inverse,
     isometry_defect,
 )
-from bvlorentz.grid import GridFunction, MemoryGuardError
+from bvlorentz.grid import GridFunction
 from bvlorentz.profiles import load_sequence, save_sequence
 from bvlorentz.rearrange import critical_exponent
 
@@ -34,7 +34,7 @@ def test_dyadic_vector_arithmetic():
     a = DyadicVector((1,), 1)  # 1/2
     b = DyadicVector((1,), 2)  # 1/4
     s = a + b
-    assert s.as_fractions()[0].numerator == 3 and s.as_fractions()[0].denominator == 4
+    assert s.numerators == (3,) and s.level == 2  # 3/4
     assert (-a).as_floats()[0] == -0.5
     assert a.scaled_pow2(3).numerators == (4,)  # 1/2 * 8
     assert a.scaled_pow2(-2).as_floats()[0] == 0.125
@@ -103,14 +103,8 @@ def test_scale_bound(single_cell):
         act(GroupElement(25, DyadicVector.zero(2)), single_cell)
     with pytest.raises(ScaleBoundError):
         act(GroupElement(-21, DyadicVector.zero(2)), single_cell)
-    # explicit bound overrides the default
-    act(GroupElement(21, DyadicVector.zero(2)), single_cell, scale_bound=22)
-
-
-def test_cell_guard_reaches_refinement(single_cell):
-    deep = GroupElement(0, DyadicVector((1, 1), 12))
-    with pytest.raises(MemoryGuardError):
-        act(deep, single_cell, cell_guard=1000)
+    # |j| = 20 is the bound itself
+    assert act(GroupElement(20, DyadicVector.zero(2)), single_cell).level == single_cell.level + 20
 
 
 def test_dimension_mismatch(single_cell):
@@ -214,6 +208,14 @@ _numerators = st.one_of(
 def test_closed_form_normalization_equals_the_loop(nums, level):
     v = DyadicVector(tuple(nums), level)
     assert (v.numerators, v.level) == _loop_normalized(nums, level)
+
+
+def test_huge_negative_level_is_refused_before_multiplying_out(tmp_path):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="level -10000000 is below -1022"):
+        GroupElement.from_dict({"j": 0, "y": {"numerators": [1, 1], "level": -(10**7)}})
+    assert time.perf_counter() - start < 0.010  # multiplying out took 74 ms
+    assert DyadicVector((1,), -1022).numerators == (2**1022,)
 
 
 def test_deep_zero_translation_in_a_manifest_loads_fast(tmp_path):

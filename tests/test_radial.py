@@ -12,7 +12,6 @@ from bvlorentz.radial import (
     dual_pairing_inverse_radius,
     piecewise_tv,
     radial_tv,
-    rescale_dyadic,
     staircase,
     to_grid,
     to_stepfunction,
@@ -99,22 +98,6 @@ def test_staircase_closed_forms_2d():
         staircase(1, 3)
 
 
-def test_rescale_dyadic_exact():
-    u = annulus_indicator(2)
-    v = rescale_dyadic(u, 3)
-    assert v.outer_radius == 0.25
-    assert v.values.tolist() == [0.0, 8.0]
-    # mass-critical in 2-d: TV invariant, L^2 invariant
-    assert radial_tv(v) == pytest.approx(radial_tv(u), rel=1e-14)
-    assert lebesgue_norm(to_stepfunction(v), 2.0) == pytest.approx(
-        lebesgue_norm(to_stepfunction(u), 2.0), rel=1e-14
-    )
-    # pairing with 1/|x| is also invariant under this rescaling
-    assert dual_pairing_inverse_radius(v) == pytest.approx(
-        dual_pairing_inverse_radius(u), rel=1e-14
-    )
-
-
 def test_pairing_needs_dim_two():
     u = RadialStep(1, np.array([0.0, 1.0]), np.array([1.0]))
     with pytest.raises(UnsupportedDimensionError):
@@ -129,19 +112,16 @@ def test_to_grid_sampling():
     np.testing.assert_allclose(g.box_hi(), [2.0, 2.0])
     # center sampling converges to the shell area; level 5 is within ~2%
     assert g.l1_norm() == pytest.approx(u.l1_norm(), rel=0.02)
-    # explicit box restricts the window
-    q = to_grid(u, 4, box=[(0.0, 2.0), (0.0, 2.0)])
-    assert q.origin == (0, 0)
-    assert box_mass(q, (0.0, 0.0), (2.0, 2.0)) == pytest.approx(
-        u.l1_norm() / 4.0, rel=0.05
-    )
+    # one quadrant holds a quarter of the mass
+    assert box_mass(g, (0.0, 0.0), (2.0, 2.0)) == pytest.approx(u.l1_norm() / 4.0, rel=0.05)
 
 
 @given(st.integers(min_value=1, max_value=20), st.integers(min_value=-6, max_value=6))
 @settings(max_examples=80, deadline=None)
 def test_staircase_invariants_under_rescaling(n, i):
     u = staircase(2, n)
-    v = rescale_dyadic(u, i)
+    # the mass-critical rescaling: radii / 2^i, values * 2^i in 2-d
+    v = RadialStep(2, u.radii * 2.0**-i, u.values * 2.0**i)
     assert radial_tv(v) == pytest.approx(radial_tv(u), rel=1e-12)
     assert dual_pairing_inverse_radius(v) == pytest.approx(
         dual_pairing_inverse_radius(u), rel=1e-12

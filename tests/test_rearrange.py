@@ -6,13 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvlorentz.rearrange import (
-    DomainError,
     LorentzIndex,
     LorentzIndexError,
     StepFunction,
     critical_exponent,
-    decreasing_rearrangement,
-    distribution_function,
     lebesgue_norm,
     lorentz_norm,
     lorentz_norm_symmetrization,
@@ -109,23 +106,6 @@ def test_step_function_refuses_nan_measures():
         StepFunction(np.array([2.0, 1.0]), np.array([1.0, np.nan]))
 
 
-def test_evaluate_right_continuous():
-    s = StepFunction(np.array([3.0, 1.0]), np.array([1.0, 2.0]))
-    out = s.evaluate(np.array([0.0, 0.999, 1.0, 2.999, 3.0, 10.0]))
-    assert out.tolist() == [3.0, 3.0, 1.0, 1.0, 0.0, 0.0]
-    with pytest.raises(DomainError):
-        s.evaluate(np.array([-0.1]))
-
-
-def test_distribution_function():
-    s = StepFunction(np.array([3.0, 1.0]), np.array([1.0, 2.0]))
-    assert distribution_function(s, 0.5) == 3.0
-    assert distribution_function(s, 1.0) == 1.0
-    assert distribution_function(s, 3.0) == 0.0
-    with pytest.raises(DomainError):
-        distribution_function(s, -1.0)
-
-
 def test_schwarz_profile_radii():
     # indicator of measure pi symmetrizes to the unit disk in 2-d
     s = StepFunction(np.array([1.0]), np.array([math.pi]))
@@ -213,10 +193,9 @@ def test_indicator_breaks_nesting_above_p():
 
 
 def test_rearrangement_of_grid_function(single_cell):
-    s = decreasing_rearrangement(single_cell)
+    s = single_cell.rearrangement
     assert s.values.tolist() == [3.0]
     assert s.measures.tolist() == [single_cell.cell_measure]
-    assert decreasing_rearrangement(StepFunction(np.ones(1), np.ones(1))) is not None
 
 
 def test_zero_function_norms():
