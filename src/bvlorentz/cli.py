@@ -29,7 +29,7 @@ from . import layers
 from . import profiles as prof
 from .corpus import corpus_elements, corpus_grids, corpus_steps
 from .grid import GridFormatError, GridFunction, MemoryGuardError, load_grid
-from .group import isometry_defect
+from .group import DEFAULT_SCALE_BOUND, isometry_defect
 from .rearrange import (
     LorentzIndex,
     critical_exponent,
@@ -214,6 +214,11 @@ def cmd_counterexample(cfg: dict) -> int:
         raise _UsageError(f"counterexample: --dim must be 2 or 3, got {dim}")
     if n_max < 2:
         raise _UsageError(f"counterexample: --n-max must be at least 2, got {n_max}")
+    if n_max > DEFAULT_SCALE_BOUND:
+        raise _UsageError(
+            f"counterexample: --n-max must be at most {DEFAULT_SCALE_BOUND}, got {n_max}: "
+            f"the probe zooms out to j = -n-max and the group bounds |j| by {DEFAULT_SCALE_BOUND}"
+        )
     if quad_level < 0:
         raise _UsageError(f"counterexample: --quad-level must be at least 0, got {quad_level}")
     rep = cx.run_counterexample(dim, n_max, qs)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import DEFAULT_CELL_GUARD, MemoryGuardError
-from .group import DyadicVector, GroupElement
+from .group import DEFAULT_SCALE_BOUND, DyadicVector, GroupElement, ScaleBoundError
 from .radial import (
     RadialStep,
     dual_pairing_inverse_radius,
@@ -209,6 +209,9 @@ def decay_fit(ns, values) -> float:
 PROBE_FIT_TARGET = -1.0
 PROBE_FIT_TOL = 0.2
 
+# the smallest normal double: scaling by 2^j is exact on values at or above it
+_TINY = 2.0**-1022
+
 
 def aligned_probe_elements(dim: int, count: int) -> list[GroupElement]:
     """Zoom-out elements g[-i, (-1, 0, ...)] that map one annulus of the
@@ -236,26 +239,31 @@ class ProbeReport:
         }
 
 
-def _shell_index(breaks: np.ndarray, g: GroupElement, dim: int, quad_level: int) -> np.ndarray:
-    """Fine-shell index of |2^j (x - y)| at the midpoint nodes of (0,1)^dim.
-
-    Index 0 is r = 0, index k the shell breaks[k-1] < r <= breaks[k], and
-    len(breaks) is r > breaks[-1]: the side of ``RadialStep.evaluate``.
-    """
+def _node_axis(quad_level: int) -> np.ndarray:
     m = 2**quad_level
-    axis = (np.arange(m) + 0.5) * (1.0 / m)
-    y = g.y.as_floats()
-    scale = 2.0**g.j
+    return (np.arange(m) + 0.5) * (1.0 / m)
+
+
+def _radius_field(y: tuple, dim: int, quad_level: int) -> np.ndarray:
+    """|x - y| at the midpoint nodes of (0,1)^dim.
+
+    Per node the same terms are added in the same order as over a full
+    meshgrid, so 2^j times this field is |2^j (x - y)| bit for bit while
+    every scaled term stays a normal double.
+    """
+    axis = _node_axis(quad_level)
+    m = axis.size
     radius_sq = np.zeros((m,) * dim)
     for k in range(dim):
-        # per node the same terms, added in the same order, as over a full meshgrid
-        radius_sq += ((scale * (axis - y[k])) ** 2).reshape((m,) + (1,) * (dim - 1 - k))
-    return np.searchsorted(breaks, np.sqrt(radius_sq), side="left")
+        radius_sq += ((axis - y[k]) ** 2).reshape((m,) + (1,) * (dim - 1 - k))
+    return np.sqrt(radius_sq)
 
 
 def _shell_lookup(u: RadialStep, breaks: np.ndarray) -> np.ndarray:
-    """|u| per fine-shell index of :func:`_shell_index`.
+    """|u| per fine-shell index ``searchsorted(breaks, r, side="left")``.
 
+    Index 0 is r = 0, index k the shell breaks[k-1] < r <= breaks[k], and
+    len(breaks) is r > breaks[-1]: the side of ``RadialStep.evaluate``.
     ``u.radii`` must be a subset of ``breaks``, so u is constant on every
     fine shell and its value at the closed upper radius is its value there.
     """
@@ -272,18 +280,29 @@ def dvanishing_probe(
     """Midpoint quadrature of |g u_n| over the unit cube (0,1)^dim, for every
     staircase ``u_n`` (n in ``n_list``) and group element g.
 
-    The radius field |2^j (x - y)| depends only on g, so it is computed once
-    per element and located once among the union of all staircase
-    breakpoints.  Every staircase's breakpoints lie in that union (they are
-    nested: {0} and 2^-i for i <= n), so a per-n lookup table built by
-    ``RadialStep.evaluate`` at each fine shell's upper radius reproduces
-    ``u_n.evaluate`` at every node exactly.  Each mass is the mean over the
-    same (2^quad_level,)*dim array of |u_n| values as a per-(n, g)
-    evaluation would build, so every mass is bit-identical to it.
+    Every mass is bit-identical to a separate quadrature per (n, g), which
+    evaluates ``u_n`` at |2^j (x - y)| on the (2^quad_level,)*dim nodes and
+    takes the mean of the absolute values times 2^((dim-1) j).  Two exact
+    identities let the probe share that work:
+
+    * One radius field per distinct translation y.  |2^j (x - y)| is
+      2^j |x - y| bit for bit, so R_y = |x - y| is built and located once,
+      with ``searchsorted``, among E, the union of the scaled staircase
+      breakpoints 2^-j * breaks over the elements' j.  Each staircase's
+      fine-shell lookup maps onto E as ``lut[searchsorted(2^-j * breaks, E)]``.
+    * One gather per distinct lookup.  Each composed lookup is restricted to
+      the shells that nodes of R_y hit and divided by the power of two of
+      its largest entry; the mean over the nodes is taken once per distinct
+      such table and scaled back, exactly.  An all-zero table gives 0.
 
     Raises ``ValueError`` for a negative ``quad_level`` and
-    ``MemoryGuardError``, before allocating, when the (2^quad_level)^dim
-    nodes exceed ``DEFAULT_CELL_GUARD``.
+    ``MemoryGuardError`` when the (2^quad_level)^dim nodes exceed
+    ``DEFAULT_CELL_GUARD``.  Both identities need every scaled value to stay
+    a normal double, so the probe also raises ``ScaleBoundError`` for an n or
+    an element |j| above ``DEFAULT_SCALE_BOUND``, and ``ValueError`` for a
+    translation with a nonzero squared axis distance (times 4^j when j < 0)
+    below 2^-1022, the smallest normal double.  Every refusal comes before
+    the nodes are allocated.
     """
     if quad_level < 0:
         raise ValueError(f"quad_level must be at least 0, got {quad_level}")
@@ -293,17 +312,58 @@ def dvanishing_probe(
             f"probe quadrature at level {quad_level} needs {nodes} nodes in dim {dim}, "
             f"guard is {DEFAULT_CELL_GUARD}"
         )
+    if max(n_list) > DEFAULT_SCALE_BOUND:
+        raise ScaleBoundError(f"n = {max(n_list)} exceeds scale bound {DEFAULT_SCALE_BOUND}")
     if elements is None:
         elements = aligned_probe_elements(dim, max(n_list))
+    # elements grouped by translation, in order of first appearance
+    by_y: dict[tuple, list] = {}
+    for e, g in enumerate(elements):
+        if abs(g.j) > DEFAULT_SCALE_BOUND:
+            raise ScaleBoundError(f"|j| = {abs(g.j)} exceeds scale bound {DEFAULT_SCALE_BOUND}")
+        by_y.setdefault(tuple(g.y.as_floats().tolist()), []).append((e, g))
+    axis = _node_axis(quad_level)
+    for y, members in by_y.items():
+        scale_sq = 4.0 ** min(0, min(g.j for _, g in members))
+        for k in range(dim):
+            d = axis - y[k]
+            if np.any((d != 0.0) & (d**2 * scale_sq < _TINY)):
+                raise ValueError(
+                    f"probe translation {y} lies too close to a quadrature node: a squared "
+                    f"axis distance (times 4^j when j < 0) falls below 2^-1022"
+                )
+
     family = [staircase(dim, n) for n in n_list]
     breaks = functools.reduce(np.union1d, (u.radii for u in family))
     lookups = [_shell_lookup(u, breaks) for u in family]
+    scales = sorted({g.j for g in elements})
+    edges = functools.reduce(np.union1d, (breaks * 2.0**-j for j in scales))
+    # E-index t holds the radii r with E[t-1] < r <= uppers[t], and the fine
+    # shell of 2^j r is the one of 2^j uppers[t]: shell_at[j][t]
+    uppers = np.append(edges, np.inf)
+    shell_at = {j: np.searchsorted(breaks * 2.0**-j, uppers, side="left") for j in scales}
     # captured[e][i]: mass of element e on staircase n_list[i]
-    captured = []
-    for g in elements:
-        idx = _shell_index(breaks, g, dim, quad_level)
-        factor = 2.0 ** ((dim - 1) * g.j)
-        captured.append([float(factor * np.take(lut, idx).mean()) for lut in lookups])
+    captured: list = [None] * len(elements)
+    for y, members in by_y.items():
+        idx = np.searchsorted(edges, _radius_field(y, dim, quad_level), side="left")
+        hit = np.bincount(idx.ravel(), minlength=uppers.size) > 0
+        means: dict[bytes, np.float64] = {}
+        for e, g in members:
+            factor = 2.0 ** ((dim - 1) * g.j)
+            row = []
+            for lut in lookups:
+                table = np.where(hit, lut[shell_at[g.j]], 0.0)
+                top = float(table.max())
+                if top == 0.0:
+                    row.append(0.0)
+                    continue
+                exp = math.frexp(top)[1]
+                canon = table * 2.0**-exp
+                key = canon.tobytes()
+                if key not in means:
+                    means[key] = np.take(canon, idx).mean()
+                row.append(float(factor * (means[key] * 2.0**exp)))
+            captured[e] = row
     best = [max(masses) for masses in zip(*captured)]  # one n at a time
     fit = decay_fit(n_list, best)
     return ProbeReport(

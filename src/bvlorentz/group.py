@@ -142,11 +142,14 @@ def inverse(g: GroupElement) -> GroupElement:
 def _placement(g: GroupElement, u: GridFunction) -> tuple[int, tuple[int, ...]]:
     """Where ``act(g, u)`` puts the cells of ``u``, in Python ints.
 
-    Returns the level ``u`` is refined to (never coarsened: y must be a whole
-    number of cells at the output level, which is that level + j) and the
-    origin of the result at the output level.
+    Returns the level ``u`` is refined to and the origin of the result at
+    the output level, which is that level + j.  ``u`` is never coarsened, and
+    refined only as far as y needs to be a whole number of cells at the
+    output level: the trailing zeros of y's numerators count towards it, and
+    y = 0 needs no refinement.
     """
-    level = max(u.level, g.y.level - g.j)
+    zeros = min(((n & -n).bit_length() - 1 for n in g.y.numerators if n), default=None)
+    level = u.level if zeros is None else max(u.level, g.y.level - zeros - g.j)
     f = 2 ** (level - u.level)
     shift = g.y.scaled_pow2(level + g.j)
     return level, tuple(o * f + s for o, s in zip(u.origin, shift.numerators))

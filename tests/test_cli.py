@@ -333,11 +333,32 @@ def test_counterexample_bad_argument_is_usage_error(tmp_path, capsys, flag, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dim, n_max", [(2, 21), (3, 600), (2, 1100)])
+def test_counterexample_n_max_above_the_scale_bound_is_usage_error(tmp_path, capsys, dim, n_max):
+    out = tmp_path / "o"
+    argv = ["counterexample", "--dim", str(dim), "--n-max", str(n_max), "--no-probe",
+            "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: counterexample: --n-max must be at most 20, got {n_max}: "
+        "the probe zooms out to j = -n-max and the group bounds |j| by 20\n"
+    )
+    assert not out.exists()
+
+
+def test_counterexample_n_max_at_the_scale_bound_runs(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["counterexample", "--n-max", "20", "--quad-level", "5", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert _read(out / "probe.json")["ns"] == list(range(1, 21))
+    assert len(_read(out / "counterexample.json")["rows"]) == 20
+
+
 def test_counterexample_quadrature_guard_is_usage_error(tmp_path, capsys, monkeypatch):
     def no_quadrature(*args):
         raise AssertionError("quadrature nodes allocated past the guard")
 
-    monkeypatch.setattr(cx, "_shell_index", no_quadrature)
+    monkeypatch.setattr(cx, "_radius_field", no_quadrature)
     out = tmp_path / "o"
     argv = ["counterexample", "--n-max", "4", "--quad-level", "14", "--out-dir", str(out)]
     assert main(argv) == 2

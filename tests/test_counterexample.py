@@ -7,7 +7,7 @@ import pytest
 
 from bvlorentz import counterexample as cx
 from bvlorentz.grid import DEFAULT_CELL_GUARD, MemoryGuardError
-from bvlorentz.group import DyadicVector, GroupElement
+from bvlorentz.group import DyadicVector, GroupElement, ScaleBoundError
 from bvlorentz.radial import RadialStep, staircase
 from bvlorentz.counterexample import (
     PROBE_FIT_TOL,
@@ -173,6 +173,142 @@ def test_probe_equals_per_pair_quadrature_custom_elements():
     _assert_probe_exact(3, (4, 8), els3[1::2] + els3[::2], 5)
 
 
+def test_probe_equals_per_pair_quadrature_duplicated_element():
+    els = aligned_probe_elements(2, 12)
+    _assert_probe_exact(2, tuple(range(1, 13)), els[:5] + [els[2]] + els[5:] + [els[0]], 6)
+
+
+def test_probe_equals_per_pair_quadrature_interleaved_translations():
+    # two translations that are not (-1, 0), interleaved with the shared aligned ones
+    near = DyadicVector((1, 3), 2)
+    far = DyadicVector((-5, 7), 3)
+    els = []
+    for g in aligned_probe_elements(2, 12):
+        els += [g, GroupElement(g.j + 6, near), GroupElement(-g.j // 2, far)]
+    _assert_probe_exact(2, tuple(range(1, 13)), els, 6)
+    els3 = [GroupElement(g.j, y) for g in aligned_probe_elements(3, 8)
+            for y in (DyadicVector.integers(-1, 0, 0), DyadicVector((1, 1, 3), 2))]
+    _assert_probe_exact(3, tuple(range(1, 9)), els3, 4)
+
+
+def test_probe_equals_per_pair_quadrature_sparse_n_list():
+    _assert_probe_exact(2, (3, 7, 12), None, 7)
+    _assert_probe_exact(3, (12, 3, 7), None, 5)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_probe_equals_per_pair_quadrature_up_to_the_scale_bound(dim):
+    _assert_probe_exact(dim, tuple(range(1, 21)), None, 4)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in square")
+def test_probe_equals_per_pair_quadrature_far_translations():
+    # |x - y|^2 overflows for one element and 4^j |x - y|^2 for the other;
+    # either way every node lies beyond the outermost shell
+    els = [GroupElement(-20, DyadicVector.integers(2**520, 0)),
+           GroupElement(20, DyadicVector.integers(0, -(2**500))),
+           GroupElement(-2, DyadicVector.integers(-1, 0))]
+    _assert_probe_exact(2, (2, 5), els, 5)
+
+
+# the masses and fit at quad levels 9 (2-D) and 6 (3-D), n = 1..12, as
+# emitted in probe.json before the probe shared fields and gathers
+_PINNED_PROBE = {
+    (2, 9): (
+        ["0x1.d396800000000p-1", "0x1.e9cb400000000p-2", "0x1.46877ffffffffp-2",
+         "0x1.e9cb400000000p-3", "0x1.87d5ccccccccep-3", "0x1.46877ffffffffp-3",
+         "0x1.17e1db6db6db6p-3", "0x1.e9cb400000000p-4", "0x1.b35f555555558p-4",
+         "0x1.87d5ccccccccep-4", "0x1.6436ba2e8ba2ep-4", "0x1.46877ffffffffp-4"],
+        "-0x1.f9b424876f687p-1",
+    ),
+    (3, 6): (
+        ["0x1.a4d4000000000p-1", "0x1.bb9f000000000p-2", "0x1.27bf555555554p-2",
+         "0x1.bb9f000000000p-3", "0x1.62e599999999ap-3", "0x1.27bf555555554p-3",
+         "0x1.fafedb6db6db4p-4", "0x1.bb9f000000000p-4", "0x1.8a5471c71c71ep-4",
+         "0x1.62e599999999ap-4", "0x1.42a22e8ba2e8cp-4", "0x1.27bf555555554p-4"],
+        "-0x1.f8d794fc98ec3p-1",
+    ),
+}
+
+
+@pytest.mark.parametrize("dim, quad_level", sorted(_PINNED_PROBE))
+def test_probe_outputs_are_pinned(dim, quad_level):
+    probe = dvanishing_probe(dim, tuple(range(1, 13)), quad_level=quad_level)
+    masses, fit = _PINNED_PROBE[dim, quad_level]
+    assert [m.hex() for m in probe.masses] == masses
+    assert probe.fit_exponent.hex() == fit
+
+
+class _CountingNumpy:
+    """numpy, with a count of the ``np.take`` gathers made through it."""
+
+    def __init__(self):
+        self.takes = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def take(self, *args, **kwargs):
+        self.takes += 1
+        return np.take(*args, **kwargs)
+
+
+@pytest.mark.parametrize("dim, quad_level", [(2, 6), (3, 4)])
+def test_probe_builds_one_field_per_translation(monkeypatch, dim, quad_level):
+    fields = []
+    build = cx._radius_field
+
+    def counted(y, *args):
+        fields.append(tuple(y))
+        return build(y, *args)
+
+    counting = _CountingNumpy()
+    monkeypatch.setattr(cx, "_radius_field", counted)
+    monkeypatch.setattr(cx, "np", counting)
+    dvanishing_probe(dim, tuple(range(1, 13)), quad_level=quad_level)
+    assert len(fields) == 1  # the 12 aligned elements share y = (-1, 0, ...)
+    assert 0 < counting.takes <= 24  # of 144 (n, g) pairs
+
+    fields.clear()
+    other = DyadicVector((1,) * dim, 2)
+    els = aligned_probe_elements(dim, 12)
+    dvanishing_probe(dim, (4, 8), els + [GroupElement(0, other), GroupElement(-1, other)], quad_level)
+    assert sorted(fields) == [(-1.0,) + (0.0,) * (dim - 1), (0.25,) * dim]
+
+
+@pytest.mark.parametrize("dim, n_list, elements, message", [
+    (2, (1, 21), None, "n = 21 exceeds scale bound 20"),
+    (3, (600,), None, "n = 600 exceeds scale bound 20"),
+    (2, (1, 2), [GroupElement(21, DyadicVector.zero(2))], "|j| = 21 exceeds scale bound 20"),
+    (2, (1, 2), [GroupElement(-1, DyadicVector.zero(2)), GroupElement(-25, DyadicVector.zero(2))],
+     "|j| = 25 exceeds scale bound 20"),
+])
+def test_probe_scale_bound_refuses_before_allocating(monkeypatch, dim, n_list, elements, message):
+    def no_quadrature(*args):
+        raise AssertionError("quadrature nodes allocated past the scale bound")
+
+    monkeypatch.setattr(cx, "_radius_field", no_quadrature)
+    with pytest.raises(ScaleBoundError) as exc:
+        dvanishing_probe(dim, n_list, elements, quad_level=5)
+    assert str(exc.value) == message
+
+
+def test_probe_refuses_a_squared_distance_below_the_normal_range(monkeypatch):
+    # Within the cell guard a nonzero axis distance of float nodes and
+    # translations is at least 2^-67, so the check is exercised with a
+    # raised threshold: y = 1/16 + 2^-9 is 2^-9 from the level-3 node 1/16.
+    def no_quadrature(*args):
+        raise AssertionError("quadrature nodes allocated for a refused translation")
+
+    monkeypatch.setattr(cx, "_TINY", 2.0**-20)
+    y = DyadicVector((2**5 + 1, 0), 9)
+    dvanishing_probe(2, (1, 2), [GroupElement(0, y), GroupElement(5, y)], quad_level=3)
+    monkeypatch.setattr(cx, "_radius_field", no_quadrature)
+    with pytest.raises(ValueError, match=r"lies too close to a quadrature node"):
+        # 2^-18 times 4^-2 falls below the threshold
+        dvanishing_probe(2, (1, 2), [GroupElement(5, y), GroupElement(-2, y)], quad_level=3)
+
+
 @pytest.mark.parametrize("dim, n_list", [(2, tuple(range(1, 13))), (3, tuple(range(1, 13))), (2, (4, 8))])
 def test_shell_lookup_equals_evaluate(dim, n_list):
     family = [staircase(dim, n) for n in n_list]
@@ -193,7 +329,7 @@ def test_probe_guard_refuses_before_allocating(monkeypatch):
     def no_quadrature(*args):
         raise AssertionError("quadrature nodes allocated past the guard")
 
-    monkeypatch.setattr(cx, "_shell_index", no_quadrature)
+    monkeypatch.setattr(cx, "_radius_field", no_quadrature)
     with pytest.raises(MemoryGuardError) as exc:
         dvanishing_probe(dim=2, n_list=(1, 2), quad_level=14)
     assert str(exc.value) == (

@@ -107,6 +107,26 @@ def test_scale_bound(single_cell):
     assert act(GroupElement(20, DyadicVector.zero(2)), single_cell).level == single_cell.level + 20
 
 
+def test_zero_translation_does_not_refine(single_cell):
+    # the result is the same 16 cells relabelled at level 2 - 20; refining
+    # to make y = 0 a whole number of cells used to need 2^40 cells
+    v = act(GroupElement(-20, DyadicVector.zero(2)), single_cell)
+    assert (v.level, v.origin, v.extents) == (-18, (0, 0), (4, 4))
+    assert np.array_equal(v.values, single_cell.values * 2.0**-20)
+
+
+def test_integer_translation_refines_only_as_its_trailing_zeros_need(single_cell):
+    # y = (8, 0) is 4 cells of side 2 at level -1, so no refinement is needed
+    v = act(GroupElement(-3, DyadicVector.integers(8, 0)), single_cell)
+    assert (v.level, v.origin, v.extents) == (-1, (4, 0), (4, 4))
+    assert np.array_equal(v.values, single_cell.values * 2.0**-3)
+    # y = (2, 0) is half a cell at level -2 and one cell at level -1: refine once
+    w = act(GroupElement(-4, DyadicVector.integers(2, 0)), single_cell)
+    assert (w.level, w.origin, w.extents) == (-1, (1, 0), (8, 8))
+    assert np.array_equal(w.values[2:4, 4:6], np.full((2, 2), 3.0 * 2.0**-4))
+    assert w.values.sum() == 4 * 3.0 * 2.0**-4
+
+
 def test_dimension_mismatch(single_cell):
     with pytest.raises(ValueError):
         act(GroupElement(0, DyadicVector.zero(1)), single_cell)
