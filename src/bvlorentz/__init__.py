@@ -19,6 +19,7 @@ from .bv import (
 from .grid import (
     GridFormatError,
     GridFunction,
+    InputError,
     MemoryGuardError,
     Region,
     UnsupportedDimensionError,

@@ -10,8 +10,10 @@ names with dashes turned into underscores); explicit flags override the
 config, which overrides built-in defaults.  Outputs are byte-identical
 across runs: keys sorted, no timestamps, floats through the JSON shortest
 representation.  Exit codes: 0 success, 1 failed validation or audit,
-2 usage error (including an input whose norms overflow a double: no JSON
-output ever holds NaN or infinity).
+2 refused input: an ``InputError`` (a bad argument or input file, or an
+input whose norms overflow a double: no JSON output ever holds NaN or
+infinity), a ``MemoryGuardError`` or an ``OSError``.  Each library entry
+point checks its own arguments; this module checks only what it parses.
 """
 from __future__ import annotations
 
@@ -28,8 +30,8 @@ from . import counterexample as cx
 from . import layers
 from . import profiles as prof
 from .corpus import corpus_elements, corpus_grids, corpus_steps
-from .grid import GridFormatError, GridFunction, MemoryGuardError, load_grid
-from .group import DEFAULT_SCALE_BOUND, isometry_defect
+from .grid import GridFunction, InputError, MemoryGuardError, load_grid
+from .group import isometry_defect
 from .rearrange import (
     LorentzIndex,
     critical_exponent,
@@ -74,10 +76,6 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _merge(args: argparse.Namespace, command: str) -> dict:
     cfg = dict(_DEFAULTS[command])
     path = getattr(args, "config", None)
@@ -86,26 +84,28 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
             try:
                 loaded = json.load(fh)
             except ValueError as err:
-                raise _UsageError(f"config {path} is not valid JSON: {err}") from err
+                raise InputError(f"config {path} is not valid JSON: {err}") from err
         if not isinstance(loaded, dict):
-            raise _UsageError(f"config {path} must hold a JSON object")
+            raise InputError(f"config {path} must hold a JSON object")
         bad = sorted(set(loaded) - set(cfg))
         if bad:
-            raise _UsageError(f"unknown config keys for {command}: {', '.join(bad)}")
+            raise InputError(f"unknown config keys for {command}: {', '.join(bad)}")
         for key, value in loaded.items():  # a value passes where its text passes the flag's type
-            typ = args.flag_types.get(key)
+            if key in args.flag_bools:
+                if type(value) is not bool:
+                    raise InputError(f"{command}: config key {key!r} must be true or false, got {value!r}")
+                continue
+            typ = args.flag_types.get(key, str)  # a flag without a type takes text
             try:
-                if typ and (value is not None or cfg[key] is not None):
+                if value is not None or cfg[key] is not None:
                     loaded[key] = typ(str(value))
             except ValueError:
                 why = f"config key {key!r} must be {typ.__name__}, got {value!r}"
-                raise _UsageError(f"{command}: {why}") from None
+                raise InputError(f"{command}: {why}") from None
             choices = args.flag_choices.get(key)
             if choices is not None and loaded[key] not in choices:
                 why = f"config key {key!r} must be one of {', '.join(map(repr, choices))}, got {value!r}"
-                raise _UsageError(f"{command}: {why}")
-            if key in args.flag_bools and type(value) is not bool:
-                raise _UsageError(f"{command}: config key {key!r} must be true or false, got {value!r}")
+                raise InputError(f"{command}: {why}")
         cfg.update(loaded)
     for key in cfg:
         value = getattr(args, key, None)
@@ -117,7 +117,7 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
 def _parse_q_list(command: str, text: str) -> list[float]:
     """Second indices from a comma list; each must be a number q > 0 (inf allowed)."""
     out = []
-    for tok in str(text).split(","):
+    for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
@@ -126,10 +126,10 @@ def _parse_q_list(command: str, text: str) -> list[float]:
         except ValueError:
             q = float("nan")
         if not q > 0:
-            raise _UsageError(f"{command}: --q-list entries must be positive numbers, got {tok!r}")
+            raise InputError(f"{command}: --q-list entries must be positive numbers, got {tok!r}")
         out.append(q)
     if not out:
-        raise _UsageError(f"{command}: empty --q-list: {text!r}")
+        raise InputError(f"{command}: empty --q-list: {text!r}")
     return out
 
 
@@ -149,7 +149,7 @@ def _emit(doc: dict, path: str | None) -> None:
     try:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as err:  # a backstop: JSON has no NaN or infinity
-        raise _UsageError(f"{path or 'stdout'}: output holds a value that overflows a double") from err
+        raise InputError(f"{path or 'stdout'}: output holds a value that overflows a double") from err
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -166,7 +166,7 @@ def _write_text(text: str, path: str) -> None:
 
 def cmd_norms(cfg: dict) -> int:
     if not cfg["input"]:
-        raise _UsageError("norms: --input is required")
+        raise InputError("norms: --input is required")
     qs = _parse_q_list("norms", cfg["q_list"])
     u = load_grid(cfg["input"])
     step = u.rearrangement
@@ -175,7 +175,7 @@ def cmd_norms(cfg: dict) -> int:
     p2 = 0.0 if step is None else lebesgue_norm(step, 2.0)
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
-        "input": os.path.basename(str(cfg["input"])),
+        "input": os.path.basename(cfg["input"]),
         "dim": u.dim,
         "level": u.level,
         "cells": u.cell_count,
@@ -200,7 +200,7 @@ def cmd_norms(cfg: dict) -> int:
         doc["lorentz_critical"] = table
     bad = _first_non_finite(doc)
     if bad:
-        raise _UsageError(f"norms: {bad} of {cfg['input']} overflows a double")
+        raise InputError(f"norms: {bad} of {cfg['input']} overflows a double")
     _emit(doc, cfg["out"])
     return 0
 
@@ -209,26 +209,15 @@ def cmd_norms(cfg: dict) -> int:
 
 def cmd_counterexample(cfg: dict) -> int:
     qs = tuple(_parse_q_list("counterexample", cfg["q_list"]))
-    dim, n_max, quad_level = int(cfg["dim"]), int(cfg["n_max"]), int(cfg["quad_level"])
-    if dim not in (2, 3):
-        raise _UsageError(f"counterexample: --dim must be 2 or 3, got {dim}")
-    if n_max < 2:
-        raise _UsageError(f"counterexample: --n-max must be at least 2, got {n_max}")
-    if n_max > DEFAULT_SCALE_BOUND:
-        raise _UsageError(
-            f"counterexample: --n-max must be at most {DEFAULT_SCALE_BOUND}, got {n_max}: "
-            f"the probe zooms out to j = -n-max and the group bounds |j| by {DEFAULT_SCALE_BOUND}"
-        )
-    if quad_level < 0:
-        raise _UsageError(f"counterexample: --quad-level must be at least 0, got {quad_level}")
+    dim, n_max = cfg["dim"], cfg["n_max"]
     rep = cx.run_counterexample(dim, n_max, qs)
     ok = rep.ok
     probe = None
     if cfg["probe"]:
         # before any file is written: an oversized quadrature leaves no partial output
-        probe = cx.dvanishing_probe(dim, tuple(range(1, n_max + 1)), quad_level=quad_level)
+        probe = cx.dvanishing_probe(dim, tuple(range(1, n_max + 1)), quad_level=cfg["quad_level"])
         ok = ok and cx.probe_ok(probe)
-    outdir = str(cfg["out_dir"])
+    outdir = cfg["out_dir"]
     os.makedirs(outdir, exist_ok=True)
     _write_text("\n".join(rep.csv_lines()) + "\n", os.path.join(outdir, "counterexample.csv"))
     _emit(rep.to_dict(), os.path.join(outdir, "counterexample.json"))
@@ -250,29 +239,20 @@ def cmd_counterexample(cfg: dict) -> int:
 
 def cmd_decompose(cfg: dict) -> int:
     if not cfg["input"]:
-        raise _UsageError("decompose: --input is required")
+        raise InputError("decompose: --input is required")
     if cfg["epsilon"] is None:
-        raise _UsageError("decompose: --epsilon is required")
-    seq = prof.load_sequence(str(cfg["input"]))
+        raise InputError("decompose: --epsilon is required")
+    seq = prof.load_sequence(cfg["input"])
+    keys = ("epsilon", "max_profiles", "scale_window", "window_radius", "cauchy_tol", "stride",
+            "profile_level")
     try:
-        decomp = prof.extract_profiles(
-            seq,
-            epsilon=float(cfg["epsilon"]),
-            max_profiles=int(cfg["max_profiles"]),
-            scale_window=int(cfg["scale_window"]),
-            window_radius=int(cfg["window_radius"]),
-            cauchy_tol=float(cfg["cauchy_tol"]),
-            stride=int(cfg["stride"]),
-            profile_level=None if cfg["profile_level"] is None else int(cfg["profile_level"]),
-        )
+        decomp = prof.extract_profiles(seq, **{key: cfg[key] for key in keys})
     except prof.NonConvergentSubsequenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except prof.ExtractionArgumentError as err:
-        raise _UsageError(f"decompose: {err}") from err
-    energy = prof.energy_audit(decomp, float(cfg["delta"]))
-    sep = prof.separation_check(decomp, float(cfg["separation_floor"]))
-    outdir = str(cfg["out_dir"])
+    energy = prof.energy_audit(decomp, cfg["delta"])
+    sep = prof.separation_check(decomp, cfg["separation_floor"])
+    outdir = cfg["out_dir"]
     os.makedirs(outdir, exist_ok=True)
     prof.save_decomposition(outdir, decomp)
     doc = {
@@ -399,16 +379,17 @@ def _suite_nesting(seed: int, count: int) -> dict:
 
 
 def cmd_audit(cfg: dict) -> int:
-    seed = int(cfg["seed"])
-    count = int(cfg["count"])
+    seed, count = cfg["seed"], cfg["count"]
+    if seed < 0:
+        raise InputError(f"audit: --seed must be at least 0, got {seed}")
     if count < 1:
-        raise _UsageError(f"audit: --count must be at least 1, got {count}")
-    dims = [tok.strip() for tok in str(cfg["dims"]).split(",")]
+        raise InputError(f"audit: --count must be at least 1, got {count}")
+    dims = [tok.strip() for tok in cfg["dims"].split(",")]
     for tok in dims:
         if tok not in ("1", "2", "3"):
-            raise _UsageError(f"audit: --dims entries must be 1, 2 or 3, got {tok!r}")
+            raise InputError(f"audit: --dims entries must be 1, 2 or 3, got {tok!r}")
     dims = [int(tok) for tok in dims]
-    negative = str(cfg["negative_control"])
+    negative = cfg["negative_control"]
     suites = {
         "rearrangement_equality": _suite_rearrangement(seed, count),
         "group_isometry": _suite_isometry(seed, dims, count),
@@ -517,8 +498,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge(args, args.command)
         return _COMMANDS[args.command](cfg)
-    except (_UsageError, FileNotFoundError, GridFormatError, MemoryGuardError,
-            prof.SequenceFormatError) as err:  # faults of the arguments or input files
+    except (InputError, MemoryGuardError, OSError) as err:  # faults of the arguments or input files
         print(f"error: {err}", file=sys.stderr)
         return 2
 

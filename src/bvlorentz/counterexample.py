@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DEFAULT_CELL_GUARD, MemoryGuardError
+from .grid import (
+    DEFAULT_CELL_GUARD,
+    DimensionMismatchError,
+    InputError,
+    MemoryGuardError,
+    UnsupportedDimensionError,
+)
 from .group import DEFAULT_SCALE_BOUND, DyadicVector, GroupElement, ScaleBoundError
 from .radial import (
     RadialStep,
@@ -131,6 +137,11 @@ def _strictly_decreasing(xs: list[float]) -> bool:
     return all(b < a for a, b in zip(xs, xs[1:]))
 
 
+def _check_family_dim(dim: int) -> None:
+    if dim not in (2, 3):
+        raise UnsupportedDimensionError(f"dim must be 2 or 3, got {dim}")
+
+
 def run_counterexample(
     dim: int = 2,
     n_max: int = 12,
@@ -138,10 +149,19 @@ def run_counterexample(
 ) -> CounterexampleReport:
     """Norms and invariants of the staircases n = 1..n_max.
 
-    Raises ``ValueError`` for ``n_max < 1``.
+    Raises ``UnsupportedDimensionError`` for a dim outside {2, 3},
+    ``InputError`` for ``n_max < 1`` and ``ScaleBoundError`` for an n_max
+    above ``DEFAULT_SCALE_BOUND``, the largest n the probe can align with
+    its zoom-out elements; all before any staircase is built.
     """
+    _check_family_dim(dim)
     if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+        raise InputError(f"n_max must be at least 1, got {n_max}")
+    if n_max > DEFAULT_SCALE_BOUND:
+        raise ScaleBoundError(
+            f"n_max must be at most {DEFAULT_SCALE_BOUND}, got {n_max}: the probe zooms out "
+            f"to j = -n_max and the group bounds |j| by {DEFAULT_SCALE_BOUND}"
+        )
     p = critical_exponent(dim)
     rows = []
     for n in range(1, n_max + 1):
@@ -295,30 +315,40 @@ def dvanishing_probe(
       its largest entry; the mean over the nodes is taken once per distinct
       such table and scaled back, exactly.  An all-zero table gives 0.
 
-    Raises ``ValueError`` for a negative ``quad_level`` and
-    ``MemoryGuardError`` when the (2^quad_level)^dim nodes exceed
-    ``DEFAULT_CELL_GUARD``.  Both identities need every scaled value to stay
-    a normal double, so the probe also raises ``ScaleBoundError`` for an n or
-    an element |j| above ``DEFAULT_SCALE_BOUND``, and ``ValueError`` for a
-    translation with a nonzero squared axis distance (times 4^j when j < 0)
-    below 2^-1022, the smallest normal double.  Every refusal comes before
-    the nodes are allocated.
+    Raises ``UnsupportedDimensionError`` for a dim outside {2, 3},
+    ``InputError`` for a negative ``quad_level`` or fewer than two distinct
+    n (the decay fit needs two points), ``DimensionMismatchError`` for an
+    element of another dim, and ``MemoryGuardError`` when the
+    (2^quad_level)^dim nodes exceed ``DEFAULT_CELL_GUARD``.  Both identities
+    need every scaled value to stay a normal double, so the probe also
+    raises ``ScaleBoundError`` for an n or an element |j| above
+    ``DEFAULT_SCALE_BOUND``, and ``ValueError`` for a translation with a
+    nonzero squared axis distance (times 4^j when j < 0) below 2^-1022, the
+    smallest normal double.  Every refusal comes before any staircase or
+    node is built.
     """
+    _check_family_dim(dim)
     if quad_level < 0:
-        raise ValueError(f"quad_level must be at least 0, got {quad_level}")
-    nodes = 2 ** (quad_level * dim)
-    if nodes > DEFAULT_CELL_GUARD:
+        raise InputError(f"quad_level must be at least 0, got {quad_level}")
+    # the guard is a power of two: compare exponents, so that no huge level
+    # builds a huge integer
+    bits = quad_level * dim
+    if bits > DEFAULT_CELL_GUARD.bit_length() - 1:
         raise MemoryGuardError(
-            f"probe quadrature at level {quad_level} needs {nodes} nodes in dim {dim}, "
-            f"guard is {DEFAULT_CELL_GUARD}"
+            f"probe quadrature at level {quad_level} needs 2^{bits} nodes in dim {dim}, "
+            f"guard is 2^{DEFAULT_CELL_GUARD.bit_length() - 1}"
         )
-    if max(n_list) > DEFAULT_SCALE_BOUND:
+    if max(n_list, default=0) > DEFAULT_SCALE_BOUND:
         raise ScaleBoundError(f"n = {max(n_list)} exceeds scale bound {DEFAULT_SCALE_BOUND}")
+    if len(set(n_list)) < 2:
+        raise InputError(f"the decay fit needs at least two distinct n, got {tuple(n_list)}")
     if elements is None:
         elements = aligned_probe_elements(dim, max(n_list))
     # elements grouped by translation, in order of first appearance
     by_y: dict[tuple, list] = {}
     for e, g in enumerate(elements):
+        if g.dim != dim:
+            raise DimensionMismatchError(f"element {e} has dim {g.dim}, the probe has dim {dim}")
         if abs(g.j) > DEFAULT_SCALE_BOUND:
             raise ScaleBoundError(f"|j| = {abs(g.j)} exceeds scale bound {DEFAULT_SCALE_BOUND}")
         by_y.setdefault(tuple(g.y.as_floats().tolist()), []).append((e, g))

@@ -27,6 +27,7 @@ __all__ = [
     "DimensionMismatchError",
     "GridFormatError",
     "GridFunction",
+    "InputError",
     "MemoryGuardError",
     "Region",
     "RefinementDirectionError",
@@ -56,7 +57,11 @@ _MAGIC = b"BVLGRID1"
 _MAX_LEVEL_DIM = 1022
 
 
-class UnsupportedDimensionError(ValueError):
+class InputError(ValueError):
+    """An argument or input file the lab refuses; the command line exits 2 on it."""
+
+
+class UnsupportedDimensionError(InputError):
     """Raised for dimensions outside {1, 2, 3}."""
 
 
@@ -72,7 +77,7 @@ class MemoryGuardError(MemoryError):
     """Raised before an operation would materialise too many cells."""
 
 
-class GridFormatError(ValueError):
+class GridFormatError(InputError):
     """Raised when a saved grid file is malformed; names the path and the fault."""
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bv
 from . import rearrange
-from .grid import _MAX_LEVEL_DIM, GridFunction, _frozen, refine
+from .grid import _MAX_LEVEL_DIM, GridFunction, InputError, _frozen, refine
 
 __all__ = [
     "DyadicVector",
@@ -35,7 +35,7 @@ __all__ = [
 DEFAULT_SCALE_BOUND = 20
 
 
-class ScaleBoundError(ValueError):
+class ScaleBoundError(InputError):
     """Raised when a scale exponent exceeds DEFAULT_SCALE_BOUND."""
 
 

@@ -106,6 +106,14 @@ def _evaluate(profile: TruncationProfile, t: np.ndarray) -> np.ndarray:
     return np.sign(t) * out
 
 
+def _scaled(t, s: float) -> np.ndarray:
+    """t / s without the overflow warning: a quotient past the largest double
+    becomes inf, which lies beyond the support of chi, so chi gives it 0
+    exactly as it would the true quotient."""
+    with np.errstate(over="ignore"):
+        return np.asarray(t) / s
+
+
 def chi_function(profile: TruncationProfile) -> ScalarC1:
     fn = lambda t: _evaluate(profile, t)  # noqa: E731
     return ScalarC1(fn, profile.derivative_bound, "chi")
@@ -114,7 +122,7 @@ def chi_function(profile: TruncationProfile) -> ScalarC1:
 def scaled_chi_function(profile: TruncationProfile, j: int) -> ScalarC1:
     """chi at value scale j: conjugation by the scale factor, same Lipschitz bound."""
     s = profile.value_scale(j)
-    fn = lambda t: s * _evaluate(profile, np.asarray(t) / s)  # noqa: E731
+    fn = lambda t: s * _evaluate(profile, _scaled(t, s))  # noqa: E731
     return ScalarC1(fn, profile.derivative_bound, f"chi[{j}]")
 
 
@@ -184,7 +192,7 @@ class LayerAudit:
 
 
 def _color_disjoint(profile: TruncationProfile, u: GridFunction, scales: list[int]) -> bool:
-    layered = {j: _evaluate(profile, u.values / profile.value_scale(j)) for j in scales}
+    layered = {j: _evaluate(profile, _scaled(u.values, profile.value_scale(j))) for j in scales}
     for i, j1 in enumerate(scales):
         for j2 in scales[i + 1 :]:
             if j1 != j2 and color_class(j1) == color_class(j2):

@@ -30,6 +30,7 @@ from . import bv
 from .grid import (
     _MAX_LEVEL_DIM,
     GridFunction,
+    InputError,
     MemoryGuardError,
     _halve,
     from_sampler,
@@ -69,11 +70,11 @@ __all__ = [
 WINDOW_CELL_GUARD = 2**20
 
 
-class ExtractionArgumentError(ValueError):
+class ExtractionArgumentError(InputError):
     """Raised for extraction arguments outside their documented range."""
 
 
-class SequenceFormatError(ValueError):
+class SequenceFormatError(InputError):
     """Raised when a sequence manifest is malformed; names the path and the fault."""
 
 
@@ -221,6 +222,12 @@ def _window_level(tail, radius: int, dim: int, override: int | None) -> int:
     return max(0, min(lv, cap))
 
 
+def _check_threshold(name: str, value: float) -> None:
+    """Refuse a NaN, infinite or negative threshold: reports write it to JSON."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ExtractionArgumentError(f"{name} must be finite and nonnegative, got {value}")
+
+
 def extract_profiles(
     elements,
     *,
@@ -232,12 +239,37 @@ def extract_profiles(
     cauchy_tol: float = 0.05,
     stride: int = 1,
 ) -> ProfileDecomposition:
+    """Greedy extraction; every argument is checked before any pass.
+
+    Raises ``ExtractionArgumentError`` for an argument out of range.  A
+    window is 2 * window_radius * 2^level cells wide, so a radius above
+    ``WINDOW_CELL_GUARD // 2`` or a ``profile_level`` of
+    log2(``WINDOW_CELL_GUARD``) or more exceeds the guard in every dim.
+    Terms act with |j| <= ``DEFAULT_SCALE_BOUND``, so an alignment scale
+    beyond twice that bound could only move every term past it.
+    """
+    _check_threshold("epsilon", epsilon)
+    if max_profiles < 0:
+        raise ExtractionArgumentError(f"max_profiles must be nonnegative, got {max_profiles}")
     if window_radius < 1:
         raise ExtractionArgumentError(f"window_radius must be at least 1, got {window_radius}")
+    if window_radius > WINDOW_CELL_GUARD // 2:
+        raise ExtractionArgumentError(
+            f"window_radius must be at most {WINDOW_CELL_GUARD // 2}, got {window_radius}"
+        )
+    levels_in_guard = WINDOW_CELL_GUARD.bit_length() - 1
+    if profile_level is not None and not 0 <= profile_level < levels_in_guard:
+        raise ExtractionArgumentError(
+            f"profile_level must be from 0 to {levels_in_guard - 1}, got {profile_level}"
+        )
     if stride < 1:
         raise ExtractionArgumentError(f"stride must be at least 1, got {stride}")
     if scale_window < 0:
         raise ExtractionArgumentError(f"scale_window must be nonnegative, got {scale_window}")
+    if scale_window > 2 * DEFAULT_SCALE_BOUND:
+        raise ExtractionArgumentError(
+            f"scale_window must be at most {2 * DEFAULT_SCALE_BOUND}, got {scale_window}"
+        )
     if not cauchy_tol >= 0:
         raise ExtractionArgumentError(f"cauchy_tol must be nonnegative, got {cauchy_tol}")
     seq = [dyadic_sum(u) for u in elements][::stride]
@@ -341,6 +373,7 @@ class SeparationReport:
 
 def separation_check(decomp: ProfileDecomposition, floor: float = 1.0) -> SeparationReport:
     """Pairwise placement separation over the tail half of the sequence."""
+    _check_threshold("separation floor", floor)
     pair_min: dict[tuple, float] = {}
     ok = True
     n_profiles = len(decomp.profiles)
@@ -370,6 +403,7 @@ def energy_audit(decomp: ProfileDecomposition, delta: float = 0.1) -> EnergyRepo
     """Variation bookkeeping: profiles must not exceed the budget (with an
     allowed pile-up factor delta) and must, with the remainder, still cover
     the original variation up to rounding."""
+    _check_threshold("delta", delta)
     profile_sum = float(sum(p.tv for p in decomp.profiles))
     rows = []
     ok = True

@@ -8,6 +8,7 @@ grid functions and radial step functions both do.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -206,8 +207,14 @@ def lorentz_norm(u, idx: LorentzIndex) -> float:
     vmax = float(s.values[0])
     tmax = s.total_measure
     tau = s.normalized_cumulative
+    if p / q == math.inf:  # the norm grows like (p/q)^(1/q): far past a double
+        return math.inf
     core = np.sum(s.normalized_values ** q * (p / q) * np.diff(tau ** (q / p)))
-    return vmax * tmax ** (1.0 / p) * float(core) ** (1.0 / q)
+    try:
+        return vmax * tmax ** (1.0 / p) * float(core) ** (1.0 / q)
+    except OverflowError:  # a factor is past a double (q or p near 0): multiply in logs
+        log_norm = math.log(vmax) + math.log(tmax) / p + math.log(core) / q
+        return math.exp(log_norm) if log_norm < math.log(sys.float_info.max) else math.inf
 
 
 def lorentz_norm_weak(u, p: float) -> float:

@@ -14,7 +14,7 @@ from bvlorentz import bv, cli
 from bvlorentz import counterexample as cx
 from bvlorentz.cli import main
 from bvlorentz.corpus import corpus_grids
-from bvlorentz.grid import DEFAULT_CELL_GUARD, GridFunction, save_grid
+from bvlorentz.grid import GridFunction, InputError, save_grid
 from bvlorentz.profiles import load_sequence, save_sequence, two_profile_sequence
 
 
@@ -143,7 +143,7 @@ def test_norms_overflow_is_refused_without_output(tmp_path, capsys, dim, level, 
 
 def test_emit_refuses_non_finite_output(tmp_path):
     out = tmp_path / "x.json"
-    with pytest.raises(cli._UsageError, match="overflows a double"):
+    with pytest.raises(InputError, match="overflows a double"):
         cli._emit({"a": {"b": float("inf")}}, str(out))
     assert not out.exists()
 
@@ -316,21 +316,30 @@ def test_counterexample_outputs_and_determinism(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--n-max", "0", "--n-max must be at least 2, got 0"),
-        ("--n-max", "1", "--n-max must be at least 2, got 1"),
-        ("--dim", "1", "--dim must be 2 or 3, got 1"),
-        ("--dim", "4", "--dim must be 2 or 3, got 4"),
-        ("--quad-level", "-1", "--quad-level must be at least 0, got -1"),
-        ("--q-list", "0", "--q-list entries must be positive numbers, got '0'"),
-        ("--q-list", "1,x", "--q-list entries must be positive numbers, got 'x'"),
-        ("--q-list", ",", "empty --q-list: ','"),
+        ("--n-max", "0", "n_max must be at least 1, got 0"),
+        ("--n-max", "1", "the decay fit needs at least two distinct n, got (1,)"),
+        ("--dim", "1", "dim must be 2 or 3, got 1"),
+        ("--dim", "4", "dim must be 2 or 3, got 4"),
+        ("--quad-level", "-1", "quad_level must be at least 0, got -1"),
+        ("--q-list", "0", "counterexample: --q-list entries must be positive numbers, got '0'"),
+        ("--q-list", "1,x", "counterexample: --q-list entries must be positive numbers, got 'x'"),
+        ("--q-list", ",", "counterexample: empty --q-list: ','"),
     ],
 )
 def test_counterexample_bad_argument_is_usage_error(tmp_path, capsys, flag, value, message):
     out = tmp_path / "o"
     assert main(["counterexample", "--out-dir", str(out), flag, value]) == 2
-    assert capsys.readouterr().err == f"error: counterexample: {message}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_counterexample_single_staircase_without_probe_runs(tmp_path, capsys):
+    # the report needs one staircase; only the probe's decay fit needs two
+    out = tmp_path / "o"
+    assert main(["counterexample", "--n-max", "1", "--no-probe", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert [row["n"] for row in _read(out / "counterexample.json")["rows"]] == [1]
+    assert not (out / "probe.json").exists()
 
 
 @pytest.mark.parametrize("dim, n_max", [(2, 21), (3, 600), (2, 1100)])
@@ -340,8 +349,8 @@ def test_counterexample_n_max_above_the_scale_bound_is_usage_error(tmp_path, cap
             "--out-dir", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        f"error: counterexample: --n-max must be at most 20, got {n_max}: "
-        "the probe zooms out to j = -n-max and the group bounds |j| by 20\n"
+        f"error: n_max must be at most 20, got {n_max}: "
+        "the probe zooms out to j = -n_max and the group bounds |j| by 20\n"
     )
     assert not out.exists()
 
@@ -363,8 +372,7 @@ def test_counterexample_quadrature_guard_is_usage_error(tmp_path, capsys, monkey
     argv = ["counterexample", "--n-max", "4", "--quad-level", "14", "--out-dir", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        f"error: probe quadrature at level 14 needs {2**28} nodes in dim 2, "
-        f"guard is {DEFAULT_CELL_GUARD}\n"
+        "error: probe quadrature at level 14 needs 2^28 nodes in dim 2, guard is 2^27\n"
     )
     assert not out.exists()
 
@@ -430,6 +438,12 @@ def test_decompose_window_guard_is_usage_error(tmp_path, capsys):
         ("--scale-window", "-1", "scale_window must be nonnegative, got -1"),
         ("--cauchy-tol", "-1", "cauchy_tol must be nonnegative, got -1.0"),
         ("--stride", "3", "need at least three sequence elements for the tail check, got 2"),
+        ("--epsilon", "inf", "epsilon must be finite and nonnegative, got inf"),
+        ("--epsilon", "nan", "epsilon must be finite and nonnegative, got nan"),
+        ("--epsilon", "-1", "epsilon must be finite and nonnegative, got -1.0"),
+        ("--max-profiles", "-1", "max_profiles must be nonnegative, got -1"),
+        ("--scale-window", "41", "scale_window must be at most 40, got 41"),
+        ("--profile-level", "-1", "profile_level must be from 0 to 19, got -1"),
     ],
 )
 def test_decompose_bad_argument_is_usage_error(tmp_path, capsys, flag, value, message):
@@ -438,7 +452,26 @@ def test_decompose_bad_argument_is_usage_error(tmp_path, capsys, flag, value, me
     out = tmp_path / "o"
     argv = ["decompose", "--input", str(seq_dir), "--epsilon", "0.1", "--out-dir", str(out)]
     assert main(argv + [flag, value]) == 2
-    assert capsys.readouterr().err == f"error: decompose: {message}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--delta", "nan", "delta must be finite and nonnegative, got nan"),
+        ("--separation-floor", "inf", "separation floor must be finite and nonnegative, got inf"),
+    ],
+)
+def test_decompose_bad_audit_argument_is_usage_error(tmp_path, capsys, flag, value, message):
+    # the audits check their own arguments, after extraction: the sequence
+    # must extract, or its exit 1 comes first
+    seq_dir = tmp_path / "seq"
+    save_sequence(str(seq_dir), two_profile_sequence(range(1, 9), level=3))
+    out = tmp_path / "o"
+    argv = ["decompose", "--input", str(seq_dir), "--epsilon", "0.1", "--out-dir", str(out)]
+    assert main(argv + [flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -620,9 +653,208 @@ def test_audit_negative_control_fails_exactly_chain_rule(tmp_path, capsys):
         ("--dims", "1,,2", "--dims entries must be 1, 2 or 3, got ''"),
         ("--count", "0", "--count must be at least 1, got 0"),
         ("--count", "-2", "--count must be at least 1, got -2"),
+        ("--seed", "-1", "--seed must be at least 0, got -1"),
     ],
 )
 def test_audit_bad_argument_is_usage_error(tmp_path, capsys, flag, value, message):
     out = tmp_path / "audit.json"
     _assert_refused(capsys, ["audit", flag, value, "--out", str(out)], f"audit: {message}")
     assert not out.exists()
+
+
+# -- argv fuzz --------------------------------------------------------------------
+
+def test_input_of_the_wrong_kind_is_usage_error(tmp_path, saved_grid, capsys):
+    for argv in (["norms", "--input", str(tmp_path)],
+                 ["decompose", "--input", str(saved_grid), "--epsilon", "0.1"],
+                 ["counterexample", "--n-max", "2", "--no-probe", "--out-dir", str(saved_grid)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    save_grid(GridFunction(2, 3, (0, 0), (8, 8), np.arange(64.0).reshape(8, 8)), root / "ok.grid")
+    save_sequence(str(root / "seq"), two_profile_sequence(range(1, 9), level=3))
+    return root
+
+
+def _run(argv) -> tuple[int, str]:
+    """Exit code and stderr of one run; any other exception fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse refuses what its types cannot parse
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+def _at_most(cap):
+    """Keeps a value that is no integer or at most ``cap``: a valid request for
+    more work (--count, --quad-level) only slows the test down."""
+    def small(text):
+        try:
+            return int(text) <= cap
+        except ValueError:
+            return True
+    return small
+
+
+_GARBAGE = st.one_of(
+    st.sampled_from(["", "x", "-1", "0", "1.5", "nan", "inf", "-inf", "1e400", "1e-320", "5e-324",
+                     ",", "1,,2", "99999999999999999999", "-99999999999999999999"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6),
+)
+
+# per subcommand: the baseline, then per flag the values that must be refused
+# (beyond text its type cannot parse) and a filter on the garbage it may take
+_FUZZ = {
+    "norms": (["--input", "ok.grid", "--out", "OUT/n.json"], {
+        "--q-list": (["0", "x", ",", "-inf"], None),
+        "--threads": ([], None),
+    }),
+    "counterexample": (["--n-max", "3", "--quad-level", "3", "--out-dir", "OUT/cx"], {
+        "--dim": (["1", "4", "99999999999999999999"], None),
+        "--n-max": (["0", "1", "21", "99999999999999999999"], None),
+        "--quad-level": (["-1", "14", "99999999999999999999"], _at_most(6)),
+        "--q-list": (["0", "nan", ""], None),
+    }),
+    "decompose": (["--input", "seq", "--epsilon", "0.1", "--out-dir", "OUT/d"], {
+        "--epsilon": (["nan", "inf", "-1", "1e400"], None),
+        "--max-profiles": (["-1"], None),
+        "--scale-window": (["-1", "41", "99999999999999999999"], None),
+        "--window-radius": (["0", "524289", "99999999999999999999"], None),
+        "--cauchy-tol": (["-1", "nan"], None),
+        "--stride": (["0", "9"], None),
+        "--profile-level": (["-1", "20", "99999999999999999999"], None),
+        "--delta": (["nan", "inf", "-1"], None),
+        "--separation-floor": (["nan", "-inf"], None),
+    }),
+    "audit": (["--count", "1", "--dims", "1", "--out", "OUT/a.json"], {
+        "--seed": (["-1", "-99999999999999999999"], None),
+        "--dims": (["4", "", "1,,2", "x"], None),
+        "--count": (["0", "-1"], _at_most(2)),
+        "--negative-control": (["x", ""], None),
+    }),
+}
+
+def _unparseable(command: str, flag: str, text: str) -> bool:
+    """Whether argparse refuses ``text`` for ``flag`` by its type."""
+    typ = cli._build_parser().parse_args([command]).flag_types.get(flag[2:].replace("-", "_"))
+    if typ is None:
+        return False
+    try:
+        typ(text)
+    except ValueError:
+        return True
+    return False
+
+
+_OUT_FLAG = {"norms": "--out", "counterexample": "--out-dir", "decompose": "--out-dir", "audit": "--out"}
+_CONFIG_FAULTS = ["missing", "dir", "truncated", "not-an-object", "unknown-key", "bytes"]
+_INPUT_FAULTS = ["missing", "wrong-kind", "truncated", "bytes"]
+
+
+def _file_faults(command: str) -> list[tuple[str, str]]:
+    faults = [(_OUT_FLAG[command], "wrong-kind"), (_OUT_FLAG[command], "under-a-file")]
+    faults += [("--config", fault) for fault in _CONFIG_FAULTS]
+    if command in ("norms", "decompose"):
+        faults += [("--input", fault) for fault in _INPUT_FAULTS]
+    return faults
+
+
+def _damage(work: Path, command: str, flag: str, fault: str, cut: int, junk: bytes) -> str:
+    """Apply one file fault in ``work``; returns the value to pass to ``flag``."""
+    target = work / "target"
+    if flag == "--config":
+        text = {"truncated": '{"count": 1', "not-an-object": "[1, 2]",
+                "unknown-key": '{"no_such_key": 1}'}.get(fault)
+        if fault == "dir":
+            target.mkdir()
+        elif fault == "bytes":
+            target.write_bytes(junk)
+        elif text is not None:
+            target.write_text(text)
+        return str(target)
+    if flag in ("--out", "--out-dir"):
+        if fault == "wrong-kind":  # a directory for a file, a file for a directory
+            target.mkdir() if flag == "--out" else target.write_text("")
+            return str(target)
+        target.write_text("")
+        return str(target / "below")
+    grid, seq = work / "ok.grid", work / "seq"
+    if fault == "missing":
+        return str(work / "missing")
+    if fault == "wrong-kind":
+        return str(seq if command == "norms" else grid)
+    victim = grid if command == "norms" else seq / ("manifest.json" if cut % 2 else "element3_term1.grid")
+    data = victim.read_bytes().rstrip(b"\n")  # the manifest is whole without its newline
+    victim.write_bytes(junk if fault == "bytes" else data[: cut % len(data)])
+    return str(victim if command == "norms" else seq)
+
+
+def _assert_clean_exit(argv, must_refuse: bool) -> None:
+    rc, err = _run(argv)
+    assert rc in (0, 1, 2), (argv, rc, err)
+    assert "Traceback" not in err, (argv, err)
+    if must_refuse:
+        assert rc == 2, (argv, rc, err)
+    if rc == 2:
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1, (argv, err)
+
+
+def _fuzz_argv(command: str, fuzz_files: Path, work: Path, extra: list[str]) -> list[str]:
+    shutil.copy(fuzz_files / "ok.grid", work / "ok.grid")
+    shutil.copytree(fuzz_files / "seq", work / "seq")
+    base, _ = _FUZZ[command]
+    argv = [command] + [str(work / a) if a in ("ok.grid", "seq") else a for a in base]
+    return [a.replace("OUT", str(work)) for a in argv] + extra
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value)
+    for command, (_, flags) in sorted(_FUZZ.items())
+    for flag, (invalid, _) in sorted(flags.items())
+    for value in invalid
+])
+def test_argv_fuzz_table_values_are_refused(fuzz_files, tmp_path, command, flag, value):
+    _assert_clean_exit(_fuzz_argv(command, fuzz_files, tmp_path, [flag, value]), must_refuse=True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", sorted(_FUZZ))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_argv_fuzz_garbage_values(fuzz_files, command, data):
+    _, flags = _FUZZ[command]
+    flag = data.draw(st.sampled_from(sorted(flags)))
+    invalid, keep = flags[flag]
+    garbage = _GARBAGE if keep is None else _GARBAGE.filter(keep)
+    value = data.draw(st.one_of(st.sampled_from(invalid), garbage) if invalid else garbage)
+    must_refuse = value in invalid or _unparseable(command, flag, value)
+    with tempfile.TemporaryDirectory() as d:
+        _assert_clean_exit(_fuzz_argv(command, fuzz_files, Path(d), [flag, value]), must_refuse)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", sorted(_FUZZ))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_argv_fuzz_damaged_files(fuzz_files, command, data):
+    flag, fault = data.draw(st.sampled_from(_file_faults(command)))
+    cut = data.draw(st.integers(0, 10**6))
+    junk = data.draw(st.binary(max_size=64))
+    with tempfile.TemporaryDirectory() as d:
+        work = Path(d)
+        argv = _fuzz_argv(command, fuzz_files, work, [])
+        value = _damage(work, command, flag, fault, cut, junk)
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+        # junk bytes may happen to be a valid config, such as {}
+        _assert_clean_exit(argv, must_refuse=(flag, fault) != ("--config", "bytes"))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bvlorentz import counterexample as cx
-from bvlorentz.grid import DEFAULT_CELL_GUARD, MemoryGuardError
+from bvlorentz.grid import DimensionMismatchError, InputError, MemoryGuardError, UnsupportedDimensionError
 from bvlorentz.group import DyadicVector, GroupElement, ScaleBoundError
 from bvlorentz.radial import RadialStep, staircase
 from bvlorentz.counterexample import (
@@ -332,9 +332,7 @@ def test_probe_guard_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(cx, "_radius_field", no_quadrature)
     with pytest.raises(MemoryGuardError) as exc:
         dvanishing_probe(dim=2, n_list=(1, 2), quad_level=14)
-    assert str(exc.value) == (
-        f"probe quadrature at level 14 needs {2**28} nodes in dim 2, guard is {DEFAULT_CELL_GUARD}"
-    )
+    assert str(exc.value) == "probe quadrature at level 14 needs 2^28 nodes in dim 2, guard is 2^27"
     with pytest.raises(MemoryGuardError):
         dvanishing_probe(dim=3, n_list=(1, 2), quad_level=10)
 
@@ -378,3 +376,54 @@ def test_run_counterexample_needs_a_staircase(n_max):
 def test_run_counterexample_single_staircase():
     rep = run_counterexample(2, 1)
     assert [r.n for r in rep.rows] == [1]
+
+
+def _build_nothing(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a staircase or quadrature node was built before a refusal")
+
+    monkeypatch.setattr(cx, "staircase", fail)
+    monkeypatch.setattr(cx, "_radius_field", fail)
+
+
+@pytest.mark.parametrize("dim, n_max, error, message", [
+    (1, 4, UnsupportedDimensionError, "dim must be 2 or 3, got 1"),
+    (4, 4, UnsupportedDimensionError, "dim must be 2 or 3, got 4"),
+    (2, 21, ScaleBoundError,
+     "n_max must be at most 20, got 21: the probe zooms out to j = -n_max and the group bounds |j| by 20"),
+    (3, 600, ScaleBoundError,
+     "n_max must be at most 20, got 600: the probe zooms out to j = -n_max and the group bounds |j| by 20"),
+])
+def test_run_counterexample_refuses_before_building_a_staircase(monkeypatch, dim, n_max, error, message):
+    _build_nothing(monkeypatch)
+    with pytest.raises(error) as exc:
+        run_counterexample(dim, n_max)
+    assert str(exc.value) == message
+    assert isinstance(exc.value, InputError)
+
+
+def _element(j, *y):
+    return GroupElement(j, DyadicVector.integers(*y))
+
+
+@pytest.mark.parametrize("dim, n_list, elements, quad_level, error, message", [
+    (1, (1, 2), None, 5, UnsupportedDimensionError, "dim must be 2 or 3, got 1"),
+    (4, (1, 2), None, 5, UnsupportedDimensionError, "dim must be 2 or 3, got 4"),
+    (2, (3,), None, 5, InputError, "the decay fit needs at least two distinct n, got (3,)"),
+    (2, (3, 3), None, 5, InputError, "the decay fit needs at least two distinct n, got (3, 3)"),
+    (2, (), None, 5, InputError, "the decay fit needs at least two distinct n, got ()"),
+    # a 3-D element in a 2-D probe, and a 2-D element in a 3-D probe
+    (2, (1, 2), [_element(-1, -1, 0, 5)], 4, DimensionMismatchError,
+     "element 0 has dim 3, the probe has dim 2"),
+    (3, (1, 2), [_element(-1, -1, 0, 0), _element(-2, -1, 0)], 4, DimensionMismatchError,
+     "element 1 has dim 2, the probe has dim 3"),
+    (2, (1, 2), None, 10**20, MemoryGuardError,
+     f"probe quadrature at level {10**20} needs 2^{2 * 10**20} nodes in dim 2, guard is 2^27"),
+])
+def test_probe_refuses_before_building_anything(
+    monkeypatch, dim, n_list, elements, quad_level, error, message
+):
+    _build_nothing(monkeypatch)
+    with pytest.raises(error) as exc:
+        dvanishing_probe(dim, n_list, elements, quad_level)
+    assert str(exc.value) == message

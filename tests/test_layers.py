@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bvlorentz import bv, layers
 from bvlorentz.bv import compose_scalar, total_variation
@@ -255,7 +255,11 @@ def _band_grids(draw):
 
 
 @given(_band_grids())
+# the wide band below 2^-1022 has the subnormal value scale 2^-1026, and
+# 1.0 / 2^-1026 overflows to inf, past the support of chi: found by hypothesis
+@example(GridFunction(3, 0, (0, 0, 0), (1, 1, 2), np.array([[[1.0, 2.0**-1022]]])))
 @settings(max_examples=200, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_band_sums_match_region_reference(u):
     _assert_same_audit(u)
 

@@ -12,6 +12,7 @@ from bvlorentz.group import DyadicVector, GroupElement
 from bvlorentz.multiscale import dyadic_sum
 from bvlorentz.profiles import (
     WINDOW_CELL_GUARD,
+    ExtractionArgumentError,
     NonConvergentSubsequenceError,
     energy_audit,
     extract_profiles,
@@ -312,3 +313,47 @@ def test_window_guard_holds_on_every_path(kwargs, cells):
         extract_profiles(seq, epsilon=0.1, **kwargs)
     assert f"needs {cells} cells" in str(exc.value)
     assert f"guard is {WINDOW_CELL_GUARD}" in str(exc.value)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"epsilon": math.nan}, "epsilon must be finite and nonnegative, got nan"),
+    ({"epsilon": math.inf}, "epsilon must be finite and nonnegative, got inf"),
+    ({"epsilon": -1.0}, "epsilon must be finite and nonnegative, got -1.0"),
+    ({"max_profiles": -1}, "max_profiles must be nonnegative, got -1"),
+    ({"window_radius": 2**19 + 1}, "window_radius must be at most 524288, got 524289"),
+    ({"window_radius": 10**4000}, f"window_radius must be at most 524288, got {10**4000}"),
+    ({"profile_level": -1}, "profile_level must be from 0 to 19, got -1"),
+    ({"profile_level": 20}, "profile_level must be from 0 to 19, got 20"),
+    ({"profile_level": 10**20}, f"profile_level must be from 0 to 19, got {10**20}"),
+    ({"scale_window": 41}, "scale_window must be at most 40, got 41"),
+])
+def test_extraction_arguments_are_refused_before_any_pass(monkeypatch, kwargs, message):
+    def no_pass(*args):
+        raise AssertionError("extraction started before its arguments were checked")
+
+    monkeypatch.setattr(profiles, "dyadic_sum", no_pass)
+    with pytest.raises(ExtractionArgumentError) as exc:
+        extract_profiles([None], **{"epsilon": 0.1, **kwargs})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kwargs", [{"window_radius": 2**19}, {"profile_level": 19}])
+def test_window_bounds_leave_the_guard_to_refuse_the_rest(kwargs):
+    with pytest.raises(MemoryGuardError):
+        extract_profiles(two_profile_sequence(range(1, 9), level=3), epsilon=0.1, **kwargs)
+
+
+def test_extraction_bounds_are_inclusive():
+    seq = two_profile_sequence(range(1, 9), level=3)
+    ref = extract_profiles(seq, epsilon=0.1).to_dict()
+    assert extract_profiles(seq, epsilon=0.1, scale_window=40).to_dict() == ref
+    assert extract_profiles(seq, epsilon=0.0, max_profiles=0).profiles == ()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+def test_audit_thresholds_are_refused(two_profile_decomp, value):
+    decomp, _ = two_profile_decomp
+    with pytest.raises(ExtractionArgumentError, match=f"^delta must be finite and nonnegative, got {value}$"):
+        energy_audit(decomp, delta=value)
+    with pytest.raises(ExtractionArgumentError, match=f"^separation floor must be finite and nonnegative, got {value}$"):
+        separation_check(decomp, floor=value)

@@ -332,3 +332,12 @@ def test_grid_norms_equal_the_seed_formulas(checker2d):
     for u in _grid_cases(checker2d):
         if u.rearrangement is not None and u.dim >= 2:
             _assert_seed_norms(u.rearrangement, critical_exponent(u.dim))
+
+
+def test_lorentz_norm_past_a_double_in_a_factor():
+    # core = p/q = 2^8 and core^(1/q) = 2^1024 overflows, but the norm
+    # 2^-10 * 2^1024 = 2^1014 is a double; q near 0 overflows the norm itself
+    s = StepFunction(np.array([2.0**-10]), np.array([1.0]))
+    assert lorentz_norm(s, LorentzIndex(2.0, 2.0**-7)) == pytest.approx(2.0**1014, rel=1e-12)
+    assert lorentz_norm(s, LorentzIndex(2.0, 1e-300)) == math.inf
+    assert lorentz_norm(s, LorentzIndex(2.0, 5e-324)) == math.inf  # p/q overflows
