@@ -216,7 +216,8 @@ def lattice_tv_sum(u: GridFunction) -> TVReport:
     ]
     cube_shape = tuple(len(c) for c, _ in axes)
     n_cubes = int(np.prod(cube_shape))
-    keys = np.ravel_multi_index(np.ix_(*(rank for _, rank in axes)), cube_shape).ravel()[nz]
+    ranks = np.meshgrid(*(rank for _, rank in axes), indexing="ij", sparse=True)
+    keys = np.ravel_multi_index(ranks, cube_shape).ravel()[nz]
     sums = np.bincount(keys, weights=flat[nz], minlength=n_cubes)
     # position of each cube's first nonzero cell; nz.size marks an empty cube
     first = np.full(n_cubes, nz.size)

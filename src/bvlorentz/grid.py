@@ -159,14 +159,6 @@ class GridFunction:
     def cell_count(self) -> int:
         return int(np.prod(self.extents))
 
-    def box_lo(self) -> np.ndarray:
-        return np.asarray(self.origin, dtype=float) * self.spacing
-
-    def box_hi(self) -> np.ndarray:
-        o = np.asarray(self.origin, dtype=float)
-        n = np.asarray(self.extents, dtype=float)
-        return (o + n) * self.spacing
-
     # -- rearrangement hook --------------------------------------------------
     def value_measure_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Nonzero |values| with their cell measures, for rearrangement."""
@@ -239,15 +231,10 @@ def refine(u: GridFunction, to_level: int) -> GridFunction:
         )
     if to_level == u.level:
         return u
-    f = 2 ** (to_level - u.level)
-    new_extents = tuple(n * f for n in u.extents)
-    _guard(math.prod(new_extents))
-    vals = u.values
-    for axis in range(u.dim):
-        vals = np.repeat(vals, f, axis=axis)
-    return GridFunction(
-        u.dim, to_level, tuple(o * f for o in u.origin), new_extents, _frozen(vals)
-    )
+    lo, hi = _footprint(u, to_level)
+    extents = tuple(b - a for a, b in zip(lo, hi))
+    _guard(math.prod(extents))
+    return GridFunction(u.dim, to_level, tuple(lo), extents, _frozen(_block(u, to_level, lo, hi)))
 
 
 def common_refinement(fns: Iterable[GridFunction]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -259,14 +246,9 @@ def common_refinement(fns: Iterable[GridFunction]) -> tuple[int, tuple[int, ...]
     if any(f.dim != dim for f in fns):
         raise DimensionMismatchError("mixed dimensions")
     level = max(f.level for f in fns)
-    los = []
-    his = []
-    for f in fns:
-        fac = 2 ** (level - f.level)
-        los.append([o * fac for o in f.origin])
-        his.append([(o + n) * fac for o, n in zip(f.origin, f.extents)])
-    origin = tuple(min(lo[a] for lo in los) for a in range(dim))
-    top = tuple(max(hi[a] for hi in his) for a in range(dim))
+    boxes = [_footprint(f, level) for f in fns]
+    origin = tuple(min(lo[a] for lo, _ in boxes) for a in range(dim))
+    top = tuple(max(hi[a] for _, hi in boxes) for a in range(dim))
     extents = tuple(t - o for o, t in zip(origin, top))
     _guard(math.prod(extents))
     return level, origin, extents
@@ -278,13 +260,7 @@ def linear_combine(coeffs: Sequence[float], fns: Sequence[GridFunction]) -> Grid
         raise ValueError("one coefficient per function")
     level, origin, extents = common_refinement(fns)
     acc = np.zeros(extents)
-    for c, f in zip(coeffs, fns):
-        g = refine(f, level)
-        sl = tuple(
-            slice(go - o, go - o + n)
-            for go, o, n in zip(g.origin, origin, g.extents)
-        )
-        acc[sl] += c * g.values
+    _add_into(acc, level, origin, coeffs, fns)
     return GridFunction(fns[0].dim, level, origin, extents, _frozen(acc))
 
 
@@ -343,18 +319,21 @@ def _halve(a: np.ndarray, origin: tuple[int, ...]) -> tuple[np.ndarray, tuple[in
     return a, tuple(o >> 1 for o in origin)
 
 
+def _footprint(u: GridFunction, level: int) -> tuple[list[int], list[int]]:
+    """Cell-index box [lo, hi) per axis that ``u`` covers at ``level``:
+    exact at a finer level, rounded outward at a coarser one."""
+    d = u.level - level
+    if d <= 0:
+        return [o << -d for o in u.origin], [(o + n) << -d for o, n in zip(u.origin, u.extents)]
+    return [o >> d for o in u.origin], [((o + n - 1) >> d) + 1 for o, n in zip(u.origin, u.extents)]
+
+
 def _overlap_box(
     u: GridFunction, level: int, origin: Sequence[int], extents: Sequence[int]
 ) -> tuple[list[int], list[int]] | None:
     """Cell-index box at ``level`` where the footprint of ``u`` meets the
     target box, as (lo, hi) per axis; None when they do not meet."""
-    d = u.level - level
-    if d <= 0:
-        flo = [o << -d for o in u.origin]
-        fhi = [(o + n) << -d for o, n in zip(u.origin, u.extents)]
-    else:
-        flo = [o >> d for o in u.origin]
-        fhi = [((o + n - 1) >> d) + 1 for o, n in zip(u.origin, u.extents)]
+    flo, fhi = _footprint(u, level)
     lo = [max(a, int(o)) for a, o in zip(flo, origin)]
     hi = [min(b, int(o) + int(n)) for b, o, n in zip(fhi, origin, extents)]
     if any(b <= a for a, b in zip(lo, hi)):
@@ -362,18 +341,51 @@ def _overlap_box(
     return lo, hi
 
 
+def _block(u: GridFunction, level: int, lo: Sequence[int], hi: Sequence[int]) -> np.ndarray:
+    """Cell values of ``u`` on the box [lo, hi) at ``level``, inside its
+    footprint; only the source cells under the box are read.
+
+    Source and target lie on one dyadic lattice.  k levels finer, each target
+    cell lies in one source cell: the covering source slice is repeated 2^k
+    times per axis and cropped.  d levels coarser, each target cell is a
+    block of 2^d source cells per axis, summed by d halvings and scaled by
+    the exact power 2^(-d*dim).
+    """
+    d = u.level - level
+    if d <= 0:
+        src_lo, src_hi = [a >> -d for a in lo], [((b - 1) >> -d) + 1 for b in hi]
+    else:
+        src_lo = [max(a << d, o) for a, o in zip(lo, u.origin)]
+        src_hi = [min(b << d, o + n) for b, o, n in zip(hi, u.origin, u.extents)]
+    block = u.values[tuple(slice(a - o, b - o) for a, b, o in zip(src_lo, src_hi, u.origin))]
+    if d > 0:
+        for _ in range(d):
+            block, src_lo = _halve(block, src_lo)
+        return block * 2.0 ** (-d * u.dim)
+    for axis in range(u.dim if d < 0 else 0):
+        block = np.repeat(block, 2**-d, axis=axis)
+    return block[tuple(slice(a - (s << -d), b - (s << -d)) for a, b, s in zip(lo, hi, src_lo))]
+
+
+def _add_into(acc: np.ndarray, level: int, origin: Sequence[int], coeffs, fns) -> None:
+    """Add each ``c * f`` in order into ``acc``, the box at ``origin`` and
+    ``level``, reading only the cells of ``f`` under the box."""
+    for c, f in zip(coeffs, fns):
+        box = _overlap_box(f, level, origin, acc.shape)
+        if box is not None:
+            sl = tuple(slice(a - o, b - o) for a, b, o in zip(*box, origin))
+            acc[sl] += c * _block(f, level, *box)
+
+
 def resample_to(
     u: GridFunction, level: int, origin: Sequence[int], extents: Sequence[int]
 ) -> GridFunction:
     """Cell averages of ``u`` on an arbitrary target grid.
 
-    Exact for the stored piecewise-constant function.  Source and target lie
-    on one dyadic lattice, so at a target level at or above the source level
-    each target cell lies inside one source cell, whose value is gathered
-    (this reproduces :func:`refine`); d levels coarser, each target cell is a
-    block of 2^d source cells per axis, summed by d halvings and scaled by the
-    exact power 2^(-d*dim), which is the projection used for weak-limit
-    proxies.  Only the source cells under the target box are read.
+    Exact for the stored piecewise-constant function: a finer target copies
+    source values (this reproduces :func:`refine`), a coarser one averages
+    blocks, which is the projection used for weak-limit proxies (see
+    :func:`_block`).
     """
     origin = tuple(int(o) for o in origin)
     extents = tuple(int(n) for n in extents)
@@ -382,18 +394,7 @@ def resample_to(
     if box is None:
         return GridFunction(u.dim, level, origin, extents, _frozen(np.zeros(extents)))
     lo, hi = box
-    d = u.level - level
-    if d <= 0:
-        idx = [(np.arange(a, b) >> -d) - o for a, b, o in zip(lo, hi, u.origin)]
-        block = u.values[np.ix_(*idx)]
-    else:
-        src_lo = [max(a << d, o) for a, o in zip(lo, u.origin)]
-        src_hi = [min(b << d, o + n) for b, o, n in zip(hi, u.origin, u.extents)]
-        block = u.values[tuple(slice(a - o, b - o) for a, b, o in zip(src_lo, src_hi, u.origin))]
-        sub_origin = tuple(src_lo)
-        for _ in range(d):
-            block, sub_origin = _halve(block, sub_origin)
-        block = block * 2.0 ** (-d * u.dim)
+    block = _block(u, level, lo, hi)
     if lo == list(origin) and hi == [o + n for o, n in zip(origin, extents)]:
         return GridFunction(u.dim, level, origin, extents, _frozen(block))
     out = np.zeros(extents)

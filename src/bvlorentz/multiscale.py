@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bv
-from .grid import GridFunction, _frozen, _overlap_box, linear_combine, resample_to, trim
+from .grid import GridFunction, _add_into, _footprint, _frozen, linear_combine, trim
 from .group import GroupElement, act, compose, identity
 
 __all__ = ["DyadicSum", "Term", "dyadic_sum"]
@@ -33,11 +33,6 @@ def _realize(t: Term) -> GridFunction:
     if t.coeff == 1.0:
         return out
     return GridFunction(out.dim, out.level, out.origin, out.extents, _frozen(out.values * t.coeff))
-
-
-def _boxes_touch(lo1, hi1, lo2, hi2) -> bool:
-    gap = np.max(np.maximum(lo1, lo2) - np.minimum(hi1, hi2))
-    return bool(gap <= 0.0)
 
 
 @dataclass(frozen=True)
@@ -79,10 +74,13 @@ class DyadicSum:
                 i = parent[i]
             return i
 
-        boxes = [(r.box_lo(), r.box_hi()) for r in realized]
+        # closed boxes at the finest level touch when they meet on every axis
+        level = max((r.level for r in realized), default=0)
+        boxes = [_footprint(r, level) for r in realized]
         for i in range(n):
             for j in range(i + 1, n):
-                if _boxes_touch(*boxes[i], *boxes[j]):
+                (lo1, hi1), (lo2, hi2) = boxes[i], boxes[j]
+                if all(max(a, b) <= min(c, e) for a, b, c, e in zip(lo1, lo2, hi1, hi2)):
                     parent[find(i)] = find(j)
         groups: dict[int, list[GridFunction]] = {}
         for i, r in enumerate(realized):
@@ -120,18 +118,13 @@ class DyadicSum:
     ) -> GridFunction:
         """Exact cell averages of the sum on a target grid (the window proxy).
 
-        Each cluster is resampled on its footprint clipped to the window only,
-        and added into that slice; clusters are added in order onto 0.0, and
-        those outside the window are skipped.
+        Each cluster's cells on its footprint clipped to the window are added
+        into that slice; clusters are added in order onto 0.0, and those
+        outside the window are skipped.
         """
         acc = np.zeros(extents)
-        for c in self.clusters():
-            box = _overlap_box(c, level, origin, extents)
-            if box is None:
-                continue
-            lo, hi = box
-            part = resample_to(c, level, lo, [b - a for a, b in zip(lo, hi)])
-            acc[tuple(slice(a - o, b - o) for a, b, o in zip(lo, hi, origin))] += part.values
+        clusters = self.clusters()
+        _add_into(acc, level, origin, [1.0] * len(clusters), clusters)
         return GridFunction(self.dim, level, tuple(origin), tuple(extents), _frozen(acc))
 
     def is_zero(self) -> bool:

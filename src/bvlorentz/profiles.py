@@ -33,6 +33,7 @@ from .grid import (
     InputError,
     MemoryGuardError,
     _halve,
+    _overlap_box,
     from_sampler,
     load_grid,
     save_grid,
@@ -214,9 +215,9 @@ def _window_level(tail, radius: int, dim: int, override: int | None) -> int:
     if override is not None:
         return override
     cap = int(math.floor((math.log2(WINDOW_CELL_GUARD) - dim * math.log2(2 * radius)) / dim))
+    window = ((-radius,) * dim, (2 * radius,) * dim)
     lv = max(
-        (c.level for t in tail for c in t.clusters()
-         if np.all(c.box_lo() < radius) and np.all(c.box_hi() > -radius)),
+        (c.level for t in tail for c in t.clusters() if _overlap_box(c, 0, *window) is not None),
         default=0,
     )
     return max(0, min(lv, cap))

@@ -38,8 +38,9 @@ def test_basic_geometry(checker2d):
     assert checker2d.spacing == 0.25
     assert checker2d.cell_measure == 0.0625
     assert checker2d.cell_count == 16
-    np.testing.assert_allclose(checker2d.box_lo(), [0.0, 0.0])
-    np.testing.assert_allclose(checker2d.box_hi(), [1.0, 1.0])
+    o = np.asarray(checker2d.origin, dtype=float)
+    np.testing.assert_allclose(o * checker2d.spacing, [0.0, 0.0])
+    np.testing.assert_allclose((o + checker2d.extents) * checker2d.spacing, [1.0, 1.0])
 
 
 def test_values_are_write_locked(checker2d):
@@ -417,8 +418,8 @@ def test_refine_preserves_l1(u, dl):
 @given(small_grids)
 @settings(max_examples=60, deadline=None)
 def test_box_mass_of_bounding_box_is_l1(u):
-    lo = u.box_lo()
-    hi = u.box_hi()
+    lo = np.asarray(u.origin, dtype=float) * u.spacing
+    hi = (np.asarray(u.origin) + np.asarray(u.extents)) * u.spacing
     assert box_mass(u, lo, hi) == pytest.approx(u.l1_norm(), rel=1e-12, abs=1e-15)
 
 

@@ -296,3 +296,95 @@ def _extraction_windows(seq, epsilon):
 def test_materialize_equals_dense_reference_on_fixtures(make, epsilon):
     for a, lv, origin, extents in _extraction_windows(make(), epsilon):
         _assert_materialize_matches(a, lv, origin, extents)
+
+
+# -- integer footprints and the one transfer kernel ------------------------------
+
+def _former_gather(u, level, lo, hi):
+    """The index gather resample_to used at a level at or above u's."""
+    idx = [(np.arange(a, b) >> (level - u.level)) - o for a, b, o in zip(lo, hi, u.origin)]
+    return u.values[np.ix_(*idx)]
+
+
+def _former_refine(u, level):
+    """The values refine built by repeating every cell along each axis."""
+    vals = u.values
+    for axis in range(u.dim):
+        vals = np.repeat(vals, 2 ** (level - u.level), axis=axis)
+    return vals
+
+
+def _float_box(u):
+    """Float corners of the box of u, from origin times spacing."""
+    o = np.asarray(u.origin, dtype=float)
+    return o * u.spacing, (o + np.asarray(u.extents, dtype=float)) * u.spacing
+
+
+@st.composite
+def _finer_blocks(draw):
+    """A grid at a negative or positive level with a negative or odd origin,
+    a level k >= 0 finer, and a box with odd offsets inside its footprint."""
+    dim = draw(st.integers(1, 3))
+    u = draw(_dyadic_grids(dim, (-3, 3), (-9, 9), 4))
+    level = u.level + draw(st.integers(0, 3 if dim < 3 else 2))
+    flo, fhi = grid._footprint(u, level)
+    lo = [draw(st.integers(a, b - 1)) for a, b in zip(flo, fhi)]
+    hi = [draw(st.integers(a + 1, b)) for a, b in zip(lo, fhi)]
+    return u, level, lo, hi
+
+
+@given(_finer_blocks())
+@settings(max_examples=300, deadline=None)
+def test_block_equals_former_gather_and_repeat(case):
+    u, level, lo, hi = case
+    assert grid._block(u, level, lo, hi).tobytes() == _former_gather(u, level, lo, hi).tobytes()
+    flo, fhi = grid._footprint(u, level)
+    assert flo == [o << (level - u.level) for o in u.origin]
+    assert grid._block(u, level, flo, fhi).tobytes() == _former_refine(u, level).tobytes()
+    assert grid.refine(u, level).values.tobytes() == _former_refine(u, level).tobytes()
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_touch_test_equals_former_float_test(dim, data):
+    a, b = (data.draw(_dyadic_grids(dim, (-3, 3), (-9, 9), 3)) for _ in range(2))
+    a, b = (GridFunction(dim, g.level, g.origin, g.extents, np.abs(g.values) + 1.0) for g in (a, b))
+    (lo1, hi1), (lo2, hi2) = _float_box(a), _float_box(b)
+    touch = np.max(np.maximum(lo1, lo2) - np.minimum(hi1, hi2)) <= 0.0
+    s = dyadic_sum(a).with_term(1.0, identity(dim), b)
+    assert len(s.clusters()) == (1 if touch else 2)
+
+
+@given(st.integers(1, 3), st.integers(1, 6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_window_test_equals_former_float_test(dim, radius, data):
+    # box edges land on, or one cell from, a whole number near the window edges
+    level = data.draw(st.integers(-3, 4))
+    extents = tuple(data.draw(st.integers(1, 4)) for _ in range(dim))
+    edges = [data.draw(st.integers(-radius - 2, radius + 2)) for _ in range(dim)]
+    shifts = [data.draw(st.integers(-1, 1)) for _ in range(dim)]
+    lower = [data.draw(st.booleans()) for _ in range(dim)]
+    origin = tuple(
+        (e << max(level, 0)) + s - (0 if low else n)
+        for e, s, n, low in zip(edges, shifts, extents, lower)
+    )
+    c = GridFunction(dim, level, origin, extents, np.ones(extents))
+    lo, hi = _float_box(c)
+    inside = bool(np.all(lo < radius) and np.all(hi > -radius))
+    window = ((-radius,) * dim, (2 * radius,) * dim)
+    assert (grid._overlap_box(c, 0, *window) is not None) == inside
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_linear_combine_equals_former_refine_and_add(dim, data):
+    count = data.draw(st.integers(1, 3))
+    fns = [data.draw(_dyadic_grids(dim, (-2, 3), (-9, 9), 3)) for _ in range(count)]
+    coeffs = [data.draw(st.sampled_from([1.0, -1.0, 0.5, 3.0])) for _ in fns]
+    level, origin, extents = grid.common_refinement(fns)
+    acc = np.zeros(extents)
+    for c, f in zip(coeffs, fns):
+        vals = _former_refine(f, level)
+        at = [fo * 2 ** (level - f.level) - o for fo, o in zip(f.origin, origin)]
+        acc[tuple(slice(a, a + n) for a, n in zip(at, vals.shape))] += c * vals
+    assert grid.linear_combine(coeffs, fns).values.tobytes() == acc.tobytes()

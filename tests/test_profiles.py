@@ -162,6 +162,12 @@ def test_decomposition_roundtrip(tmp_path, two_profile_decomp):
 
 # -- cube search ---------------------------------------------------------------
 
+def _box(c):
+    """Float corners of a grid's box, from origin times spacing."""
+    o = np.asarray(c.origin, dtype=float)
+    return o * c.spacing, (o + np.asarray(c.extents, dtype=float)) * c.spacing
+
+
 def _reference_best_cube(clusters, s, dim):
     """Brute force: the per-cluster candidate cubes, each scored with one
     box_mass call per overlapping rescaled cluster, strict > in sorted order.
@@ -182,8 +188,8 @@ def _reference_best_cube(clusters, s, dim):
             candidates.add(tuple(int((o + i) * side) for o, i in zip(c.origin, idx)))
         else:
             absu = GridFunction(dim, c.level, c.origin, c.extents, np.abs(c.values))
-            lo = tuple(math.floor(x) for x in c.box_lo())
-            hi = tuple(math.ceil(x) for x in c.box_hi())
+            lo = tuple(math.floor(x) for x in _box(c)[0])
+            hi = tuple(math.ceil(x) for x in _box(c)[1])
             coarse = resample_to(absu, 0, lo, tuple(b - a for a, b in zip(lo, hi)))
             for row in np.argwhere(coarse.values > 0.0):
                 candidates.add(tuple(int(a + r) for a, r in zip(lo, row)))
@@ -193,7 +199,7 @@ def _reference_best_cube(clusters, s, dim):
         hi = lo + 1.0
         total = 0.0
         for c in acted:
-            if np.all(lo < c.box_hi()) and np.all(hi > c.box_lo()):
+            if np.all(lo < _box(c)[1]) and np.all(hi > _box(c)[0]):
                 total += box_mass(c, lo, hi)
         if best is None or total > best[0]:
             best = (total, cube)

@@ -108,8 +108,8 @@ def test_to_grid_sampling():
     u = annulus_indicator(2)
     g = to_grid(u, 5)
     # grid covers [-2, 2]^2
-    np.testing.assert_allclose(g.box_lo(), [-2.0, -2.0])
-    np.testing.assert_allclose(g.box_hi(), [2.0, 2.0])
+    np.testing.assert_allclose(np.asarray(g.origin) * g.spacing, [-2.0, -2.0])
+    np.testing.assert_allclose((np.asarray(g.origin) + g.extents) * g.spacing, [2.0, 2.0])
     # center sampling converges to the shell area; level 5 is within ~2%
     assert g.l1_norm() == pytest.approx(u.l1_norm(), rel=0.02)
     # one quadrant holds a quarter of the mass
