@@ -30,7 +30,7 @@ from . import counterexample as cx
 from . import layers
 from . import profiles as prof
 from .corpus import corpus_elements, corpus_grids, corpus_steps
-from .grid import GridFunction, InputError, MemoryGuardError, load_grid
+from .grid import GridFunction, InputError, MemoryGuardError, _json_text, load_grid
 from .group import isometry_defect
 from .rearrange import (
     LorentzIndex,
@@ -146,13 +146,9 @@ def _first_non_finite(doc: dict, prefix: str = "") -> str | None:
 
 
 def _emit(doc: dict, path: str | None) -> None:
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as err:  # a backstop: JSON has no NaN or infinity
-        raise InputError(f"{path or 'stdout'}: output holds a value that overflows a double") from err
+    text = _json_text(doc, path or "stdout")
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write_text(text, path)
     else:
         sys.stdout.write(text)
 
@@ -217,16 +213,18 @@ def cmd_counterexample(cfg: dict) -> int:
         # before any file is written: an oversized quadrature leaves no partial output
         probe = cx.dvanishing_probe(dim, tuple(range(1, n_max + 1)), quad_level=cfg["quad_level"])
         ok = ok and cx.probe_ok(probe)
-    outdir = cfg["out_dir"]
-    os.makedirs(outdir, exist_ok=True)
-    _write_text("\n".join(rep.csv_lines()) + "\n", os.path.join(outdir, "counterexample.csv"))
-    _emit(rep.to_dict(), os.path.join(outdir, "counterexample.json"))
-    _write_text(
-        cx.gnuplot_script("counterexample.csv", qs),
-        os.path.join(outdir, "counterexample.plt"),
-    )
+    # every output is serialized before any file is written
+    texts = {
+        "counterexample.csv": "\n".join(rep.csv_lines()) + "\n",
+        "counterexample.json": _json_text(rep.to_dict(), "counterexample.json"),
+        "counterexample.plt": cx.gnuplot_script("counterexample.csv", qs),
+    }
     if probe is not None:
-        _emit(probe.to_dict(), os.path.join(outdir, "probe.json"))
+        texts["probe.json"] = _json_text(probe.to_dict(), "probe.json")
+    os.makedirs(cfg["out_dir"], exist_ok=True)
+    for name, text in texts.items():
+        _write_text(text, os.path.join(cfg["out_dir"], name))
+    if probe is not None:
         print(
             f"probe: best captured mass fits n^{probe.fit_exponent:.3f} "
             f"(target {cx.PROBE_FIT_TARGET} +/- {cx.PROBE_FIT_TOL})"
@@ -242,6 +240,9 @@ def cmd_decompose(cfg: dict) -> int:
         raise InputError("decompose: --input is required")
     if cfg["epsilon"] is None:
         raise InputError("decompose: --epsilon is required")
+    # the audits' thresholds first: a failed extraction must not hide a bad one
+    prof._check_threshold("delta", cfg["delta"])
+    prof._check_threshold("separation floor", cfg["separation_floor"])
     seq = prof.load_sequence(cfg["input"])
     keys = ("epsilon", "max_profiles", "scale_window", "window_radius", "cauchy_tol", "stride",
             "profile_level")
@@ -252,9 +253,6 @@ def cmd_decompose(cfg: dict) -> int:
         return 1
     energy = prof.energy_audit(decomp, cfg["delta"])
     sep = prof.separation_check(decomp, cfg["separation_floor"])
-    outdir = cfg["out_dir"]
-    os.makedirs(outdir, exist_ok=True)
-    prof.save_decomposition(outdir, decomp)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "energy": energy.to_dict(),
@@ -265,7 +263,9 @@ def cmd_decompose(cfg: dict) -> int:
         doc["remainder_lorentz_critical"] = prof.remainder_lorentz(
             decomp, critical_exponent(decomp.dim), (1.0, 2.0)
         )
-    _emit(doc, os.path.join(outdir, "audits.json"))
+    text = _json_text(doc, "audits.json")  # both JSON files are checked before either is written
+    prof.save_decomposition(cfg["out_dir"], decomp)
+    _write_text(text, os.path.join(cfg["out_dir"], "audits.json"))
     print(
         f"decompose: {len(decomp.profiles)} profiles, terminated by "
         f"{decomp.terminated_by}, audits {'ok' if doc['ok'] else 'FAILED'}"
@@ -497,7 +497,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _merge(args, args.command)
-        return _COMMANDS[args.command](cfg)
+        # an overflow is refused where its infinity lands (a grid's finite
+        # check or the JSON writer), so numpy's warning would only add lines
+        with np.errstate(over="ignore"):
+            return _COMMANDS[args.command](cfg)
     except (InputError, MemoryGuardError, OSError) as err:  # faults of the arguments or input files
         print(f"error: {err}", file=sys.stderr)
         return 2

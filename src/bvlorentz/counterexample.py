@@ -108,7 +108,8 @@ class CounterexampleReport:
         return {
             "schema_version": 1,
             "dim": self.dim,
-            "q_list": list(self.q_list),
+            # an infinite q is spelled as the rows' lorentz keys spell it
+            "q_list": ["inf" if math.isinf(q) else q for q in self.q_list],
             "rows": [r.to_dict() for r in self.rows],
             "invariants": self.invariants,
             "ok": self.ok,

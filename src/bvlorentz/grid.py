@@ -261,7 +261,7 @@ def linear_combine(coeffs: Sequence[float], fns: Sequence[GridFunction]) -> Grid
     level, origin, extents = common_refinement(fns)
     acc = np.zeros(extents)
     _add_into(acc, level, origin, coeffs, fns)
-    return GridFunction(fns[0].dim, level, origin, extents, _frozen(acc))
+    return _computed(fns[0].dim, level, origin, acc, "a linear combination")
 
 
 def trim(u: GridFunction) -> GridFunction:
@@ -377,6 +377,15 @@ def _add_into(acc: np.ndarray, level: int, origin: Sequence[int], coeffs, fns) -
             acc[sl] += c * _block(f, level, *box)
 
 
+def _computed(dim: int, level: int, origin: Sequence[int], values: np.ndarray, what: str):
+    """A grid function of values computed from finite ones: a NaN or an
+    infinity among them can only be an overflow, refused as input."""
+    try:
+        return GridFunction(dim, level, tuple(origin), values.shape, _frozen(values))
+    except ValueError as err:
+        raise InputError(f"{what} overflows a double: {err}") from None
+
+
 def resample_to(
     u: GridFunction, level: int, origin: Sequence[int], extents: Sequence[int]
 ) -> GridFunction:
@@ -395,11 +404,11 @@ def resample_to(
         return GridFunction(u.dim, level, origin, extents, _frozen(np.zeros(extents)))
     lo, hi = box
     block = _block(u, level, lo, hi)
-    if lo == list(origin) and hi == [o + n for o, n in zip(origin, extents)]:
-        return GridFunction(u.dim, level, origin, extents, _frozen(block))
-    out = np.zeros(extents)
-    out[tuple(slice(a - o, b - o) for a, b, o in zip(lo, hi, origin))] = block
-    return GridFunction(u.dim, level, origin, extents, _frozen(out))
+    if lo != list(origin) or hi != [o + n for o, n in zip(origin, extents)]:
+        out = np.zeros(extents)
+        out[tuple(slice(a - o, b - o) for a, b, o in zip(lo, hi, origin))] = block
+        block = out
+    return _computed(u.dim, level, origin, block, "resampling")
 
 
 # -- regions -----------------------------------------------------------------
@@ -441,6 +450,15 @@ def full_region(dim: int) -> Region:
 
 
 # -- serialization -----------------------------------------------------------
+
+def _json_text(doc: dict, name: str) -> str:
+    """``doc`` as sorted, indented JSON; a NaN or infinity, which JSON cannot
+    hold, is refused as an input whose values overflow a double."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as err:
+        raise InputError(f"{name}: output holds a value that overflows a double") from err
+
 
 def save_grid(u: GridFunction, path: str | Path) -> None:
     """Single self-describing binary file plus a JSON sidecar.

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bv
 from . import rearrange
-from .grid import _MAX_LEVEL_DIM, GridFunction, InputError, _frozen, refine
+from .grid import _MAX_LEVEL_DIM, GridFunction, InputError, _computed, refine
 
 __all__ = [
     "DyadicVector",
@@ -160,7 +160,8 @@ def act(g: GroupElement, u: GridFunction) -> GridFunction:
 
     The result lives at level ``u.level + j``.  If the translation is not
     representable there, ``u`` is refined first (never coarsened), which is
-    where the cell guard can fire.
+    where the cell guard can fire.  Values whose scaling by 2^((dim-1)j)
+    overflows a double raise ``InputError``.
     """
     if abs(g.j) > DEFAULT_SCALE_BOUND:
         raise ScaleBoundError(f"|j| = {abs(g.j)} exceeds scale bound {DEFAULT_SCALE_BOUND}")
@@ -168,8 +169,8 @@ def act(g: GroupElement, u: GridFunction) -> GridFunction:
         raise ValueError("dimension mismatch")
     level, origin = _placement(g, u)
     u = refine(u, level)
-    factor = 2.0 ** ((u.dim - 1) * g.j)
-    return GridFunction(u.dim, level + g.j, origin, u.extents, _frozen(u.values * factor))
+    k = (u.dim - 1) * g.j
+    return _computed(u.dim, level + g.j, origin, u.values * 2.0**k, f"scaling values by 2^{k}")
 
 
 def _norm_value(u: GridFunction, norm_id) -> float:

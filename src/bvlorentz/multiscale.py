@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bv
-from .grid import GridFunction, _add_into, _footprint, _frozen, linear_combine, trim
+from .grid import GridFunction, _add_into, _computed, _footprint, linear_combine, trim
 from .group import GroupElement, act, compose, identity
 
 __all__ = ["DyadicSum", "Term", "dyadic_sum"]
@@ -32,7 +32,7 @@ def _realize(t: Term) -> GridFunction:
     out = act(t.g, t.u)
     if t.coeff == 1.0:
         return out
-    return GridFunction(out.dim, out.level, out.origin, out.extents, _frozen(out.values * t.coeff))
+    return _computed(out.dim, out.level, out.origin, out.values * t.coeff, "a term's coefficient")
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ class DyadicSum:
         acc = np.zeros(extents)
         clusters = self.clusters()
         _add_into(acc, level, origin, [1.0] * len(clusters), clusters)
-        return GridFunction(self.dim, level, tuple(origin), tuple(extents), _frozen(acc))
+        return _computed(self.dim, level, origin, acc, "window materialization")
 
     def is_zero(self) -> bool:
         return len(self.clusters()) == 0

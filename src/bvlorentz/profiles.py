@@ -33,6 +33,7 @@ from .grid import (
     InputError,
     MemoryGuardError,
     _halve,
+    _json_text,
     _overlap_box,
     from_sampler,
     load_grid,
@@ -546,12 +547,17 @@ def load_sequence(dirpath: str) -> list[DyadicSum]:
 
 
 def save_decomposition(dirpath: str, decomp: ProfileDecomposition) -> None:
-    os.makedirs(dirpath, exist_ok=True)
+    """Write ``decomposition.json`` and one grid file per profile.
+
+    Raises ``InputError`` before anything is written when the report holds
+    a value that overflows a double, which JSON cannot hold.
+    """
     doc = decomp.to_dict()
+    for i in range(len(decomp.profiles)):
+        doc["profiles"][i]["grid"] = f"profile{i}.grid"
+    text = _json_text(doc, "decomposition.json")
+    os.makedirs(dirpath, exist_ok=True)
     for i, p in enumerate(decomp.profiles):
-        fname = f"profile{i}.grid"
-        save_grid(p.function, os.path.join(dirpath, fname))
-        doc["profiles"][i]["grid"] = fname
+        save_grid(p.function, os.path.join(dirpath, f"profile{i}.grid"))
     with open(os.path.join(dirpath, "decomposition.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

@@ -209,12 +209,32 @@ def lorentz_norm(u, idx: LorentzIndex) -> float:
     tau = s.normalized_cumulative
     if p / q == math.inf:  # the norm grows like (p/q)^(1/q): far past a double
         return math.inf
-    core = np.sum(s.normalized_values ** q * (p / q) * np.diff(tau ** (q / p)))
-    try:
-        return vmax * tmax ** (1.0 / p) * float(core) ** (1.0 / q)
-    except OverflowError:  # a factor is past a double (q or p near 0): multiply in logs
-        log_norm = math.log(vmax) + math.log(tmax) / p + math.log(core) / q
-        return math.exp(log_norm) if log_norm < math.log(sys.float_info.max) else math.inf
+    core = float(np.sum(s.normalized_values ** q * (p / q) * np.diff(tau ** (q / p))))
+    if core < sys.float_info.min:  # the terms underflow (q large): sum them in logs
+        log_core_q = _log_core_over_q(s.normalized_values, tau, p, q)
+    else:
+        try:
+            return vmax * tmax ** (1.0 / p) * core ** (1.0 / q)
+        except OverflowError:  # a factor is past a double (q or p near 0): multiply in logs
+            log_core_q = math.log(core) / q
+    log_norm = math.log(vmax) + math.log(tmax) / p + log_core_q
+    return math.exp(log_norm) if log_norm < math.log(sys.float_info.max) else math.inf
+
+
+def _log_core_over_q(v: np.ndarray, tau: np.ndarray, p: float, q: float) -> float:
+    """log(core) / q for the core of :func:`lorentz_norm`, without underflow.
+
+    Term i is v_i^q (p/q) (tau_i^{q/p} - tau_{i-1}^{q/p}) = exp(q c_i) with
+    c_i = log v_i + log(tau_i) / p + (log(p/q) + log1p(-(tau_{i-1}/tau_i)^{q/p})) / q,
+    so log(core) / q = M + log(sum exp(q (c_i - M))) / q with M = max c_i.
+    The first term (tau_0 = 0) is finite, so M is.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        log_tau = np.log(tau)
+        ratio_pow = np.exp((q / p) * (log_tau[:-1] - log_tau[1:]))
+        c = np.log(v) + log_tau[1:] / p + (math.log(p) - math.log(q) + np.log1p(-ratio_pow)) / q
+        m = float(np.max(c))
+        return m + math.log(float(np.sum(np.exp(q * (c - m))))) / q
 
 
 def lorentz_norm_weak(u, p: float) -> float:

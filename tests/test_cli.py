@@ -15,6 +15,7 @@ from bvlorentz import counterexample as cx
 from bvlorentz.cli import main
 from bvlorentz.corpus import corpus_grids
 from bvlorentz.grid import GridFunction, InputError, save_grid
+from bvlorentz.multiscale import DyadicSum, Term
 from bvlorentz.profiles import load_sequence, save_sequence, two_profile_sequence
 
 
@@ -333,6 +334,32 @@ def test_counterexample_bad_argument_is_usage_error(tmp_path, capsys, flag, valu
     assert not out.exists()
 
 
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_counterexample_infinite_q_writes_strict_json(tmp_path, capsys):
+    out = tmp_path / "cx"
+    argv = ["counterexample", "--q-list", "1,inf", "--n-max", "3", "--no-probe"]
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    docs = [json.loads(p.read_text(), parse_constant=_reject_constant) for p in out.glob("*.json")]
+    assert len(docs) == 1
+    assert docs[0]["q_list"] == [1.0, "inf"]
+    assert set(docs[0]["rows"][0]["lorentz"]) == {"1.0", "inf"}
+    assert docs[0]["invariants"]["lorentz_decreasing_qinf"]["ok"]
+    assert "lorentz_qinf" in (out / "counterexample.csv").read_text().splitlines()[0]
+
+
+def test_counterexample_refusal_writes_no_file(tmp_path, capsys):
+    # q = 1e-320 puts p/q past a double, so every Lorentz value is infinite
+    out = tmp_path / "cx"
+    argv = ["counterexample", "--q-list", "1e-320", "--n-max", "3", "--no-probe"]
+    message = "counterexample.json: output holds a value that overflows a double"
+    _assert_refused(capsys, argv + ["--out-dir", str(out)], message)
+    assert not out.exists()
+
+
 def test_counterexample_single_staircase_without_probe_runs(tmp_path, capsys):
     # the report needs one staircase; only the probe's decay fit needs two
     out = tmp_path / "o"
@@ -464,15 +491,40 @@ def test_decompose_bad_argument_is_usage_error(tmp_path, capsys, flag, value, me
     ],
 )
 def test_decompose_bad_audit_argument_is_usage_error(tmp_path, capsys, flag, value, message):
-    # the audits check their own arguments, after extraction: the sequence
-    # must extract, or its exit 1 comes first
+    # the audits' thresholds are refused before extraction: this tail is not
+    # Cauchy, so an extraction would end in exit 1 first
     seq_dir = tmp_path / "seq"
-    save_sequence(str(seq_dir), two_profile_sequence(range(1, 9), level=3))
+    save_sequence(str(seq_dir), two_profile_sequence(range(1, 5)))
     out = tmp_path / "o"
     argv = ["decompose", "--input", str(seq_dir), "--epsilon", "0.1", "--out-dir", str(out)]
     assert main(argv + [flag, value]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "factor, message",
+    [
+        (1e307, "scaling values by 2^5 overflows a double: values must be finite: "
+         "4 of 64 cells hold NaN or inf"),
+        (1e305, "window materialization overflows a double: values must be finite: "
+         "1 of 1048576 cells hold NaN or inf"),
+    ],
+)
+def test_decompose_overflow_is_refused_without_output(tmp_path, capsys, factor, message):
+    seq = [
+        DyadicSum(e.dim, tuple(Term(t.coeff, t.g, _scaled(t.u, factor)) for t in e.terms))
+        for e in two_profile_sequence(range(1, 9), level=3)
+    ]
+    save_sequence(str(tmp_path / "seq"), seq)
+    out = tmp_path / "o"
+    argv = ["decompose", "--input", str(tmp_path / "seq"), "--epsilon", "0.1"]
+    _assert_refused(capsys, argv + ["--out-dir", str(out)], message)
+    assert not out.exists()
+
+
+def _scaled(u, factor):
+    return GridFunction(u.dim, u.level, u.origin, u.extents, u.values * factor)
 
 
 def test_decompose_requires_epsilon(tmp_path, capsys):

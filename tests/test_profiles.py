@@ -7,7 +7,14 @@ import pytest
 
 from bvlorentz import profiles
 from bvlorentz.bv import total_variation
-from bvlorentz.grid import GridFunction, MemoryGuardError, box_mass, load_grid, resample_to
+from bvlorentz.grid import (
+    GridFunction,
+    InputError,
+    MemoryGuardError,
+    box_mass,
+    load_grid,
+    resample_to,
+)
 from bvlorentz.group import DyadicVector, GroupElement
 from bvlorentz.multiscale import dyadic_sum
 from bvlorentz.profiles import (
@@ -158,6 +165,18 @@ def test_decomposition_roundtrip(tmp_path, two_profile_decomp):
         back = load_grid(d / pdoc["grid"])
         np.testing.assert_array_equal(back.values, decomp.profiles[i].function.values)
         assert pdoc["tv"] == decomp.profiles[i].tv
+
+
+def test_decomposition_with_an_overflow_is_refused_before_any_file(tmp_path):
+    # at level -3 one cell of 1e307 has a variation of 4 * 8 * 1e307, past a double
+    u = GridFunction(2, -3, (0, 0), (1, 1), np.array([[1e307]]))
+    with np.errstate(over="ignore"):
+        decomp = extract_profiles([u, u, u], epsilon=0.1)
+    assert math.isinf(decomp.original_tv[0])
+    d = tmp_path / "decomp"
+    with pytest.raises(InputError, match="decomposition.json: output holds a value that overflows"):
+        save_decomposition(str(d), decomp)
+    assert not d.exists()
 
 
 # -- cube search ---------------------------------------------------------------

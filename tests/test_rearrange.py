@@ -1,14 +1,17 @@
 """Rearrangement and Lorentz quasinorm tests against closed forms."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvlorentz.corpus import corpus_steps
 from bvlorentz.rearrange import (
     LorentzIndex,
     LorentzIndexError,
     StepFunction,
+    _log_core_over_q,
     critical_exponent,
     lebesgue_norm,
     lorentz_norm,
@@ -341,3 +344,43 @@ def test_lorentz_norm_past_a_double_in_a_factor():
     assert lorentz_norm(s, LorentzIndex(2.0, 2.0**-7)) == pytest.approx(2.0**1014, rel=1e-12)
     assert lorentz_norm(s, LorentzIndex(2.0, 1e-300)) == math.inf
     assert lorentz_norm(s, LorentzIndex(2.0, 5e-324)) == math.inf  # p/q overflows
+
+
+# -- a core whose every term underflows -------------------------------------------
+
+def _former_lorentz_norm(s, p, q):
+    """lorentz_norm as it was before the core could be summed in logs."""
+    tau = s.normalized_cumulative
+    core = np.sum(s.normalized_values ** q * (p / q) * np.diff(tau ** (q / p)))
+    return float(s.values[0]) * s.total_measure ** (1.0 / p) * float(core) ** (1.0 / q)
+
+
+def _corpus_steps():
+    return corpus_steps(7, 3)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_lorentz_norm_of_huge_q_tends_to_the_weak_norm(k):
+    step = _corpus_steps()[k]
+    weak = lorentz_norm_weak(step, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        near = lorentz_norm(step, LorentzIndex(2.0, 1e4))
+        far = lorentz_norm(step, LorentzIndex(2.0, 1e308))
+    assert 0.999 * weak <= near <= weak * (1.0 + 1e-12)
+    assert far == pytest.approx(weak, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0, 10.0, 100.0])
+def test_lorentz_norm_with_a_normal_core_is_unchanged(q):
+    for step in _corpus_steps():
+        assert lorentz_norm(step, LorentzIndex(2.0, q)) == _former_lorentz_norm(step, 2.0, q)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 50.0, 300.0])
+def test_log_core_equals_the_direct_core_where_both_are_normal(q):
+    for step in _corpus_steps():
+        tau = step.normalized_cumulative
+        core = np.sum(step.normalized_values ** q * (2.0 / q) * np.diff(tau ** (q / 2.0)))
+        got = _log_core_over_q(step.normalized_values, tau, 2.0, q)
+        assert got == pytest.approx(math.log(core) / q, rel=1e-12, abs=1e-14)
