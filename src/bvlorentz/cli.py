@@ -497,10 +497,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _merge(args, args.command)
-        # an overflow is refused where its infinity lands (a grid's finite
-        # check or the JSON writer), so numpy's warning would only add lines
-        with np.errstate(over="ignore"):
-            return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](cfg)
     except (InputError, MemoryGuardError, OSError) as err:  # faults of the arguments or input files
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -29,6 +29,7 @@ __all__ = [
     "GridFunction",
     "InputError",
     "MemoryGuardError",
+    "NonFiniteValuesError",
     "Region",
     "RefinementDirectionError",
     "UnsupportedDimensionError",
@@ -79,6 +80,10 @@ class MemoryGuardError(MemoryError):
 
 class GridFormatError(InputError):
     """Raised when a saved grid file is malformed; names the path and the fault."""
+
+
+class NonFiniteValuesError(ValueError):
+    """Raised when a grid function is given a NaN or an infinity."""
 
 
 def _check_dim(dim: int) -> int:
@@ -142,7 +147,9 @@ class GridFunction:
         finite = np.isfinite(vals)
         if not finite.all():
             bad = vals.size - np.count_nonzero(finite)
-            raise ValueError(f"values must be finite: {bad} of {vals.size} cells hold NaN or inf")
+            raise NonFiniteValuesError(
+                f"values must be finite: {bad} of {vals.size} cells hold NaN or inf"
+            )
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -180,12 +187,14 @@ class GridFunction:
     def variation(self) -> float:
         """The per-face total variation (see :mod:`bvlorentz.bv`).
 
-        Only the scalar is kept; the per-cell array it sums is freed.
+        Only the scalar is kept; the per-cell array it sums is freed.  It is
+        inf when the sum overflows a double, which its users refuse.
         """
         from .bv import _local_contributions
 
-        _, contrib = _local_contributions(self)
-        return float(np.sum(contrib))
+        with np.errstate(over="ignore"):
+            _, contrib = _local_contributions(self)
+            return float(np.sum(contrib))
 
     def l1_norm(self) -> float:
         return float(np.sum(np.abs(self.values))) * self.cell_measure
@@ -343,13 +352,16 @@ def _overlap_box(
 
 def _block(u: GridFunction, level: int, lo: Sequence[int], hi: Sequence[int]) -> np.ndarray:
     """Cell values of ``u`` on the box [lo, hi) at ``level``, inside its
-    footprint; only the source cells under the box are read.
+    footprint; only the source cells under the box are read, and at a finer
+    level exactly the box is built.
 
     Source and target lie on one dyadic lattice.  k levels finer, each target
-    cell lies in one source cell: the covering source slice is repeated 2^k
-    times per axis and cropped.  d levels coarser, each target cell is a
-    block of 2^d source cells per axis, summed by d halvings and scaled by
-    the exact power 2^(-d*dim).
+    cell lies in one source cell: along each axis, source cell s is repeated
+    once per target cell of [s*2^k, (s+1)*2^k) inside the box.  d levels
+    coarser, each target cell is a block of 2^d source cells per axis, summed
+    by d halvings (under which an overflow is left to the caller's finite
+    check) and scaled by the exact power 2^(-d*dim).  At the same level the
+    result is a read-only view of ``u``'s values.
     """
     d = u.level - level
     if d <= 0:
@@ -359,22 +371,26 @@ def _block(u: GridFunction, level: int, lo: Sequence[int], hi: Sequence[int]) ->
         src_hi = [min(b << d, o + n) for b, o, n in zip(hi, u.origin, u.extents)]
     block = u.values[tuple(slice(a - o, b - o) for a, b, o in zip(src_lo, src_hi, u.origin))]
     if d > 0:
-        for _ in range(d):
-            block, src_lo = _halve(block, src_lo)
+        with np.errstate(over="ignore"):
+            for _ in range(d):
+                block, src_lo = _halve(block, src_lo)
         return block * 2.0 ** (-d * u.dim)
-    for axis in range(u.dim if d < 0 else 0):
-        block = np.repeat(block, 2**-d, axis=axis)
-    return block[tuple(slice(a - (s << -d), b - (s << -d)) for a, b, s in zip(lo, hi, src_lo))]
+    for axis, (a, b, s, t) in enumerate(zip(lo, hi, src_lo, src_hi) if d < 0 else ()):
+        counts = [min(b, (i + 1) << -d) - max(a, i << -d) for i in range(s, t)]
+        block = np.repeat(block, counts, axis=axis)
+    return block
 
 
 def _add_into(acc: np.ndarray, level: int, origin: Sequence[int], coeffs, fns) -> None:
     """Add each ``c * f`` in order into ``acc``, the box at ``origin`` and
-    ``level``, reading only the cells of ``f`` under the box."""
+    ``level``, reading only the cells of ``f`` under the box.  An overflow
+    is left to the caller's finite check (see :func:`_computed`)."""
     for c, f in zip(coeffs, fns):
         box = _overlap_box(f, level, origin, acc.shape)
         if box is not None:
             sl = tuple(slice(a - o, b - o) for a, b, o in zip(*box, origin))
-            acc[sl] += c * _block(f, level, *box)
+            with np.errstate(over="ignore"):
+                acc[sl] += c * _block(f, level, *box)
 
 
 def _computed(dim: int, level: int, origin: Sequence[int], values: np.ndarray, what: str):
@@ -382,7 +398,7 @@ def _computed(dim: int, level: int, origin: Sequence[int], values: np.ndarray, w
     infinity among them can only be an overflow, refused as input."""
     try:
         return GridFunction(dim, level, tuple(origin), values.shape, _frozen(values))
-    except ValueError as err:
+    except NonFiniteValuesError as err:
         raise InputError(f"{what} overflows a double: {err}") from None
 
 
@@ -404,7 +420,8 @@ def resample_to(
         return GridFunction(u.dim, level, origin, extents, _frozen(np.zeros(extents)))
     lo, hi = box
     block = _block(u, level, lo, hi)
-    if lo != list(origin) or hi != [o + n for o, n in zip(origin, extents)]:
+    covers = lo == list(origin) and hi == [o + n for o, n in zip(origin, extents)]
+    if block.base is not None or not covers:  # the result owns its cells, also at u's level
         out = np.zeros(extents)
         out[tuple(slice(a - o, b - o) for a, b, o in zip(lo, hi, origin))] = block
         block = out

@@ -170,7 +170,9 @@ def act(g: GroupElement, u: GridFunction) -> GridFunction:
     level, origin = _placement(g, u)
     u = refine(u, level)
     k = (u.dim - 1) * g.j
-    return _computed(u.dim, level + g.j, origin, u.values * 2.0**k, f"scaling values by 2^{k}")
+    with np.errstate(over="ignore"):  # an overflow is refused by _computed
+        values = u.values * 2.0**k
+    return _computed(u.dim, level + g.j, origin, values, f"scaling values by 2^{k}")
 
 
 def _norm_value(u: GridFunction, norm_id) -> float:

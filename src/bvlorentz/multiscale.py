@@ -32,7 +32,9 @@ def _realize(t: Term) -> GridFunction:
     out = act(t.g, t.u)
     if t.coeff == 1.0:
         return out
-    return _computed(out.dim, out.level, out.origin, out.values * t.coeff, "a term's coefficient")
+    with np.errstate(over="ignore"):  # an overflow is refused by _computed
+        values = out.values * t.coeff
+    return _computed(out.dim, out.level, out.origin, values, "a term's coefficient")
 
 
 @dataclass(frozen=True)

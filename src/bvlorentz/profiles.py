@@ -199,14 +199,18 @@ def _best_alignment(r: DyadicSum, scale_window: int):
 
     Scales are visited smallest magnitude first (negative before positive)
     and cubes in lexicographic order, so exact ties resolve deterministically;
-    a zero sum gets the identity.
+    a zero sum gets the identity.  A cube mass that overflows a double
+    raises ``InputError``.
     """
     clusters = r.clusters()
-    pyramids = _mass_pyramids(clusters, scale_window)
     best_mass, best_s, best_cube = 0.0, 0, (0,) * r.dim
     scales = sorted(range(-scale_window, scale_window + 1), key=lambda t: (abs(t), t))
-    for s in scales if clusters else ():
-        mass, cube = _best_cube_at_scale(pyramids, s, r.dim)
+    with np.errstate(over="ignore"):  # an overflowing mass is refused below
+        pyramids = _mass_pyramids(clusters, scale_window)
+        found = [_best_cube_at_scale(pyramids, s, r.dim) for s in (scales if clusters else ())]
+    for s, (mass, cube) in zip(scales, found):
+        if not math.isfinite(mass):
+            raise InputError(f"the cube masses at scale {s} overflow a double")
         if mass > best_mass:
             best_mass, best_s, best_cube = mass, s, cube
     return best_mass, GroupElement(best_s, DyadicVector.integers(*(-c for c in best_cube)))
@@ -281,6 +285,8 @@ def extract_profiles(
         )
     dim = seq[0].dim
     original_tv = tuple(r.total_variation() for r in seq)
+    if not all(map(math.isfinite, original_tv)):
+        raise InputError("the total variation of a sequence element overflows a double")
 
     remainders = list(seq)
     profiles: list[ExtractedProfile] = []

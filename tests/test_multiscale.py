@@ -344,6 +344,57 @@ def test_block_equals_former_gather_and_repeat(case):
     assert grid.refine(u, level).values.tobytes() == _former_refine(u, level).tobytes()
 
 
+@pytest.mark.parametrize("dim, k", [(1, 500), (2, 25), (3, 20)])
+def test_block_far_finer_builds_only_the_box(dim, k):
+    # source cells -1 and 0 at level -k meet at 0; the box straddles that edge
+    vals = np.arange(2.0**dim).reshape((2,) * dim) + 1.0
+    u = GridFunction(dim, -k, (-1,) * dim, (2,) * dim, vals)
+    lo, hi = [-3] * dim, [2] * dim
+    block = grid._block(u, 0, lo, hi)
+    side = np.array([0, 0, 0, 1, 1])
+    assert block.tobytes() == vals[np.ix_(*[side] * dim)].tobytes()
+    assert block.flags.owndata
+    one = resample_to(GridFunction(dim, -k, (0,) * dim, (1,) * dim, np.ones((1,) * dim)),
+                      0, (5,) * dim, (1,) * dim)
+    assert one.values.tobytes() == np.ones((1,) * dim).tobytes()
+    assert one.values.flags.owndata
+
+
+def test_materialize_with_a_coarse_cluster_covering_the_window():
+    vals = np.array([[1.0, 2.0], [3.0, -4.0]])
+    s = dyadic_sum(GridFunction(2, -25, (-1, -1), (2, 2), vals))
+    w = s.materialize(0, (-3, -2), (5, 4))
+    rows, cols = np.array([0, 0, 0, 1, 1]), np.array([0, 0, 1, 1])
+    assert w.values.tobytes() == vals[np.ix_(rows, cols)].tobytes()
+
+
+def test_resample_at_the_same_level_owns_its_cells():
+    u = GridFunction(2, 1, (0, 0), (4, 4), np.arange(16.0).reshape(4, 4))
+    r = resample_to(u, 1, (1, 0), (2, 4))
+    assert r.values.tobytes() == u.values[1:3].tobytes()
+    assert r.values.flags.owndata
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_block_sum_is_refused_without_a_warning():
+    u = GridFunction(1, 0, (0,), (2,), np.array([1e308, 1e308]))
+    with pytest.raises(grid.InputError, match="^window materialization overflows a double: values must be finite: 1 of 1 "):
+        dyadic_sum(u).materialize(-1, (0,), (1,))
+    with pytest.raises(grid.InputError, match="^resampling overflows a double: values must be finite: 1 of 1 "):
+        resample_to(u, -1, (0,), (1,))
+    with pytest.raises(grid.InputError, match="^a linear combination overflows a double: values must be finite: 2 of 2 "):
+        grid.linear_combine([1.0, 1.0], [u, u])
+
+
+def test_computed_passes_other_construction_errors_through():
+    with pytest.raises(grid.DimensionMismatchError):
+        grid._computed(2, 0, (0,), np.ones((2, 2)), "a sum")
+    with pytest.raises(grid.DimensionMismatchError):
+        dyadic_sum(_block()).materialize(1, (0,), (2, 2))
+    with pytest.raises(grid.InputError, match="^a sum overflows a double: values must be finite: 1 of 4 cells"):
+        grid._computed(2, 0, (0, 0), np.array([[1.0, np.inf], [0.0, 2.0]]), "a sum")
+
+
 @given(st.integers(1, 3), st.data())
 @settings(max_examples=300, deadline=None)
 def test_integer_touch_test_equals_former_float_test(dim, data):

@@ -1,4 +1,5 @@
 """Profile extraction: recovery, termination, guards, audits, round-trips."""
+import dataclasses
 import json
 import math
 
@@ -167,12 +168,17 @@ def test_decomposition_roundtrip(tmp_path, two_profile_decomp):
         assert pdoc["tv"] == decomp.profiles[i].tv
 
 
-def test_decomposition_with_an_overflow_is_refused_before_any_file(tmp_path):
+def test_a_variation_past_a_double_is_refused_before_extraction():
     # at level -3 one cell of 1e307 has a variation of 4 * 8 * 1e307, past a double
     u = GridFunction(2, -3, (0, 0), (1, 1), np.array([[1e307]]))
-    with np.errstate(over="ignore"):
-        decomp = extract_profiles([u, u, u], epsilon=0.1)
-    assert math.isinf(decomp.original_tv[0])
+    assert math.isinf(total_variation(u))
+    with pytest.raises(InputError, match="^the total variation of a sequence element overflows"):
+        extract_profiles([u, u, u], epsilon=0.1)
+
+
+def test_decomposition_with_an_overflow_is_refused_before_any_file(tmp_path, two_profile_decomp):
+    decomp, _ = two_profile_decomp
+    decomp = dataclasses.replace(decomp, original_tv=(math.inf,) + decomp.original_tv[1:])
     d = tmp_path / "decomp"
     with pytest.raises(InputError, match="decomposition.json: output holds a value that overflows"):
         save_decomposition(str(d), decomp)
