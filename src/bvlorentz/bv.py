@@ -14,6 +14,7 @@ invariances, never absolute perimeters.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,6 +46,11 @@ class SupportViolationError(ValueError):
     """Raised when a scalar map does not fix 0 and would break zero extension."""
 
 
+#: Cells of one slab of padded axis-0 rows (2^15 doubles, 256 KiB), so a
+#: slab's padded copy, its scratch and its output rows stay in cache.
+_SLAB_CELLS = 1 << 15
+
+
 def _local_contributions(u: GridFunction) -> tuple[tuple[int, ...], np.ndarray]:
     """Per-cell variation, attributed to the base cell of each forward pair.
 
@@ -52,33 +58,54 @@ def _local_contributions(u: GridFunction) -> tuple[tuple[int, ...], np.ndarray]:
     every axis) and the array of h^{dim-1} * sum_k |forward difference| over
     that domain: (n+2)^dim cells, the layout of the zero-padded values.
 
-    The padded copy itself is never made, and the result is bit-identical to
-    forward differences of it.  Across axis k, the face above padded cell i
-    adds |v[0]| at i = 0, |v[i] - v[i-1]| for 0 < i < n and |v[n-1]| at
-    i = n, exactly the differences against the zero padding.  Rows on the
-    border of another axis would add |0 - 0|; they get nothing, and adding
-    +0.0 to a sum of absolute values leaves it unchanged.  So each cell gets
-    the same terms, added in the same axis order from 0.0, and is then scaled
-    by the same h^{dim-1}, in place; the array has the same contiguous
-    layout, so ``np.sum`` over it groups the terms the same way too.
+    The result is filled in slabs of padded axis-0 rows, about
+    ``_SLAB_CELLS`` cells each; the returned array is the only full-size
+    allocation.  A slab's rows, plus the one above them, are copied into a
+    reused zero-padded buffer.  The axis-0 term |pad[i+1] - pad[i]| is
+    written straight into the output rows, then each other axis adds its
+    |forward difference| through one reused scratch buffer, in axis order,
+    and the rows are scaled by h^{dim-1} in place.
+
+    The bits are those of forward differences of a zero-padded copy, summed
+    from a zero accumulator in axis order (the former kernel): each cell
+    gets the same terms in the same order and the same scaling.  Writing the
+    first term instead of adding it to 0.0 is exact, since 0.0 + t == t for
+    t >= +0, and faces between two padding cells add |0 - 0| = +0.0, which
+    leaves a sum of absolute values unchanged.  The array has the former
+    contiguous layout, so ``np.sum`` over it groups the terms the same way.
     """
     v = u.values
-    acc = np.zeros(tuple(n + 2 for n in v.shape))
-    box = (slice(1, -1),) * u.dim
-    for axis in range(u.dim):
-        lead = (slice(None),) * axis  # v: every row of the axes before `axis`
-        pre, post = box[:axis], box[axis + 1 :]  # acc: box rows of the other axes
-        diff = np.subtract(v[lead + (slice(1, None),)], v[lead + (slice(None, -1),)])
-        np.abs(diff, out=diff)
-        faces = acc[pre + (slice(1, -2),) + post]
-        faces += diff
-        del diff  # free it before the next axis allocates its own
-        faces = acc[pre + (slice(0, 1),) + post]
-        faces += np.abs(v[lead + (slice(0, 1),)])
-        faces = acc[pre + (slice(-2, -1),) + post]
-        faces += np.abs(v[lead + (slice(-1, None),)])
-    acc *= u.spacing ** (u.dim - 1)
-    return tuple(o - 1 for o in u.origin), acc
+    n0, rest = v.shape[0], v.shape[1:]
+    out = np.empty((n0 + 2,) + tuple(n + 2 for n in rest))
+    row_cells = math.prod(out.shape[1:])
+    rows = max(1, _SLAB_CELLS // row_cells)
+    pad = np.zeros((rows + 1,) + out.shape[1:])  # only its inner cells are ever written
+    scratch = np.empty(rows * row_cells)
+    inner = (slice(1, -1),) * len(rest)
+    h_face = u.spacing ** (u.dim - 1)
+    for r0 in range(0, n0 + 2, rows):
+        r1 = min(r0 + rows, n0 + 2)
+        # buffer row j is padded row r0 + j, i.e. row r0 + j - 1 of v when inside
+        slab_pad = pad[: r1 - r0 + 1]
+        lo, hi = max(1 - r0, 0), min(n0 + 1 - r0, r1 - r0 + 1)
+        slab_pad[:lo] = 0.0
+        slab_pad[(slice(lo, hi),) + inner] = v[r0 + lo - 1 : r0 + hi - 1]
+        slab_pad[hi:] = 0.0
+        slab_out = out[r0:r1]
+        np.subtract(slab_pad[1:], slab_pad[:-1], out=slab_out)
+        np.abs(slab_out, out=slab_out)
+        base = slab_pad[:-1]
+        for axis in range(1, u.dim):
+            lead = (slice(None),) * axis
+            shape = list(slab_out.shape)
+            shape[axis] -= 1
+            diff = scratch[: math.prod(shape)].reshape(shape)
+            np.subtract(base[lead + (slice(1, None),)], base[lead + (slice(None, -1),)], out=diff)
+            np.abs(diff, out=diff)
+            faces = slab_out[lead + (slice(None, -1),)]
+            faces += diff
+        slab_out *= h_face
+    return tuple(o - 1 for o in u.origin), out
 
 
 def total_variation(u: GridFunction) -> float:

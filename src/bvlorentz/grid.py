@@ -274,13 +274,22 @@ def linear_combine(coeffs: Sequence[float], fns: Sequence[GridFunction]) -> Grid
 
 
 def trim(u: GridFunction) -> GridFunction:
-    """Shrink the box to the support bounding box (1 zero cell if empty)."""
-    nz = np.nonzero(u.values)
-    if len(nz[0]) == 0:
-        one = tuple(1 for _ in range(u.dim))
-        return GridFunction(u.dim, u.level, u.origin, one, np.zeros(one))
-    lo = [int(ix.min()) for ix in nz]
-    hi = [int(ix.max()) + 1 for ix in nz]
+    """Shrink the box to the support bounding box (1 zero cell if empty).
+
+    Each axis's range comes from the projection of the nonzero mask onto it
+    (``np.any`` over the other axes); the mask is cut to each range found,
+    so later projections read only the rows that can hold support.
+    """
+    nonzero = u.values != 0
+    lo, hi = [], []
+    for axis in range(u.dim):
+        hits = np.flatnonzero(np.any(nonzero, axis=tuple(a for a in range(u.dim) if a != axis)))
+        if hits.size == 0:
+            one = tuple(1 for _ in range(u.dim))
+            return GridFunction(u.dim, u.level, u.origin, one, np.zeros(one))
+        lo.append(int(hits[0]))
+        hi.append(int(hits[-1]) + 1)
+        nonzero = nonzero[(slice(None),) * axis + (slice(lo[-1], hi[-1]),)]
     sl = tuple(slice(a, b) for a, b in zip(lo, hi))
     origin = tuple(o + a for o, a in zip(u.origin, lo))
     extents = tuple(b - a for a, b in zip(lo, hi))

@@ -217,7 +217,11 @@ def lorentz_norm(u, idx: LorentzIndex) -> float:
             return vmax * tmax ** (1.0 / p) * core ** (1.0 / q)
         except OverflowError:  # a factor is past a double (q or p near 0): multiply in logs
             log_core_q = math.log(core) / q
-    log_norm = math.log(vmax) + math.log(tmax) / p + log_core_q
+    return _exp_or_inf(math.log(vmax) + math.log(tmax) / p + log_core_q)
+
+
+def _exp_or_inf(log_norm: float) -> float:
+    """exp(log_norm), or inf past the largest double (no OverflowError)."""
     return math.exp(log_norm) if log_norm < math.log(sys.float_info.max) else math.inf
 
 
@@ -256,26 +260,46 @@ def lorentz_norm_symmetrization(u, idx: LorentzIndex, dim: int | None = None) ->
     Evaluates |B_1|^{(q-p)/(pq)} (int (|x|^{dim/p} u#(|x|))^q dx/|x|^dim)^{1/q}
     with the radial integral reduced to closed form over profile chunks.
     Mathematically equal to :func:`lorentz_norm`; computed independently.
+    When that core is not a normal double (the powers overflow or underflow
+    for large q), the largest value and the outer radius are factored out,
+    and a factored core that still underflows is summed in logs.
     """
     if dim is None:
         dim = getattr(u, "dim", None)
     if dim is None:
         raise LorentzIndexError("symmetrization form needs the ambient dimension")
-    if math.isinf(idx.q):
-        prof = schwarz_profile(u, dim)
-        if prof is None:
-            return 0.0
-        omega = unit_ball_volume(dim)
-        radii = np.cumsum(prof.measures)
-        return float(np.max(prof.values * (omega ** (1.0 / idx.p)) * radii ** (dim / idx.p)))
     prof = schwarz_profile(u, dim)
     if prof is None:
         return 0.0
-    p, q = idx.p, idx.q
     omega = unit_ball_volume(dim)
+    if math.isinf(idx.q):
+        radii = np.cumsum(prof.measures)
+        return float(np.max(prof.values * (omega ** (1.0 / idx.p)) * radii ** (dim / idx.p)))
+    p, q = idx.p, idx.q
+    if p / q == math.inf:  # as in lorentz_norm: far past a double
+        return math.inf
     radii = np.concatenate(([0.0], np.cumsum(prof.measures)))
-    core = np.sum(prof.values**q * (dim * omega) * (p / (dim * q)) * np.diff(radii ** (dim * q / p)))
-    return omega ** ((q - p) / (p * q)) * float(core) ** (1.0 / q)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        core = float(np.sum(
+            prof.values**q * (dim * omega) * (p / (dim * q)) * np.diff(radii ** (dim * q / p))
+        ))
+    if sys.float_info.min <= core < math.inf:
+        try:
+            return omega ** ((q - p) / (p * q)) * core ** (1.0 / q)
+        except OverflowError:  # core^(1/q) is past a double (q near 0): multiply in logs
+            return _exp_or_inf((q - p) / (p * q) * math.log(omega) + math.log(core) / q)
+    # the powers overflow or underflow (q large): factor out the largest value
+    # and the outer radius, norm = omega^{1/p} vmax rmax^{dim/p} scaled^{1/q}
+    vmax, rmax = float(prof.values[0]), float(radii[-1])
+    w, rho_dim = prof.values / vmax, (radii / rmax) ** dim
+    scaled = float(np.sum(w**q * (p / q) * np.diff(rho_dim ** (q / p))))
+    if sys.float_info.min <= scaled:
+        log_scaled_q = math.log(scaled) / q
+    else:  # the terms underflow too: sum them in logs
+        log_scaled_q = _log_core_over_q(w, rho_dim, p, q)
+    return _exp_or_inf(
+        math.log(omega) / p + math.log(vmax) + dim * math.log(rmax) / p + log_scaled_q
+    )
 
 
 def lebesgue_norm(u, p: float) -> float:

@@ -1,4 +1,5 @@
 """Total variation: exactness, chain rule, lattice splitting."""
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -314,6 +315,47 @@ def test_variation_kernel_extreme_scales_reach_subnormal_and_inf():
     with np.errstate(over="ignore"):
         assert total_variation(huge) == np.inf
     _assert_same_variation(huge)
+
+
+@pytest.mark.parametrize("slab_cells", [1, 7, 64])
+@given(u=_kernel_grids())
+@settings(max_examples=100, deadline=None)
+def test_variation_kernel_matches_padded_reference_across_slabs(slab_cells, u):
+    # slabs of one row, of a few rows and rows longer than the slab, so the
+    # padding rows fall at every position inside a slab
+    with mock.patch.object(bv, "_SLAB_CELLS", slab_cells):
+        _assert_same_variation(u)
+
+
+@pytest.mark.parametrize("slab_cells", [1, 7, 64])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_variation_kernel_across_slabs_on_corpus(slab_cells, dim):
+    from bvlorentz.corpus import corpus_grids
+
+    with mock.patch.object(bv, "_SLAB_CELLS", slab_cells):
+        for u in corpus_grids(3, dim, 5):
+            _assert_same_variation(u)
+
+
+@pytest.mark.parametrize("extents", [(100_000,), (300, 300), (48, 48, 48)])
+def test_variation_kernel_crosses_the_real_slab_size(extents):
+    rng = np.random.default_rng(len(extents))
+    vals = np.round(rng.standard_normal(extents), 2) * (rng.random(extents) < 0.7)
+    u = GridFunction(len(extents), 4, (-3,) * len(extents), extents, vals)
+    assert np.prod([n + 2 for n in extents]) > 2 * bv._SLAB_CELLS
+    _assert_same_variation(u)
+
+
+def test_variation_kernel_allocates_only_its_output():
+    rng = np.random.default_rng(0)
+    u = GridFunction(2, 10, (0, 0), (1024, 1024), rng.standard_normal((1024, 1024)))
+    tracemalloc.start()
+    try:
+        _, contrib = bv._local_contributions(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= contrib.nbytes + 2**20
 
 
 # -- the variation is computed once per grid function -------------------------

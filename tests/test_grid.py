@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bvlorentz.grid import (
     DEFAULT_CELL_GUARD,
@@ -145,6 +145,48 @@ def test_trim_and_support_measure(single_cell):
     z = GridFunction(2, 3, (5, 5), (4, 4), np.zeros((4, 4)))
     tz = trim(z)
     assert tz.extents == (1, 1) and tz.l1_norm() == 0.0
+
+
+
+def _former_trim(u):
+    """trim as it was: the min and max of the index arrays of every nonzero cell."""
+    nz = np.nonzero(u.values)
+    if len(nz[0]) == 0:
+        one = tuple(1 for _ in range(u.dim))
+        return GridFunction(u.dim, u.level, u.origin, one, np.zeros(one))
+    lo = [int(ix.min()) for ix in nz]
+    hi = [int(ix.max()) + 1 for ix in nz]
+    sl = tuple(slice(a, b) for a, b in zip(lo, hi))
+    origin = tuple(o + a for o, a in zip(u.origin, lo))
+    extents = tuple(b - a for a, b in zip(lo, hi))
+    return GridFunction(u.dim, u.level, origin, extents, u.values[sl])
+
+
+@st.composite
+def _trim_grids(draw):
+    dim = draw(st.integers(1, 3))
+    extents = tuple(draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim)))
+    origin = tuple(draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim)))
+    cells = int(np.prod(extents))
+    # mostly zeros of both signs, so the support is sparse or empty
+    flat = draw(st.lists(
+        st.sampled_from([0.0, 0.0, 0.0, -0.0, -0.0, 1.5, -2.0, 5e-324]),
+        min_size=cells, max_size=cells,
+    ))
+    return GridFunction(dim, draw(st.integers(-3, 3)), origin, extents, np.array(flat).reshape(extents))
+
+
+@given(_trim_grids())
+@settings(max_examples=300, deadline=None)
+@example(GridFunction(3, 0, (1, 2, 3), (2, 3, 2), np.zeros((2, 3, 2))))
+@example(GridFunction(2, 1, (0, -1), (3, 2), np.full((3, 2), -0.0)))
+@example(GridFunction(1, 0, (5,), (4,), np.array([-0.0, 0.0, 2.0, -0.0])))
+def test_trim_matches_the_former_nonzero_trim(u):
+    got, ref = trim(u), _former_trim(u)
+    assert (got.level, got.origin, got.extents) == (ref.level, ref.origin, ref.extents)
+    assert got.values.tobytes() == ref.values.tobytes()
+    # a contiguous box is a view of u, as before; any other box is a copy
+    assert np.shares_memory(got.values, u.values) == np.shares_memory(ref.values, u.values)
 
 
 def test_value_measure_pairs(single_cell):

@@ -384,3 +384,44 @@ def test_log_core_equals_the_direct_core_where_both_are_normal(q):
         core = np.sum(step.normalized_values ** q * (2.0 / q) * np.diff(tau ** (q / 2.0)))
         got = _log_core_over_q(step.normalized_values, tau, 2.0, q)
         assert got == pytest.approx(math.log(core) / q, rel=1e-12, abs=1e-14)
+
+
+# -- the symmetrization form past the range of its powers -------------------------
+
+def _former_symmetrization(s, p, q, dim):
+    """lorentz_norm_symmetrization as it was before the powers could overflow."""
+    prof = schwarz_profile(s, dim)
+    omega = unit_ball_volume(dim)
+    radii = np.concatenate(([0.0], np.cumsum(prof.measures)))
+    core = np.sum(prof.values**q * (dim * omega) * (p / (dim * q)) * np.diff(radii ** (dim * q / p)))
+    return omega ** ((q - p) / (p * q)) * float(core) ** (1.0 / q)
+
+
+@pytest.mark.parametrize("q", [1e3, 1e4, 1e308])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_symmetrization_of_huge_q_agrees_with_the_chunk_quadrature(q, dim):
+    # at q = 1e3 the unnormalized powers overflow but the factored core is
+    # normal; at 1e4 and 1e308 it underflows too and is summed in logs
+    for step in _corpus_steps():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lorentz_norm_symmetrization(step, LorentzIndex(2.0, q), dim=dim)
+        assert math.isfinite(got)
+        assert got == pytest.approx(lorentz_norm(step, LorentzIndex(2.0, q)), rel=1e-10)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0, 10.0, 100.0])
+def test_symmetrization_with_a_normal_core_is_unchanged(q):
+    for step in _corpus_steps():
+        got = lorentz_norm_symmetrization(step, LorentzIndex(2.0, q), dim=2)
+        assert got == _former_symmetrization(step, 2.0, q, 2)
+
+
+def test_symmetrization_past_a_double_in_a_factor():
+    # as for lorentz_norm: core^(1/q) overflows at q = 2^-7 though the norm
+    # 2^1014 is a double, and q near 0 overflows the norm itself
+    s = StepFunction(np.array([2.0**-10]), np.array([1.0]))
+    for q in (2.0**-7, 1e-300, 5e-324):
+        want = lorentz_norm(s, LorentzIndex(2.0, q))
+        got = lorentz_norm_symmetrization(s, LorentzIndex(2.0, q), dim=2)
+        assert got == want if math.isinf(want) else got == pytest.approx(want, rel=1e-10)
