@@ -31,7 +31,7 @@ from . import layers
 from . import profiles as prof
 from .corpus import corpus_elements, corpus_grids, corpus_steps
 from .grid import GridFunction, InputError, MemoryGuardError, _json_text, load_grid
-from .group import isometry_defect
+from .group import isometry_defects
 from .rearrange import (
     LorentzIndex,
     critical_exponent,
@@ -305,12 +305,12 @@ def _suite_isometry(seed: int, dims: list[int], count: int) -> dict:
     for d in dims:
         grids = corpus_grids(seed, d, count)
         els = corpus_elements(seed + 1, d, count)
+        norm_ids = ["bv"]
+        if d >= 2:
+            p = critical_exponent(d)
+            norm_ids += [("lorentz", p, q) for q in (1.0, p, float("inf"))]
         for u, g in zip(grids, els):
-            worst = max(worst, isometry_defect(g, u, "bv"))
-            if d >= 2:
-                p = critical_exponent(d)
-                for q in (1.0, p, float("inf")):
-                    worst = max(worst, isometry_defect(g, u, ("lorentz", p, q)))
+            worst = max(worst, *isometry_defects(g, u, norm_ids))
             checked += 1
     return {"count": checked, "worst_defect": worst, "tolerance": 1e-12, "ok": worst <= 1e-12}
 

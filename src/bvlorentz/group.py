@@ -28,6 +28,7 @@ __all__ = [
     "identity",
     "inverse",
     "isometry_defect",
+    "isometry_defects",
 ]
 
 #: Largest |j| accepted by the action; <= 20 keeps every scale factor exact
@@ -187,14 +188,27 @@ def _norm_value(u: GridFunction, norm_id) -> float:
     raise ValueError(f"unknown norm id {norm_id!r}")
 
 
+def isometry_defects(g: GroupElement, u: GridFunction, norm_ids) -> list[float]:
+    """Relative defects |‖gu‖ - ‖u‖| / ‖u‖, one per norm id, from one action.
+
+    ``g`` acts on ``u`` at most once, and not at all when every norm of
+    ``u`` is zero, so ``g u`` is sorted and its faces summed once for all
+    the ids.  A norm that is zero on ``u`` gives a defect of 0.
+    """
+    befores = [_norm_value(u, norm_id) for norm_id in norm_ids]
+    if not any(befores):
+        return [0.0] * len(befores)
+    gu = act(g, u)
+    return [
+        0.0 if before == 0.0 else abs(_norm_value(gu, norm_id) - before) / before
+        for norm_id, before in zip(norm_ids, befores)
+    ]
+
+
 def isometry_defect(g: GroupElement, u: GridFunction, norm_id) -> float:
     """Relative defect |‖gu‖ - ‖u‖| / ‖u‖ (zero function gives 0).
 
     ``norm_id`` is "bv", ("lorentz", p, q) or ("lebesgue", p); only the
     variation and the critical-exponent Lorentz norms are isometric.
     """
-    before = _norm_value(u, norm_id)
-    if before == 0.0:
-        return 0.0
-    after = _norm_value(act(g, u), norm_id)
-    return abs(after - before) / before
+    return isometry_defects(g, u, [norm_id])[0]

@@ -161,12 +161,19 @@ def dual_pairing_inverse_radius(u: RadialStep) -> float:
 
 def to_grid(u: RadialStep, level: int) -> GridFunction:
     """Sample the radial function at the cell centers of the dyadic grid on
-    the symmetric cube just covering the support."""
-    scale = 2 ** level
-    o = int(np.floor(-u.outer_radius * scale))
-    n = int(np.ceil(u.outer_radius * scale)) - o
+    the symmetric cube just covering the support.
+
+    The cube has n = 2k cells per axis with origin -k, so the cell centres
+    (i + 1/2) h are symmetric about 0 and a mirrored centre has bitwise the
+    same squared radius.  Only the (n/2)^dim centres of the positive orthant
+    are evaluated; the other orthants are mirror copies of them.
+    """
+    k = int(np.ceil(u.outer_radius * 2**level))
+    n = 2 * k
     _guard(n**u.dim)
-    axis = (o + np.arange(n) + 0.5) * 2.0 ** (-level)
-    mesh = np.meshgrid(*[axis] * u.dim, indexing="ij")
-    rr = np.sqrt(sum(m**2 for m in mesh))
-    return GridFunction(u.dim, level, (o,) * u.dim, (n,) * u.dim, _frozen(u.evaluate(rr)))
+    axis = (np.arange(k) + 0.5) * 2.0 ** (-level)
+    mesh = np.meshgrid(*[axis] * u.dim, indexing="ij", sparse=True)
+    q = u.evaluate(np.sqrt(sum(m**2 for m in mesh)))
+    for a in range(u.dim):
+        q = np.concatenate((np.flip(q, a), q), axis=a)
+    return GridFunction(u.dim, level, (-k,) * u.dim, (n,) * u.dim, _frozen(q))

@@ -175,7 +175,9 @@ def schwarz_profile(u, dim: int | None = None) -> StepFunction | None:
     """Radial profile of the symmetrized function: u#(r) = u*(|B_1| r^dim).
 
     Returned as a step function over the radius variable; chunk "measures"
-    are radius increments.
+    are radius increments.  A chunk whose radius increment rounds to 0 (its
+    measure is lost against a much larger ball) is dropped: it adds exactly
+    0 to every norm of the profile.  None if no chunk is left.
     """
     if dim is None:
         dim = getattr(u, "dim", None)
@@ -187,7 +189,10 @@ def schwarz_profile(u, dim: int | None = None) -> StepFunction | None:
     omega = unit_ball_volume(dim)
     radii = np.power(s.cumulative() / omega, 1.0 / dim)
     widths = np.diff(np.concatenate(([0.0], radii)))
-    return StepFunction(s.values, widths)
+    keep = widths > 0
+    if not keep.any():
+        return None
+    return StepFunction(s.values[keep], widths[keep])
 
 
 def lorentz_norm(u, idx: LorentzIndex) -> float:

@@ -15,7 +15,10 @@ from bvlorentz.group import (
     identity,
     inverse,
     isometry_defect,
+    isometry_defects,
 )
+from bvlorentz import group
+from bvlorentz.corpus import corpus_elements, corpus_grids
 from bvlorentz.grid import GridFunction
 from bvlorentz.profiles import load_sequence, save_sequence
 from bvlorentz.rearrange import critical_exponent
@@ -193,6 +196,43 @@ def test_isometry_zero_function():
     z = GridFunction(2, 0, (0, 0), (2, 2), np.zeros((2, 2)))
     g = GroupElement(1, DyadicVector.integers(1, 1))
     assert isometry_defect(g, z, "bv") == 0.0
+
+
+def _counting_act(monkeypatch):
+    calls = []
+    real = group.act
+
+    def counted(g, u):
+        calls.append(g)
+        return real(g, u)
+
+    monkeypatch.setattr(group, "act", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_isometry_defects_match_one_defect_per_id(dim, monkeypatch):
+    norm_ids = ["bv", ("lebesgue", 1.0)]
+    if dim >= 2:
+        p = critical_exponent(dim)
+        norm_ids += [("lorentz", p, q) for q in (1.0, p, float("inf"))]
+    grids = corpus_grids(7, dim, 5)
+    elements = corpus_elements(8, dim, 5)
+    want = [[isometry_defect(g, u, nid) for nid in norm_ids] for u, g in zip(grids, elements)]
+    calls = _counting_act(monkeypatch)
+    for u, g, row in zip(grids, elements, want):
+        before = len(calls)
+        assert isometry_defects(g, u, norm_ids) == row
+        assert len(calls) - before == 1  # every corpus grid is nonzero
+
+
+def test_isometry_defects_do_not_act_on_the_zero_grid(monkeypatch):
+    z = GridFunction(2, 0, (0, 0), (2, 2), np.zeros((2, 2)))
+    g = GroupElement(1, DyadicVector.integers(1, 1))
+    calls = _counting_act(monkeypatch)
+    norm_ids = ["bv", ("lorentz", 2.0, 1.0), ("lorentz", 2.0, float("inf"))]
+    assert isometry_defects(g, z, norm_ids) == [0.0, 0.0, 0.0]
+    assert calls == []
 
 
 def test_noncritical_lebesgue_is_not_isometric(single_cell):

@@ -116,6 +116,49 @@ def test_to_grid_sampling():
     assert box_mass(g, (0.0, 0.0), (2.0, 2.0)) == pytest.approx(u.l1_norm() / 4.0, rel=0.05)
 
 
+def _former_to_grid(u, level):
+    """to_grid as it was before it sampled one orthant: a dense mesh of the cube."""
+    scale = 2 ** level
+    o = int(np.floor(-u.outer_radius * scale))
+    n = int(np.ceil(u.outer_radius * scale)) - o
+    axis = (o + np.arange(n) + 0.5) * 2.0 ** (-level)
+    mesh = np.meshgrid(*[axis] * u.dim, indexing="ij")
+    rr = np.sqrt(sum(m**2 for m in mesh))
+    return (o,) * u.dim, (n,) * u.dim, u.evaluate(rr)
+
+
+#: cells per half-axis a drawn radius may reach, so a 3-d cube stays small
+_HALF_AXIS = {1: 64, 2: 24, 3: 8}
+
+
+@st.composite
+def radial_on_a_grid(draw):
+    dim = draw(st.integers(1, 3))
+    level = draw(st.integers(-2, 8))
+    h = 2.0**-level
+    k = _HALF_AXIS[dim]
+    # the radius of a cell centre, computed as the sampler computes it, puts
+    # a breakpoint exactly where a shell boundary meets the cells
+    centre = st.lists(st.integers(0, k - 1), min_size=dim, max_size=dim).map(
+        lambda idx: float(np.sqrt(sum(((i + 0.5) * h) ** 2 for i in idx)))
+    )
+    free = st.floats(h / 64, k * h, allow_nan=False)
+    radii = sorted(draw(st.lists(st.one_of(centre, free), min_size=1, max_size=5, unique=True)))
+    values = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(radii), max_size=len(radii)))
+    return RadialStep(dim, np.array([0.0] + radii), np.array(values)), level
+
+
+@given(radial_on_a_grid())
+@settings(max_examples=200, deadline=None)
+def test_to_grid_equals_the_dense_sampling_it_replaces(case):
+    u, level = case
+    g = to_grid(u, level)
+    origin, extents, values = _former_to_grid(u, level)
+    assert (g.level, g.origin, g.extents) == (level, origin, extents)
+    assert g.values.shape == values.shape
+    assert (g.values == values).all()
+
+
 @given(st.integers(min_value=1, max_value=20), st.integers(min_value=-6, max_value=6))
 @settings(max_examples=80, deadline=None)
 def test_staircase_invariants_under_rescaling(n, i):

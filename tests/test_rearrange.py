@@ -118,6 +118,22 @@ def test_schwarz_profile_radii():
         schwarz_profile(s)  # StepFunction carries no ambient dim
 
 
+@pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+def test_symmetrization_drops_chunks_of_zero_radius_width(q):
+    # the second chunk's measure is lost against the first: its radius
+    # increment rounds to 0.0, and that chunk adds exactly 0 to the norm
+    s = step_from_pairs(np.array([2.0, 1.0]), np.array([1e20, 1e-10]))
+    prof = schwarz_profile(s, 2)
+    assert prof.values.tolist() == [2.0]
+    assert lorentz_norm(s, LorentzIndex(2.0, 2.0)) == 2e10
+    got = lorentz_norm_symmetrization(s, LorentzIndex(2.0, q), dim=2)
+    assert got == pytest.approx(lorentz_norm(s, LorentzIndex(2.0, q)), rel=1e-12)
+    # a lone chunk whose ball radius underflows to 0 leaves no profile
+    tiny = StepFunction(np.array([1.0]), np.array([5e-324]))
+    assert schwarz_profile(tiny, 2) is None
+    assert lorentz_norm_symmetrization(tiny, LorentzIndex(2.0, q), dim=2) == 0.0
+
+
 def test_unit_ball_volume_and_critical_exponent():
     assert unit_ball_volume(1) == 2.0
     assert unit_ball_volume(2) == math.pi
