@@ -43,42 +43,10 @@ from .rearrange import (
 
 SCHEMA_VERSION = 1
 
-_DEFAULTS: dict[str, dict] = {
-    "norms": {"input": None, "q_list": "1,1.5,2,inf", "out": None},
-    "counterexample": {
-        "dim": 2,
-        "n_max": 12,
-        "q_list": "1,1.2,1.5,2",
-        "quad_level": 9,
-        "probe": True,
-        "out_dir": ".",
-    },
-    "decompose": {
-        "input": None,
-        "epsilon": None,
-        "max_profiles": 8,
-        "scale_window": 10,
-        "window_radius": 4,
-        "cauchy_tol": 0.05,
-        "stride": 1,
-        "profile_level": None,
-        "delta": 0.1,
-        "separation_floor": 1.0,
-        "out_dir": ".",
-    },
-    "audit": {
-        "seed": 7,
-        "dims": "2",
-        "count": 25,
-        "negative_control": "none",
-        "out": None,
-    },
-}
-
-
 def _merge(args: argparse.Namespace, command: str) -> dict:
-    cfg = dict(_DEFAULTS[command])
-    path = getattr(args, "config", None)
+    flags = _COMMANDS[command][2]
+    cfg = {dest: default for dest, _, default, _ in flags}
+    path = args.config
     if path:
         with open(path) as fh:
             try:
@@ -90,19 +58,21 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
         bad = sorted(set(loaded) - set(cfg))
         if bad:
             raise InputError(f"unknown config keys for {command}: {', '.join(bad)}")
+        types = {dest: typ for dest, typ, _, _ in flags}
         for key, value in loaded.items():  # a value passes where its text passes the flag's type
-            if key in args.flag_bools:
+            typ = types[key]
+            if typ is bool:
                 if type(value) is not bool:
                     raise InputError(f"{command}: config key {key!r} must be true or false, got {value!r}")
                 continue
-            typ = args.flag_types.get(key, str)  # a flag without a type takes text
+            choices = typ if isinstance(typ, tuple) else None
+            typ = str if choices else typ
             try:
                 if value is not None or cfg[key] is not None:
                     loaded[key] = typ(str(value))
             except ValueError:
                 why = f"config key {key!r} must be {typ.__name__}, got {value!r}"
                 raise InputError(f"{command}: {why}") from None
-            choices = args.flag_choices.get(key)
             if choices is not None and loaded[key] not in choices:
                 why = f"config key {key!r} must be one of {', '.join(map(repr, choices))}, got {value!r}"
                 raise InputError(f"{command}: {why}")
@@ -418,18 +388,50 @@ def cmd_audit(cfg: dict) -> int:
 
 # -- wiring ------------------------------------------------------------------------
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON config file; flags override its keys")
-    sp.add_argument(
-        "--threads",
-        type=int,
-        help="accepted for interface stability; computations are single-threaded",
-    )
-    sp.set_defaults(
-        flag_types={a.dest: a.type for a in sp._actions if a.type is not None},
-        flag_choices={a.dest: a.choices for a in sp._actions if a.choices is not None},
-        flag_bools={a.dest for a in sp._actions if isinstance(a, argparse.BooleanOptionalAction)},
-    )
+# per subcommand: its handler, its help and its flags as (dest, type, default,
+# help); a bool type is a --x/--no-x switch and a tuple lists the choices.  The
+# parser, the --config keys and the defaults all come from this one table.
+_COMMANDS: dict[str, tuple] = {
+    "norms": (cmd_norms, "norm table of a saved grid function", (
+        ("input", str, None, "path to a .grid file"),
+        ("q_list", str, "1,1.5,2,inf", "comma list of second indices (inf allowed)"),
+        ("out", str, None, "output JSON path (default: stdout)"),
+    )),
+    "counterexample": (cmd_counterexample, "concentration family report and probe", (
+        ("dim", int, 2, None),
+        ("n_max", int, 12, None),
+        ("q_list", str, "1,1.2,1.5,2", None),
+        ("quad_level", int, 9, None),
+        ("probe", bool, True, None),
+        ("out_dir", str, ".", None),
+    )),
+    "decompose": (cmd_decompose, "profile extraction on a saved sequence", (
+        ("input", str, None, "sequence directory (manifest.json + .grid files)"),
+        ("epsilon", float, None, "profile size threshold (variation)"),
+        ("max_profiles", int, 8, None),
+        ("scale_window", int, 10, None),
+        ("window_radius", int, 4, None),
+        ("cauchy_tol", float, 0.05, None),
+        ("stride", int, 1, None),
+        ("profile_level", int, None, None),
+        ("delta", float, 0.1, "allowed pile-up in the energy audit"),
+        ("separation_floor", float, 1.0, None),
+        ("out_dir", str, ".", None),
+    )),
+    "audit": (cmd_audit, "invariant suites over a seeded corpus", (
+        ("seed", int, 7, None),
+        ("dims", str, "2", "comma list of dimensions, e.g. 1,2"),
+        ("count", int, 25, None),
+        ("negative_control", ("none", "broken-chi"), "none", "broken-chi understates the layer "
+         "derivative bound; exactly the chain_rule suite must then fail"),
+        ("out", str, None, "output JSON path (default: stdout)"),
+    )),
+}
+# every subcommand also takes these; they are no --config keys
+_COMMON = (
+    ("config", str, None, "JSON config file; flags override its keys"),
+    ("threads", int, None, "accepted for interface stability; computations are single-threaded"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -438,66 +440,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="numerical laboratory for concentration analysis on dyadic grids",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("norms", help="norm table of a saved grid function")
-    sp.add_argument("--input", help="path to a .grid file")
-    sp.add_argument("--q-list", dest="q_list", help="comma list of second indices (inf allowed)")
-    sp.add_argument("--out", help="output JSON path (default: stdout)")
-    _add_common(sp)
-
-    sp = sub.add_parser("counterexample", help="concentration family report and probe")
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--n-max", dest="n_max", type=int)
-    sp.add_argument("--q-list", dest="q_list")
-    sp.add_argument("--quad-level", dest="quad_level", type=int)
-    sp.add_argument("--probe", action=argparse.BooleanOptionalAction, default=None)
-    sp.add_argument("--out-dir", dest="out_dir")
-    _add_common(sp)
-
-    sp = sub.add_parser("decompose", help="profile extraction on a saved sequence")
-    sp.add_argument("--input", help="sequence directory (manifest.json + .grid files)")
-    sp.add_argument("--epsilon", type=float, help="profile size threshold (variation)")
-    sp.add_argument("--max-profiles", dest="max_profiles", type=int)
-    sp.add_argument("--scale-window", dest="scale_window", type=int)
-    sp.add_argument("--window-radius", dest="window_radius", type=int)
-    sp.add_argument("--cauchy-tol", dest="cauchy_tol", type=float)
-    sp.add_argument("--stride", type=int)
-    sp.add_argument("--profile-level", dest="profile_level", type=int)
-    sp.add_argument("--delta", type=float, help="allowed pile-up in the energy audit")
-    sp.add_argument("--separation-floor", dest="separation_floor", type=float)
-    sp.add_argument("--out-dir", dest="out_dir")
-    _add_common(sp)
-
-    sp = sub.add_parser("audit", help="invariant suites over a seeded corpus")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--dims", help="comma list of dimensions, e.g. 1,2")
-    sp.add_argument("--count", type=int)
-    sp.add_argument(
-        "--negative-control",
-        dest="negative_control",
-        choices=("none", "broken-chi"),
-        help="broken-chi understates the layer derivative bound; exactly the "
-        "chain_rule suite must then fail",
-    )
-    sp.add_argument("--out", help="output JSON path (default: stdout)")
-    _add_common(sp)
-
+    for command, (_, about, flags) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=about)
+        for dest, typ, _, text in flags + _COMMON:
+            if typ is bool:
+                kw = {"action": argparse.BooleanOptionalAction}
+            elif isinstance(typ, tuple):
+                kw = {"choices": typ}
+            else:  # int or float; a text flag keeps argparse's untyped string
+                kw = {"type": None if typ is str else typ}
+            sp.add_argument("--" + dest.replace("_", "-"), help=text, **kw)
     return parser
-
-
-_COMMANDS = {
-    "norms": cmd_norms,
-    "counterexample": cmd_counterexample,
-    "decompose": cmd_decompose,
-    "audit": cmd_audit,
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _merge(args, args.command)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (InputError, MemoryGuardError, OSError) as err:  # faults of the arguments or input files
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -268,9 +268,7 @@ def linear_combine(coeffs: Sequence[float], fns: Sequence[GridFunction]) -> Grid
     if len(coeffs) != len(fns):
         raise ValueError("one coefficient per function")
     level, origin, extents = common_refinement(fns)
-    acc = np.zeros(extents)
-    _add_into(acc, level, origin, coeffs, fns)
-    return _computed(fns[0].dim, level, origin, acc, "a linear combination")
+    return _sum_on(fns[0].dim, level, origin, extents, coeffs, fns, "a linear combination")
 
 
 def trim(u: GridFunction) -> GridFunction:
@@ -390,16 +388,19 @@ def _block(u: GridFunction, level: int, lo: Sequence[int], hi: Sequence[int]) ->
     return block
 
 
-def _add_into(acc: np.ndarray, level: int, origin: Sequence[int], coeffs, fns) -> None:
-    """Add each ``c * f`` in order into ``acc``, the box at ``origin`` and
-    ``level``, reading only the cells of ``f`` under the box.  An overflow
-    is left to the caller's finite check (see :func:`_computed`)."""
+def _sum_on(dim: int, level: int, origin: Sequence[int], extents: Sequence[int], coeffs, fns,
+            what: str) -> GridFunction:
+    """``sum c * f`` on the box at ``origin`` and ``level``: each term is
+    added in order onto 0.0, reading only the cells of ``f`` under the box.
+    An overflow is refused as input, naming ``what`` (see :func:`_computed`)."""
+    acc = np.zeros(extents)
     for c, f in zip(coeffs, fns):
-        box = _overlap_box(f, level, origin, acc.shape)
+        box = _overlap_box(f, level, origin, extents)
         if box is not None:
             sl = tuple(slice(a - o, b - o) for a, b, o in zip(*box, origin))
             with np.errstate(over="ignore"):
                 acc[sl] += c * _block(f, level, *box)
+    return _computed(dim, level, origin, acc, what)
 
 
 def _computed(dim: int, level: int, origin: Sequence[int], values: np.ndarray, what: str):
@@ -424,17 +425,7 @@ def resample_to(
     origin = tuple(int(o) for o in origin)
     extents = tuple(int(n) for n in extents)
     _guard(math.prod(extents))
-    box = _overlap_box(u, level, origin, extents)
-    if box is None:
-        return GridFunction(u.dim, level, origin, extents, _frozen(np.zeros(extents)))
-    lo, hi = box
-    block = _block(u, level, lo, hi)
-    covers = lo == list(origin) and hi == [o + n for o, n in zip(origin, extents)]
-    if block.base is not None or not covers:  # the result owns its cells, also at u's level
-        out = np.zeros(extents)
-        out[tuple(slice(a - o, b - o) for a, b, o in zip(lo, hi, origin))] = block
-        block = out
-    return _computed(u.dim, level, origin, block, "resampling")
+    return _sum_on(u.dim, level, origin, extents, (1.0,), (u,), "resampling")
 
 
 # -- regions -----------------------------------------------------------------

@@ -67,9 +67,6 @@ class DyadicVector:
     def dim(self) -> int:
         return len(self.numerators)
 
-    def is_zero(self) -> bool:
-        return all(n == 0 for n in self.numerators)
-
     def as_floats(self) -> np.ndarray:
         return np.asarray(self.numerators, dtype=float) * 2.0**-self.level
 

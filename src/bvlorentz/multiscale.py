@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bv
-from .grid import GridFunction, _add_into, _computed, _footprint, linear_combine, trim
+from .grid import GridFunction, _computed, _footprint, _sum_on, linear_combine, trim
 from .group import GroupElement, act, compose, identity
 
 __all__ = ["DyadicSum", "Term", "dyadic_sum"]
@@ -124,13 +124,9 @@ class DyadicSum:
         into that slice; clusters are added in order onto 0.0, and those
         outside the window are skipped.
         """
-        acc = np.zeros(extents)
         clusters = self.clusters()
-        _add_into(acc, level, origin, [1.0] * len(clusters), clusters)
-        return _computed(self.dim, level, origin, acc, "window materialization")
-
-    def is_zero(self) -> bool:
-        return len(self.clusters()) == 0
+        return _sum_on(self.dim, level, origin, extents, [1.0] * len(clusters), clusters,
+                       "window materialization")
 
 
 def dyadic_sum(u: GridFunction | DyadicSum) -> DyadicSum:

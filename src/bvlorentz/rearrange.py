@@ -116,9 +116,6 @@ class StepFunction:
     def cumulative(self) -> np.ndarray:
         return np.cumsum(self.measures)
 
-    def value_measure_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.values, self.measures
-
 
 def step_from_pairs(values: np.ndarray, measures) -> StepFunction | None:
     """Sort |values| decreasingly, merge equal values, drop zeros.

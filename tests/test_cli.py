@@ -1,4 +1,5 @@
 """Command line interface: exit codes, config precedence, determinism."""
+import argparse
 import contextlib
 import io
 import json
@@ -216,13 +217,96 @@ _TYPED_KEYS = [
 ]
 
 
-def test_typed_keys_cover_every_int_and_float_flag():
+def _actions(command: str) -> list:
+    """The built parser's actions of ``command``, in declaration order."""
     parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[command]._actions if a.dest != "help"]
+
+
+def test_typed_keys_cover_every_int_and_float_flag():
     declared = []
-    for command, defaults in cli._DEFAULTS.items():
-        types = parser.parse_args([command]).flag_types
-        declared += [(command, k, t.__name__) for k, t in types.items() if k in defaults]
+    for command, (_, _, flags) in cli._COMMANDS.items():
+        keys = {dest for dest, *_ in flags}
+        declared += [(command, a.dest, a.type.__name__) for a in _actions(command)
+                     if a.type is not None and a.dest in keys]
     assert sorted(declared) == sorted(_TYPED_KEYS)
+
+
+# the defaults and flags as declared before one table in cli held them
+_FORMER_DEFAULTS = {
+    "norms": {"input": None, "q_list": "1,1.5,2,inf", "out": None},
+    "counterexample": {
+        "dim": 2,
+        "n_max": 12,
+        "q_list": "1,1.2,1.5,2",
+        "quad_level": 9,
+        "probe": True,
+        "out_dir": ".",
+    },
+    "decompose": {
+        "input": None,
+        "epsilon": None,
+        "max_profiles": 8,
+        "scale_window": 10,
+        "window_radius": 4,
+        "cauchy_tol": 0.05,
+        "stride": 1,
+        "profile_level": None,
+        "delta": 0.1,
+        "separation_floor": 1.0,
+        "out_dir": ".",
+    },
+    "audit": {
+        "seed": 7,
+        "dims": "2",
+        "count": 25,
+        "negative_control": "none",
+        "out": None,
+    },
+}
+# per subcommand: (option strings, type, choices) of each flag, in order
+_FORMER_FLAGS = {
+    "norms": [(("--input",), None, None), (("--q-list",), None, None), (("--out",), None, None)],
+    "counterexample": [
+        (("--dim",), int, None),
+        (("--n-max",), int, None),
+        (("--q-list",), None, None),
+        (("--quad-level",), int, None),
+        (("--probe", "--no-probe"), None, None),
+        (("--out-dir",), None, None),
+    ],
+    "decompose": [
+        (("--input",), None, None),
+        (("--epsilon",), float, None),
+        (("--max-profiles",), int, None),
+        (("--scale-window",), int, None),
+        (("--window-radius",), int, None),
+        (("--cauchy-tol",), float, None),
+        (("--stride",), int, None),
+        (("--profile-level",), int, None),
+        (("--delta",), float, None),
+        (("--separation-floor",), float, None),
+        (("--out-dir",), None, None),
+    ],
+    "audit": [
+        (("--seed",), int, None),
+        (("--dims",), None, None),
+        (("--count",), int, None),
+        (("--negative-control",), None, ("none", "broken-chi")),
+        (("--out",), None, None),
+    ],
+}
+_FORMER_COMMON = [(("--config",), None, None), (("--threads",), int, None)]
+
+
+@pytest.mark.parametrize("command", sorted(_FORMER_DEFAULTS))
+def test_table_keeps_the_former_defaults_and_flags(command):
+    args = cli._build_parser().parse_args([command])
+    assert cli._merge(args, command) == _FORMER_DEFAULTS[command]
+    declared = [(tuple(a.option_strings), a.type, a.choices) for a in _actions(command)]
+    assert declared == _FORMER_FLAGS[command] + _FORMER_COMMON
+    assert sorted(cli._COMMANDS) == sorted(_FORMER_DEFAULTS)
 
 
 @pytest.mark.parametrize("value", ["abc", [1], True, {"a": 1}])
@@ -794,7 +878,7 @@ _FUZZ = {
 
 def _unparseable(command: str, flag: str, text: str) -> bool:
     """Whether argparse refuses ``text`` for ``flag`` by its type."""
-    typ = cli._build_parser().parse_args([command]).flag_types.get(flag[2:].replace("-", "_"))
+    typ = next(a.type for a in _actions(command) if flag in a.option_strings)
     if typ is None:
         return False
     try:

@@ -41,7 +41,7 @@ def test_dyadic_vector_arithmetic():
     assert (-a).as_floats()[0] == -0.5
     assert a.scaled_pow2(3).numerators == (4,)  # 1/2 * 8
     assert a.scaled_pow2(-2).as_floats()[0] == 0.125
-    assert DyadicVector.zero(2).is_zero()
+    assert DyadicVector.zero(2).numerators == (0, 0)
     assert DyadicVector.integers(3, -1).as_floats().tolist() == [3.0, -1.0]
     with pytest.raises(ValueError):
         a + DyadicVector.zero(2)

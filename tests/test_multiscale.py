@@ -17,10 +17,10 @@ def _block(value=1.0):
 
 def test_wrap_and_is_zero(single_cell):
     s = dyadic_sum(single_cell)
-    assert not s.is_zero()
+    assert s.clusters() != []
     assert dyadic_sum(s) is s
     z = dyadic_sum(GridFunction(2, 0, (0, 0), (1, 1), np.zeros((1, 1))))
-    assert z.is_zero()
+    assert z.clusters() == []
     assert z.total_variation() == 0.0
     assert z.l1_norm() == 0.0
     v, m = z.value_measure_pairs()
@@ -63,7 +63,7 @@ def test_gap_of_one_cell_separates():
 def test_cancellation_inside_cluster():
     u = _block()
     s = dyadic_sum(u).with_term(-1.0, identity(2), u)
-    assert s.is_zero()
+    assert s.clusters() == []
     assert s.total_variation() == 0.0
 
 
@@ -373,6 +373,13 @@ def test_resample_at_the_same_level_owns_its_cells():
     r = resample_to(u, 1, (1, 0), (2, 4))
     assert r.values.tobytes() == u.values[1:3].tobytes()
     assert r.values.flags.owndata
+
+
+def test_resample_writes_a_negative_zero_as_zero():
+    # every cell is added onto 0.0, as in window materialization
+    u = GridFunction(1, 0, (0,), (3,), np.array([-0.0, 1.0, -0.0]))
+    for level, extents in ((0, (3,)), (1, (6,)), (-1, (2,))):
+        assert not np.signbit(resample_to(u, level, (0,), extents).values).any()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

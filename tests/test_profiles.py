@@ -66,7 +66,7 @@ def test_placements_track_the_planted_elements(two_profile_decomp):
     decomp, _ = two_profile_decomp
     broad, fine = decomp.profiles
     for k, g in enumerate(broad.placements, start=1):
-        assert g.j == 0 and g.y.is_zero()
+        assert g.j == 0 and g.y.numerators == (0, 0)
     for k, g in enumerate(fine.placements, start=1):
         assert g.j == k
         assert tuple(g.y.as_floats()) == (float(k), 0.0)
@@ -76,7 +76,7 @@ def test_remainders_vanish_exactly(two_profile_decomp):
     decomp, _ = two_profile_decomp
     # subtraction happens in the exact formal algebra, so nothing is left
     assert all(tv == 0.0 for tv in decomp.remainder_tv)
-    assert all(r.is_zero() for r in decomp.remainders)
+    assert all(r.clusters() == [] for r in decomp.remainders)
 
 
 def test_separation_and_energy_audits(two_profile_decomp):
