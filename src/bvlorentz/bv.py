@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import DimensionMismatchError, GridFunction, Region, _cell_centers, full_region
+from .grid import DimensionMismatchError, GridFunction, InputError, Region, _cell_centers, full_region
 
 __all__ = [
     "ChainRuleReport",
@@ -62,17 +62,22 @@ def _local_contributions(u: GridFunction) -> tuple[tuple[int, ...], np.ndarray]:
     ``_SLAB_CELLS`` cells each; the returned array is the only full-size
     allocation.  A slab's rows, plus the one above them, are copied into a
     reused zero-padded buffer.  The axis-0 term |pad[i+1] - pad[i]| is
-    written straight into the output rows, then each other axis adds its
-    |forward difference| through one reused scratch buffer, in axis order,
-    and the rows are scaled by h^{dim-1} in place.
+    written straight into the output rows.  Each other axis k, in axis
+    order, adds one contiguous shifted difference |flat[s:] - flat[:-s]| of
+    the slab's flat padded rows into the flat output rows, through one
+    reused scratch buffer, where s is the product of the padded extents
+    after axis k.  The rows are then scaled by h^{dim-1} in place.
 
     The bits are those of forward differences of a zero-padded copy, summed
     from a zero accumulator in axis order (the former kernel): each cell
     gets the same terms in the same order and the same scaling.  Writing the
     first term instead of adding it to 0.0 is exact, since 0.0 + t == t for
-    t >= +0, and faces between two padding cells add |0 - 0| = +0.0, which
-    leaves a sum of absolute values unchanged.  The array has the former
-    contiguous layout, so ``np.sum`` over it groups the terms the same way.
+    t >= +0.  A shifted difference that leaves a cell on the last padded
+    index of axis k wraps to index 0 of axis k further on; both of those
+    cells are padding, so it adds |0 - 0| = +0.0, as do faces between two
+    padding cells, and adding +0.0 leaves a sum of absolute values
+    unchanged.  The array has the former contiguous layout, so ``np.sum``
+    over it groups the terms the same way.
     """
     v = u.values
     n0, rest = v.shape[0], v.shape[1:]
@@ -82,6 +87,8 @@ def _local_contributions(u: GridFunction) -> tuple[tuple[int, ...], np.ndarray]:
     pad = np.zeros((rows + 1,) + out.shape[1:])  # only its inner cells are ever written
     scratch = np.empty(rows * row_cells)
     inner = (slice(1, -1),) * len(rest)
+    # flat stride of one step along each axis after the first
+    strides = [math.prod(out.shape[axis + 1 :]) for axis in range(1, u.dim)]
     h_face = u.spacing ** (u.dim - 1)
     for r0 in range(0, n0 + 2, rows):
         r1 = min(r0 + rows, n0 + 2)
@@ -94,16 +101,13 @@ def _local_contributions(u: GridFunction) -> tuple[tuple[int, ...], np.ndarray]:
         slab_out = out[r0:r1]
         np.subtract(slab_pad[1:], slab_pad[:-1], out=slab_out)
         np.abs(slab_out, out=slab_out)
-        base = slab_pad[:-1]
-        for axis in range(1, u.dim):
-            lead = (slice(None),) * axis
-            shape = list(slab_out.shape)
-            shape[axis] -= 1
-            diff = scratch[: math.prod(shape)].reshape(shape)
-            np.subtract(base[lead + (slice(1, None),)], base[lead + (slice(None, -1),)], out=diff)
+        base = slab_pad[:-1].reshape(-1)
+        flat_out = slab_out.reshape(-1)
+        for s in strides:
+            diff = scratch[: base.size - s]
+            np.subtract(base[s:], base[:-s], out=diff)
             np.abs(diff, out=diff)
-            faces = slab_out[lead + (slice(None, -1),)]
-            faces += diff
+            flat_out[:-s] += diff
         slab_out *= h_face
     return tuple(o - 1 for o in u.origin), out
 
@@ -214,8 +218,18 @@ def _axis_cubes(origin: int, n: int, level: int) -> np.ndarray:
 
     Integer arithmetic only: at level L >= 0 a cell of index k lies in cube
     k >> L; at L < 0 each cell spans 2^-L cubes and its center lies in cube
-    (k << -L) + 2^(-L-1).
+    (k << -L) + 2^(-L-1).  Coordinates that do not fit an int64 are refused,
+    checked on Python ints before any is computed.
     """
+    ends = (origin, origin + n - 1)
+    if level < 0:
+        ends = tuple((k << -level) + (1 << (-level - 1)) for k in ends)
+    int64 = np.iinfo(np.int64)
+    if not all(int64.min <= k <= int64.max for k in ends):
+        raise InputError(
+            f"level {level}: unit-cube coordinates {ends[0]}..{ends[1]} of cells "
+            f"{origin}..{origin + n - 1} do not fit a 64-bit integer"
+        )
     k = origin + np.arange(n, dtype=np.int64)
     if level >= 0:
         return k >> level
@@ -226,11 +240,15 @@ def lattice_tv_sum(u: GridFunction) -> TVReport:
     """Split TV over the integer lattice of unit cubes.
 
     Each cell's contribution is booked to the unit cube holding its center,
-    found by integer shifts of the cell index.  ``np.bincount`` adds each
-    cube's contributions in flat cell order from 0.0, and ``per_cube`` lists
-    the cubes in order of their first nonzero cell.  The sum over cubes is
-    checked against 3^dim times the total, the overlap factor coming from
-    differences that read one cell beyond each cube.
+    found by integer shifts of the cell index.  Keys are built for the
+    nonzero cells only: their indices are unraveled, each axis index is
+    looked up among that axis's distinct cube coordinates, and the ranks are
+    raveled into a dense cube key, so no key array of the full padded grid
+    is made.  ``np.bincount`` adds each cube's contributions in flat cell
+    order from 0.0, and ``per_cube`` lists the cubes in order of their first
+    nonzero cell.  The sum over cubes is checked against 3^dim times the
+    total, the overlap factor coming from differences that read one cell
+    beyond each cube.
     """
     origin, contrib = _local_contributions(u)
     flat = contrib.ravel()
@@ -243,8 +261,10 @@ def lattice_tv_sum(u: GridFunction) -> TVReport:
     ]
     cube_shape = tuple(len(c) for c, _ in axes)
     n_cubes = int(np.prod(cube_shape))
-    ranks = np.meshgrid(*(rank for _, rank in axes), indexing="ij", sparse=True)
-    keys = np.ravel_multi_index(ranks, cube_shape).ravel()[nz]
+    cells = np.unravel_index(nz, contrib.shape)
+    keys = np.ravel_multi_index(
+        tuple(rank[i] for (_, rank), i in zip(axes, cells)), cube_shape
+    )
     sums = np.bincount(keys, weights=flat[nz], minlength=n_cubes)
     # position of each cube's first nonzero cell; nz.size marks an empty cube
     first = np.full(n_cubes, nz.size)

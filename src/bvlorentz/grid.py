@@ -190,11 +190,23 @@ class GridFunction:
         Only the scalar is kept; the per-cell array it sums is freed.  It is
         inf when the sum overflows a double, which its users refuse.
         """
+        self.face_contributions()
+        return self.__dict__["variation"]
+
+    def face_contributions(self) -> np.ndarray:
+        """The per-cell variation array over the padded box (see
+        :mod:`bvlorentz.bv`), which is not kept.
+
+        Its sum is cached as :attr:`variation` on the way, so a caller that
+        needs both the array and the total runs the kernel once.
+        """
         from .bv import _local_contributions
 
         with np.errstate(over="ignore"):
             _, contrib = _local_contributions(self)
-            return float(np.sum(contrib))
+            if "variation" not in self.__dict__:
+                self.__dict__["variation"] = float(np.sum(contrib))
+        return contrib
 
     def l1_norm(self) -> float:
         return float(np.sum(np.abs(self.values))) * self.cell_measure

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bv import ChainRuleReport, ScalarC1, _local_contributions, compose_scalar, total_variation
+from .bv import ChainRuleReport, ScalarC1, compose_scalar, total_variation
 from .grid import GridFunction, UnsupportedDimensionError
 
 __all__ = [
@@ -209,10 +209,11 @@ def layer_energy_audit(
     if profile is None:
         profile = build_profile(u.dim)
     scales = active_scales(u, profile)
+    # one kernel run gives the band array and caches its sum as u's variation
+    contrib = u.face_contributions()
     tv = total_variation(u)
 
     # boundary faces sit on the padding ring, which every band mask leaves False
-    _, contrib = _local_contributions(u)
     band = np.zeros(contrib.shape, dtype=bool)
     band_tv: dict[int, float] = {}
     chain_reports: dict[int, ChainRuleReport] = {}

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bvlorentz import bv
 from bvlorentz.bv import (
@@ -20,6 +20,7 @@ from bvlorentz.bv import (
 from bvlorentz.grid import (
     DimensionMismatchError,
     GridFunction,
+    InputError,
     cube_region,
     full_region,
     refine,
@@ -235,6 +236,36 @@ def test_lattice_split_zero_function():
     assert rep.per_cube == {} and rep.total == 0.0 and rep.sum_per_cube == 0.0 and rep.ok
 
 
+def test_lattice_split_keys_only_the_nonzero_cells():
+    # a few nonzero cells in a 200^3 box: the split may allocate the kernel's
+    # output and O(nonzero + cubes) more, but no key per padded cell
+    vals = np.zeros((200, 200, 200))
+    vals[3:6, 100:104, 190:195] = 1.0
+    vals[150, 7, 0] = -2.5
+    u = GridFunction(3, 5, (-100, -100, -100), vals.shape, vals)
+    ref = _reference_lattice_tv_sum(u)
+    tracemalloc.start()
+    try:
+        rep = lattice_tv_sum(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an int64 key per padded cell would be another 202^3 * 8 bytes
+    assert peak <= 202**3 * 8 + 2**20
+    assert list(rep.per_cube.items()) == list(ref.per_cube.items())
+    assert rep.total == ref.total and rep.sum_per_cube == ref.sum_per_cube
+
+
+@pytest.mark.parametrize("level", [-60, -61, -62, -63, -64])
+def test_lattice_split_refuses_cube_coordinates_beyond_int64(level):
+    u = GridFunction(1, level, (3,), (3,), np.array([1.0, 0.0, 2.0]))
+    if level == -60:
+        _assert_same_split(u)
+        return
+    with pytest.raises(InputError, match=rf"^level {level}: "):
+        lattice_tv_sum(u)
+
+
 # -- the face-slab kernel against the former zero-padded kernel ---------------
 
 def _reference_local_contributions(u):
@@ -292,14 +323,43 @@ def _kernel_grids(draw):
     scale = draw(st.sampled_from([1.0, 1e-300, 1e300]))
     cells = int(np.prod(extents))
     flat = draw(st.lists(
-        st.one_of(st.sampled_from([0.0, 0.125, -0.5, 1e-5, -1e5]), st.floats(-1e5, 1e5)),
+        st.one_of(st.sampled_from([0.0, -0.0, 0.125, -0.5, 1e-5, -1e5]), st.floats(-1e5, 1e5)),
         min_size=cells, max_size=cells,
     ))
     vals = np.array(flat).reshape(extents) * scale
     return GridFunction(dim, level, origin, extents, vals)
 
 
-@given(_kernel_grids())
+def _face_touching(extents, seed):
+    """Nonzero on every face of its box, with a -0.0 cell inside when there
+    is room, so the shifted differences read real values next to each wrap."""
+    rng = np.random.default_rng(seed)
+    vals = rng.choice([0.0, 0.125, -0.5, 3.0], size=extents)
+    for axis in range(len(extents)):
+        for end in (0, -1):
+            face = vals[(slice(None),) * axis + (end,)]
+            face[face == 0.0] = 1.0
+    if all(n > 2 for n in extents):
+        vals[(1,) * len(extents)] = -0.0
+    return GridFunction(len(extents), 2, (-1,) * len(extents), extents, vals)
+
+
+#: 2-D and 3-D grids whose support touches every face of the box, some with
+#: extents of 1, so a shifted difference wraps next to nonzero cells
+_FACE_TOUCHING = [
+    _face_touching(extents, seed)
+    for seed, extents in enumerate([(4, 5), (1, 6), (5, 1), (3, 4, 5), (1, 3, 4), (4, 1, 1), (1, 1, 3)])
+]
+
+
+def _with_face_touching_examples(test):
+    for u in _FACE_TOUCHING:
+        test = example(u=u)(test)
+    return test
+
+
+@given(u=_kernel_grids())
+@_with_face_touching_examples
 @settings(max_examples=300, deadline=None)
 def test_variation_kernel_matches_padded_reference(u):
     # extents of 1, levels -6..7 and values near 1e-300 or 1e305 reach
@@ -325,6 +385,15 @@ def test_variation_kernel_matches_padded_reference_across_slabs(slab_cells, u):
     # padding rows fall at every position inside a slab
     with mock.patch.object(bv, "_SLAB_CELLS", slab_cells):
         _assert_same_variation(u)
+
+
+@pytest.mark.parametrize("slab_cells", [1, 7, 64])
+def test_face_touching_grids_across_slabs(slab_cells):
+    for u in _FACE_TOUCHING:
+        for axis in range(u.dim):
+            assert np.all(np.moveaxis(u.values, axis, 0)[[0, -1]] != 0.0)
+        with mock.patch.object(bv, "_SLAB_CELLS", slab_cells):
+            _assert_same_variation(u)
 
 
 @pytest.mark.parametrize("slab_cells", [1, 7, 64])
@@ -377,6 +446,14 @@ def test_total_variation_runs_the_kernel_once(kernel_calls, checker2d):
     first = total_variation(checker2d)
     assert total_variation(checker2d) == first
     assert kernel_calls == [checker2d]
+
+
+def test_face_contributions_cache_their_sum_as_the_variation(kernel_calls, checker2d):
+    contrib = checker2d.face_contributions()
+    assert total_variation(checker2d) == float(np.sum(contrib))
+    assert kernel_calls == [checker2d]
+    twin = GridFunction(2, checker2d.level, checker2d.origin, checker2d.extents, checker2d.values)
+    assert total_variation(twin) == total_variation(checker2d)
 
 
 def test_compose_scalar_reuses_the_input_variation(kernel_calls, checker2d):
