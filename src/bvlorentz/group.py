@@ -190,7 +190,9 @@ def isometry_defects(g: GroupElement, u: GridFunction, norm_ids) -> list[float]:
 
     ``g`` acts on ``u`` at most once, and not at all when every norm of
     ``u`` is zero, so ``g u`` is sorted and its faces summed once for all
-    the ids.  A norm that is zero on ``u`` gives a defect of 0.
+    the ids.  A norm that is zero on ``u`` gives a defect of 0.  ``g u`` is
+    sorted on its own and never gets ``u``'s rearrangement rescaled: a
+    rescaled one would check the scaling formula against itself.
     """
     befores = [_norm_value(u, norm_id) for norm_id in norm_ids]
     if not any(befores):

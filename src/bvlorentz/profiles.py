@@ -9,12 +9,17 @@ normalization this is invariant when a feature is moved to its native scale,
 so a bubble of fixed shape scores the same wherever the sequence put it.
 Rescaling only relabels cells, so one pyramid per cluster of pairwise block
 sums of |c| scores every cube at every scale; ties go to the smallest |s|
-(negative first), then to the lexicographically smallest cube.
+(negative first), then to the lexicographically smallest cube.  A cluster
+whose cube box meets no other cluster's is scored by one multiply of its own
+block; only clusters whose boxes meet are gathered from.
 
 The limit proxy is the trimmed materialization of the last aligned element,
-guarded by a Cauchy check on the aligned tail.  Sequences that concentrate
-nowhere fail the profile-size threshold immediately and come back with an
-empty profile list, which is the expected outcome for the staircase family.
+guarded by a Cauchy check on the aligned tail.  The tail is materialized on
+the bounding box of its clusters' overlaps with the window, not on the whole
+window, so a pass costs the cells the clusters cover.  Sequences that
+concentrate nowhere fail the profile-size threshold immediately and come
+back with an empty profile list, which is the expected outcome for the
+staircase family.
 """
 from __future__ import annotations
 
@@ -81,16 +86,18 @@ class SequenceFormatError(InputError):
 
 
 class NonConvergentSubsequenceError(RuntimeError):
-    """Aligned tail is not Cauchy on the window; thin the sequence and retry."""
+    """Aligned tail is not Cauchy on the window.  ``gaps``: L1 distances of
+    consecutive tail elements over the largest tail norm; ``stride_hint``:
+    the doubled stride, advised only when it leaves three elements, else None.
+    """
 
-    def __init__(self, rel_gap: float, tol: float, stride_hint: int):
-        self.rel_gap = rel_gap
-        self.tol = tol
-        self.stride_hint = stride_hint
+    def __init__(self, gaps, tol: float, stride_hint: int | None):
+        self.gaps, self.rel_gap, self.tol, self.stride_hint = tuple(gaps), max(gaps), tol, stride_hint
+        measured = " and ".join(f"{g:.4g}" for g in self.gaps)
+        advice = "" if stride_hint is None else f"; retry on a thinned subsequence (stride >= {stride_hint})"
         super().__init__(
-            f"aligned tail is not Cauchy on the window: relative L1 gap "
-            f"{rel_gap:.4g} exceeds {tol:.4g}; retry on a thinned subsequence "
-            f"(stride >= {stride_hint})"
+            f"aligned tail is not Cauchy on the window: relative L1 gap {self.rel_gap:.4g} exceeds "
+            f"{tol:.4g} (consecutive tail gaps {measured}){advice}"
         )
 
 
@@ -153,45 +160,55 @@ def _mass_pyramids(clusters: list[GridFunction], scale_window: int) -> list:
     return out
 
 
-def _cube_masses(pyramids: list, s: int, dim: int, cubes: np.ndarray) -> np.ndarray:
-    """Exact L1 mass of the sum rescaled by 2^s on each integer unit cube.
-
-    A cluster at level m = c.level + s covers cube k with its block k of 2^m
-    cells per axis when m > 0, and holds it inside cell k >> -m when m <= 0.
-    Clusters are added in order, starting from 0.0.
-    """
-    total = np.zeros(len(cubes))
-    for level, sums in pyramids:
-        m = level + s
-        origin, block = sums[max(m, 0)]
-        idx = (cubes >> max(-m, 0)) - origin
-        inside = np.all((idx >= 0) & (idx < block.shape), axis=1)
-        total[inside] += block[tuple(idx[inside].T)] * 2.0 ** ((dim - 1) * s - dim * max(m, 0))
-    return total
-
-
 def _best_cube_at_scale(pyramids: list, s: int, dim: int) -> tuple[float, tuple[int, ...]]:
     """(mass, cube) of the best unit cube at scale s, lexicographically first
-    among ties.  Candidates are the per-cluster maximizers (every nonzero
-    block of a fine cluster, the corner of the largest cell of a coarse
-    one), which is exhaustive for separated clusters."""
-    keys = []
+    among ties.
+
+    A cluster at level m = c.level + s covers cube k with its block k of 2^m
+    cells per axis when m > 0, and holds it inside cell k >> -m when m <= 0;
+    a cube's exact L1 mass adds each covering block times
+    2^((dim-1)s - dim*max(m, 0)), clusters in order, starting from 0.0.
+    Candidates are the per-cluster maximizers (every nonzero block of a fine
+    cluster, the corner of the largest cell of a coarse one), which is
+    exhaustive for separated clusters.  Only clusters whose cube boxes meet
+    can add to each other's candidates: a cluster whose box meets no other
+    is scored by one multiply of its own block (the bits of 0.0 + block * c),
+    and the candidates of the others are gathered from those alone.
+    """
+    layers = []
     for level, sums in pyramids:
         m = level + s
         origin, block = sums[max(m, 0)]
-        if m > 0:
-            keys.append(np.argwhere(block > 0.0) + origin)
+        shift = max(-m, 0)
+        box = (origin << shift, (origin + block.shape) << shift)
+        layers.append((m, shift, origin, block, 2.0 ** ((dim - 1) * s - dim * max(m, 0)), box))
+    found, shared, keys = [], [], []
+    for m, shift, origin, block, c, box in layers:
+        flat = np.flatnonzero(block > 0.0) if m > 0 else np.array([np.argmax(block)])
+        # every box meets itself, so a lone cluster counts one meeting
+        if sum(bool(np.all(np.maximum(box[0], b[0]) < np.minimum(box[1], b[1])))
+               for *_, b in layers) == 1:
+            scores = block.ravel()[flat] * c
+            k = int(np.argmax(scores))  # the first maximum, in lexicographic order
+            cube = (origin + np.unravel_index(flat[k], block.shape)) << shift
+            found.append((float(scores[k]), tuple(int(x) for x in cube)))
         else:
-            idx = np.unravel_index(int(np.argmax(block)), block.shape)
-            keys.append(((origin + idx) << -m)[None, :])
-    # a key listed twice gets the same total, so duplicates cannot move the
-    # maximum; the lexicographically smallest cube among the maxima wins
-    cubes = np.concatenate(keys)
-    total = _cube_masses(pyramids, s, dim, cubes)
-    best = total.max()
-    tied = cubes[total == best]
-    first = tied[np.lexsort(tied.T[::-1])[0]]
-    return float(best), tuple(int(k) for k in first)
+            shared.append((shift, origin, block, c))
+            keys.append((np.column_stack(np.unravel_index(flat, block.shape)) + origin) << shift)
+    if shared:
+        # a key listed twice gets the same total, so duplicates cannot move
+        # the maximum; the lexicographically smallest cube among the maxima wins
+        cubes = np.concatenate(keys)
+        total = np.zeros(len(cubes))
+        for shift, origin, block, c in shared:
+            idx = (cubes >> shift) - origin
+            inside = np.all((idx >= 0) & (idx < block.shape), axis=1)
+            total[inside] += block[tuple(idx[inside].T)] * c
+        best = total.max()
+        tied = cubes[total == best]
+        found.append((float(best), tuple(int(k) for k in tied[np.lexsort(tied.T[::-1])[0]])))
+    best = max(mass for mass, _ in found)
+    return best, min(cube for mass, cube in found if mass == best)
 
 
 def _best_alignment(r: DyadicSum, scale_window: int):
@@ -216,16 +233,35 @@ def _best_alignment(r: DyadicSum, scale_window: int):
     return best_mass, GroupElement(best_s, DyadicVector.integers(*(-c for c in best_cube)))
 
 
-def _window_level(tail, radius: int, dim: int, override: int | None) -> int:
-    if override is not None:
-        return override
-    cap = int(math.floor((math.log2(WINDOW_CELL_GUARD) - dim * math.log2(2 * radius)) / dim))
+def _window(tail, radius: int, dim: int, override: int | None) -> tuple:
+    """(level, origin, extents) of the box the aligned tail is materialized on.
+
+    The window is 2 * radius unit cubes wide around 0, at ``override`` or at
+    the finest level of a cluster that meets it, capped to fit the guard; a
+    window of more than ``WINDOW_CELL_GUARD`` cells raises MemoryGuardError.
+    Cells no cluster covers hold 0.0, so the box is the bounding box of the
+    clusters' overlaps with the window (a corner cell when none meets it),
+    and each of its cells gets the additions the window gives it.
+    """
     window = ((-radius,) * dim, (2 * radius,) * dim)
-    lv = max(
-        (c.level for t in tail for c in t.clusters() if _overlap_box(c, 0, *window) is not None),
-        default=0,
-    )
-    return max(0, min(lv, cap))
+    inside = [c for t in tail for c in t.clusters() if _overlap_box(c, 0, *window) is not None]
+    cap = int(math.floor((math.log2(WINDOW_CELL_GUARD) - dim * math.log2(2 * radius)) / dim))
+    lv = max(0, min(max((c.level for c in inside), default=0), cap)) if override is None else override
+    side = 2 * radius * 2**lv
+    if side**dim > WINDOW_CELL_GUARD:
+        raise MemoryGuardError(
+            f"window of radius {radius} at level {lv} needs {side**dim} cells, "
+            f"guard is {WINDOW_CELL_GUARD}"
+        )
+    # the window's edges lie on the level-0 lattice, so the clusters that
+    # meet it there are the ones that meet it at level lv
+    corner = (-side // 2,) * dim
+    boxes = [_overlap_box(c, lv, corner, (side,) * dim) for c in inside]
+    if not boxes:
+        return lv, corner, (1,) * dim
+    lo = np.min([b[0] for b in boxes], axis=0)
+    hi = np.max([b[1] for b in boxes], axis=0)
+    return lv, tuple(int(x) for x in lo), tuple(int(x) for x in hi - lo)
 
 
 def _check_threshold(name: str, value: float) -> None:
@@ -278,7 +314,8 @@ def extract_profiles(
         )
     if not cauchy_tol >= 0:
         raise ExtractionArgumentError(f"cauchy_tol must be nonnegative, got {cauchy_tol}")
-    seq = [dyadic_sum(u) for u in elements][::stride]
+    elements = [dyadic_sum(u) for u in elements]
+    seq = elements[::stride]
     if len(seq) < 3:
         raise ExtractionArgumentError(
             f"need at least three sequence elements for the tail check, got {len(seq)}"
@@ -302,16 +339,8 @@ def extract_profiles(
         history.append(scores)
 
         aligned_tail = [r.apply(h) for r, h in zip(remainders[-3:], aligns[-3:])]
-        lv = _window_level(aligned_tail, R, dim, profile_level)
+        lv, origin, extents = _window(aligned_tail, R, dim, profile_level)
         levels.append(lv)
-        side = 2 * R * 2**lv
-        if side**dim > WINDOW_CELL_GUARD:
-            raise MemoryGuardError(
-                f"window of radius {R} at level {lv} needs {side**dim} cells, "
-                f"guard is {WINDOW_CELL_GUARD}"
-            )
-        origin = (-side // 2,) * dim
-        extents = (side,) * dim
         mats = [t.materialize(lv, origin, extents) for t in aligned_tail]
 
         # termination first: a candidate below the size threshold is no
@@ -322,16 +351,16 @@ def extract_profiles(
             terminated_by = "epsilon"
             break
 
-        norms = [m.l1_norm() for m in mats]
-        denom = max(norms)
+        denom = max(m.l1_norm() for m in mats)
         if denom > 0.0:
             gaps = [
-                float(np.abs(a.values - b.values).sum()) * mats[0].cell_measure
+                float(np.abs(a.values - b.values).sum()) * mats[0].cell_measure / denom
                 for a, b in zip(mats, mats[1:])
             ]
-            rel = max(gaps) / denom
-            if rel > cauchy_tol:
-                raise NonConvergentSubsequenceError(rel, cauchy_tol, 2 * stride)
+            if max(gaps) > cauchy_tol:
+                thinner = 2 * stride
+                hint = thinner if len(elements[::thinner]) >= 3 else None
+                raise NonConvergentSubsequenceError(gaps, cauchy_tol, hint)
 
         placements = tuple(inverse(h) for h in aligns)
         profiles.append(

@@ -271,14 +271,14 @@ def test_materialize_skips_outside_clusters_and_clears_negative_zeros(dim):
 
 
 def _extraction_windows(seq, epsilon):
-    """(aligned element, window level, origin, extents) as extract_profiles
-    materializes them, on the elements and on what is left after one pass."""
+    """(aligned element, window level, origin, extents) of the whole window
+    extract_profiles sizes, on the elements and on what is left after one pass."""
     rest = profiles.extract_profiles(seq, epsilon=epsilon, max_profiles=1).remainders
     out = []
     for r in list(seq) + list(rest):
         _, h = profiles._best_alignment(r, 10)
         a = r.apply(h)
-        lv = profiles._window_level([a], 4, r.dim, None)
+        lv, _, _ = profiles._window([a], 4, r.dim, None)
         side = 8 * 2**lv
         out.append((a, lv, (-side // 2,) * r.dim, (side,) * r.dim))
     return out

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from bvlorentz.grid import (
     GridFunction,
     InputError,
     MemoryGuardError,
+    _overlap_box,
     box_mass,
     load_grid,
     resample_to,
+    trim,
 )
-from bvlorentz.group import DyadicVector, GroupElement
+from bvlorentz.group import DyadicVector, GroupElement, inverse
 from bvlorentz.multiscale import dyadic_sum
 from bvlorentz.profiles import (
     WINDOW_CELL_GUARD,
@@ -112,8 +115,37 @@ def test_cauchy_guard_fires_when_mass_stays_in_window():
     with pytest.raises(NonConvergentSubsequenceError) as exc:
         extract_profiles(seq, epsilon=0.1)
     assert exc.value.rel_gap > 0.05
-    assert exc.value.stride_hint == 2
-    assert "thinned subsequence" in str(exc.value)
+    assert exc.value.rel_gap == max(exc.value.gaps) and len(exc.value.gaps) == 2
+    # stride 2 would leave two of the four elements, too few to advise
+    assert exc.value.stride_hint is None
+    assert "thinned subsequence" not in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "make, epsilon, stride, hint",
+    [
+        (lambda: staircase_sequence((4, 5, 6, 7, 8, 9)), 2.0, 1, 2),
+        (lambda: staircase_sequence((4, 5, 6, 7, 8, 9)), 2.0, 2, None),
+        (lambda: two_profile_sequence(range(1, 9)), 0.1, 2, None),
+        (lambda: staircase_sequence((4, 5, 6)), 2.0, 1, None),
+    ],
+    ids=["staircase-4-9-stride1", "staircase-4-9-stride2", "planted-stride2", "staircase-456"],
+)
+def test_cauchy_advice_only_when_the_thinner_stride_leaves_three_elements(make, epsilon, stride, hint):
+    with pytest.raises(NonConvergentSubsequenceError) as exc:
+        extract_profiles(make(), epsilon=epsilon, stride=stride)
+    err = exc.value
+    assert err.stride_hint == hint
+    message = str(err)
+    assert "\n" not in message
+    assert message.startswith(
+        f"aligned tail is not Cauchy on the window: relative L1 gap {err.rel_gap:.4g} exceeds 0.05 "
+    )
+    # both measured gaps are reported, and the advice only when it is true
+    assert f"consecutive tail gaps {err.gaps[0]:.4g} and {err.gaps[1]:.4g}" in message
+    assert ("stride >=" in message) == (hint is not None)
+    if hint is not None:
+        assert message.endswith(f"retry on a thinned subsequence (stride >= {hint})")
 
 
 def test_staircase_concentrates_nowhere():
@@ -265,9 +297,22 @@ def test_pyramid_scores_equal_box_mass_in_other_dims(dim):
     _assert_pyramid_matches_reference(sums)
 
 
-def _unique_best_cube_at_scale(pyramids, s, dim):
-    """The former scorer: deduplicate the candidate keys with np.unique (so
-    they come sorted), then take the first maximum."""
+def _gather_cube_masses(pyramids, s, dim, cubes):
+    """The former mass kernel: every cube is gathered by fancy indexing from
+    every cluster's block, clusters added in order onto 0.0."""
+    total = np.zeros(len(cubes))
+    for level, sums in pyramids:
+        m = level + s
+        origin, block = sums[max(m, 0)]
+        idx = (cubes >> max(-m, 0)) - origin
+        inside = np.all((idx >= 0) & (idx < block.shape), axis=1)
+        total[inside] += block[tuple(idx[inside].T)] * 2.0 ** ((dim - 1) * s - dim * max(m, 0))
+    return total
+
+
+def _candidate_cubes(pyramids, s):
+    """The per-cluster candidates: every nonzero block of a fine cluster,
+    the corner of the largest cell of a coarse one."""
     keys = []
     for level, sums in pyramids:
         m = level + s
@@ -277,8 +322,25 @@ def _unique_best_cube_at_scale(pyramids, s, dim):
         else:
             idx = np.unravel_index(int(np.argmax(block)), block.shape)
             keys.append(((origin + idx) << -m)[None, :])
-    cubes = np.unique(np.concatenate(keys), axis=0)
-    total = profiles._cube_masses(pyramids, s, dim, cubes)
+    return np.concatenate(keys)
+
+
+def _gather_best_cube_at_scale(pyramids, s, dim):
+    """The former scorer: gather every candidate from every cluster, take
+    the maximum, and the lexicographically first cube among the tied."""
+    cubes = _candidate_cubes(pyramids, s)
+    total = _gather_cube_masses(pyramids, s, dim, cubes)
+    best = total.max()
+    tied = cubes[total == best]
+    first = tied[np.lexsort(tied.T[::-1])[0]]
+    return float(best), tuple(int(k) for k in first)
+
+
+def _unique_best_cube_at_scale(pyramids, s, dim):
+    """An earlier scorer: deduplicate the candidate keys with np.unique (so
+    they come sorted), gather them, then take the first maximum."""
+    cubes = np.unique(_candidate_cubes(pyramids, s), axis=0)
+    total = _gather_cube_masses(pyramids, s, dim, cubes)
     best = int(np.argmax(total))
     return float(total[best]), tuple(int(k) for k in cubes[best])
 
@@ -290,32 +352,103 @@ def _tied_clusters():
     return dyadic_sum(u).with_term(1.0, GroupElement(0, DyadicVector.integers(-8, 0)), u)
 
 
-@pytest.mark.parametrize(
-    "make, epsilon",
-    [
-        (lambda: two_profile_sequence(range(1, 9), level=6), 0.1),
-        (lambda: two_profile_sequence(range(1, 9), level=5), 0.1),
-        (lambda: two_profile_sequence(range(1, 5)), None),
-        (lambda: two_profile_sequence(range(1, 7), dim=3, level=2), 0.1),
-        (lambda: staircase_sequence((4, 5, 6)), 12.0),
-        (lambda: staircase_sequence((6, 7, 8)), 12.0),
-        (lambda: [_tied_clusters()], None),
-    ],
-    ids=[
-        "planted-L6", "planted-L5", "near-refused", "planted-3d",
-        "staircase-456", "staircase-678", "tied-clusters",
-    ],
-)
-def test_scorer_equals_unique_reference(make, epsilon):
+def _meeting_clusters():
+    """Three clusters, apart by empty cells at level 3, whose cube boxes meet
+    at the coarser scales: two level-3 pieces half a cube apart and a
+    level-1 piece one cube further along the first axis."""
+    rng = np.random.default_rng(5)
+    u = GridFunction(2, 3, (0, 0), (2, 2), rng.integers(1, 9, (2, 2)) / 8.0)
+    v = GridFunction(2, 1, (0, 0), (1, 2), np.array([[0.375, 0.25]]))
+    half = GroupElement(0, DyadicVector((4, 0), 3))
+    return dyadic_sum(u).with_term(0.5, half, u).with_term(1.0, GroupElement(0, DyadicVector.integers(2, 0)), v)
+
+
+def _subnormal_ties():
+    """Two cells a cube apart whose scores tie once scaled into the
+    subnormal range, although the later cell holds the larger value."""
+    vals = np.zeros((9, 1))
+    vals[0, 0] = 2.0**-1020
+    vals[8, 0] = 2.0**-1020 * (1.0 + 2.0**-50)
+    return dyadic_sum(GridFunction(2, 3, (0, 0), vals.shape, vals))
+
+
+_SCORER_FIXTURES = [
+    (lambda: two_profile_sequence(range(1, 9), level=6), 0.1),
+    (lambda: two_profile_sequence(range(1, 9), level=5), 0.1),
+    (lambda: two_profile_sequence(range(1, 5)), None),
+    (lambda: two_profile_sequence(range(1, 7), dim=3, level=2), 0.1),
+    (lambda: staircase_sequence((4, 5, 6)), 12.0),
+    (lambda: staircase_sequence((6, 7, 8)), 12.0),
+    (lambda: [_tied_clusters()], None),
+]
+_SCORER_IDS = [
+    "planted-L6", "planted-L5", "near-refused", "planted-3d",
+    "staircase-456", "staircase-678", "tied-clusters",
+]
+
+
+def _scored_sums(make, epsilon):
+    """The elements and, after one pass, what is left of them."""
     seq = make()
     sums = list(seq)
     if epsilon is not None:
         sums += list(extract_profiles(seq, epsilon=epsilon, max_profiles=1).remainders)
-    for r in sums:
+    return sums
+
+
+@pytest.mark.parametrize("make, epsilon", _SCORER_FIXTURES, ids=_SCORER_IDS)
+def test_scorer_equals_unique_reference(make, epsilon):
+    for r in _scored_sums(make, epsilon):
         pyramids = profiles._mass_pyramids(r.clusters(), 10)
         for s in range(-10, 11):
             got = profiles._best_cube_at_scale(pyramids, s, r.dim)
             assert got == _unique_best_cube_at_scale(pyramids, s, r.dim), s
+
+
+@pytest.mark.parametrize(
+    "make, epsilon",
+    _SCORER_FIXTURES + [(lambda: [_meeting_clusters()], None), (lambda: [_subnormal_ties()], None)],
+    ids=_SCORER_IDS + ["meeting-boxes", "subnormal-ties"],
+)
+def test_scorer_equals_former_gather_scorer(make, epsilon):
+    for r in _scored_sums(make, epsilon):
+        pyramids = profiles._mass_pyramids(r.clusters(), 10)
+        for s in range(-10, 11):
+            got = profiles._best_cube_at_scale(pyramids, s, r.dim)
+            assert got == _gather_best_cube_at_scale(pyramids, s, r.dim), s
+
+
+def _cube_boxes_meet(pyramids, s):
+    """Whether the cube boxes of two clusters share a cube at scale s."""
+    boxes = []
+    for level, sums in pyramids:
+        m = level + s
+        origin, block = sums[max(m, 0)]
+        shift = max(-m, 0)
+        boxes.append((origin << shift, (origin + block.shape) << shift))
+    return any(
+        np.all(np.maximum(a[0], b[0]) < np.minimum(a[1], b[1]))
+        for i, a in enumerate(boxes) for b in boxes[i + 1:]
+    )
+
+
+def test_meeting_boxes_fixture_is_gathered_at_some_scales_only():
+    r = _meeting_clusters()
+    assert len(r.clusters()) == 3
+    pyramids = profiles._mass_pyramids(r.clusters(), 10)
+    meets = [_cube_boxes_meet(pyramids, s) for s in range(-10, 11)]
+    assert any(meets) and not all(meets)
+
+
+def test_subnormal_scores_tie_at_the_first_cube():
+    r = _subnormal_ties()
+    pyramids = profiles._mass_pyramids(r.clusters(), 10)
+    cubes = np.array([(0, 0), (1, 0)])
+    masses = _gather_cube_masses(pyramids, 0, 2, cubes)
+    # the scaled scores collapse onto one subnormal, so the tie goes to the
+    # lexicographically first cube, not to the larger block
+    assert masses[0] == masses[1] and 0.0 < masses[0] < 2.0**-1022
+    assert profiles._best_cube_at_scale(pyramids, 0, 2) == (float(masses[0]), (0, 0))
 
 
 def test_staircase_ties_go_to_the_smallest_mirror_cube():
@@ -328,8 +461,90 @@ def test_staircase_ties_go_to_the_smallest_mirror_cube():
         assert h == GroupElement(-1, DyadicVector.integers(1, 1))
         pyramids = profiles._mass_pyramids(r.clusters(), 10)
         assert profiles._best_cube_at_scale(pyramids, -1, 2) == (score, (-1, -1))
-        masses = profiles._cube_masses(pyramids, -1, 2, mirrors)
+        masses = _gather_cube_masses(pyramids, -1, 2, mirrors)
         assert masses.tolist() == [score] * 4
+
+
+# -- support-box window ----------------------------------------------------------
+
+def _full_window_extraction(seq, epsilon, radius=4, tol=0.05, max_profiles=8):
+    """The former extraction loop, which materializes the aligned tail on the
+    whole window each pass: (profiles, levels, scores_history,
+    terminated_by, relative gap of a refusal or None)."""
+    dim = seq[0].dim
+    window = ((-radius,) * dim, (2 * radius,) * dim)
+    cap = int(math.floor((math.log2(WINDOW_CELL_GUARD) - dim * math.log2(2 * radius)) / dim))
+    remainders = list(seq)
+    found_profiles, levels, history = [], [], []
+    for _ in range(max_profiles):
+        found = [profiles._best_alignment(r, 10) for r in remainders]
+        history.append(tuple(score for score, _ in found))
+        aligns = [h for _, h in found]
+        tail = [r.apply(h) for r, h in zip(remainders[-3:], aligns[-3:])]
+        touching = [c.level for t in tail for c in t.clusters() if _overlap_box(c, 0, *window) is not None]
+        lv = max(0, min(max(touching, default=0), cap))
+        levels.append(lv)
+        side = 2 * radius * 2**lv
+        mats = [t.materialize(lv, (-side // 2,) * dim, (side,) * dim) for t in tail]
+        w = trim(mats[-1])
+        if total_variation(w) <= epsilon:
+            return found_profiles, levels, history, "epsilon", None
+        denom = max(m.l1_norm() for m in mats)
+        gaps = [float(np.abs(a.values - b.values).sum()) * mats[0].cell_measure for a, b in zip(mats, mats[1:])]
+        if denom > 0.0 and max(gaps) / denom > tol:
+            return found_profiles, levels, history, None, max(gaps) / denom
+        found_profiles.append(w)
+        remainders = [r.with_term(-1.0, inverse(h), w) for r, h in zip(remainders, aligns)]
+    return found_profiles, levels, history, "max_profiles", None
+
+
+@pytest.mark.parametrize(
+    "make, epsilon",
+    [
+        (lambda: two_profile_sequence(range(1, 9), level=5), 0.1),
+        (lambda: two_profile_sequence(range(1, 9), level=6), 0.1),
+        (lambda: two_profile_sequence(range(1, 5)), 0.1),
+        (lambda: two_profile_sequence(range(1, 7), dim=3, level=2), 0.1),
+        (lambda: staircase_sequence((4, 5, 6)), 12.0),
+        (lambda: staircase_sequence((4, 5, 6)), 2.0),
+        (lambda: staircase_sequence((6, 7, 8)), 12.0),
+    ],
+    ids=["planted-L5", "planted-L6", "near", "planted-3d", "staircase-456-eps12",
+         "staircase-456-eps2", "staircase-678-eps12"],
+)
+def test_support_box_extraction_equals_the_full_window(make, epsilon):
+    seq = make()
+    ref_profiles, levels, history, terminated_by, rel_gap = _full_window_extraction(seq, epsilon)
+    if rel_gap is not None:
+        with pytest.raises(NonConvergentSubsequenceError) as exc:
+            extract_profiles(seq, epsilon=epsilon)
+        # only the summation grouping of the gaps differs from the window's
+        assert exc.value.rel_gap == pytest.approx(rel_gap, rel=1e-12, abs=0.0)
+        return
+    decomp = extract_profiles(seq, epsilon=epsilon)
+    assert decomp.terminated_by == terminated_by
+    assert decomp.levels == tuple(levels)
+    assert decomp.scores_history == tuple(history)
+    assert len(decomp.profiles) == len(ref_profiles)
+    for got, ref in zip(decomp.profiles, ref_profiles):
+        assert (got.function.level, got.function.origin, got.function.extents) == (ref.level, ref.origin, ref.extents)
+        assert got.function.values.tobytes() == ref.values.tobytes()
+
+
+@pytest.mark.parametrize("ks", [range(1, 9), range(1, 5)], ids=["planted-L6", "near"])
+def test_extraction_allocates_by_the_clusters_not_the_window(ks):
+    # the level-6 window holds 2^18 cells (2 MiB a copy); the clusters about 4096
+    seq = two_profile_sequence(ks)
+    tracemalloc.start()
+    try:
+        try:
+            extract_profiles(seq, epsilon=0.1)
+        except NonConvergentSubsequenceError:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # -- window guard ----------------------------------------------------------------
