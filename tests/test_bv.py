@@ -256,6 +256,93 @@ def test_lattice_split_keys_only_the_nonzero_cells():
     assert rep.total == ref.total and rep.sum_per_cube == ref.sum_per_cube
 
 
+def _former_lattice_tv_sum(u):
+    """The former booking: ``sums`` and ``first`` over every cube of the
+    box's cube lattice, whatever the number of nonzero cells."""
+    from bvlorentz.bv import SPLITTING_SLACK, TVReport, _axis_cubes, _local_contributions
+
+    origin, contrib = _local_contributions(u)
+    flat = contrib.ravel()
+    nz = np.flatnonzero(flat)
+    axes = [
+        np.unique(_axis_cubes(o, n, int(u.level)), return_inverse=True)
+        for o, n in zip(origin, contrib.shape)
+    ]
+    cube_shape = tuple(len(c) for c, _ in axes)
+    n_cubes = int(np.prod(cube_shape))
+    cells = np.unravel_index(nz, contrib.shape)
+    keys = np.ravel_multi_index(
+        tuple(rank[i] for (_, rank), i in zip(axes, cells)), cube_shape
+    )
+    sums = np.bincount(keys, weights=flat[nz], minlength=n_cubes)
+    first = np.full(n_cubes, nz.size)
+    np.minimum.at(first, keys, np.arange(nz.size))
+    booked = np.flatnonzero(first < nz.size)
+    ordered = booked[np.argsort(first[booked], kind="stable")]
+    ranks = np.unravel_index(ordered, cube_shape)
+    coords = np.stack([c[r] for (c, _), r in zip(axes, ranks)], axis=-1)
+    per_cube = dict(zip(map(tuple, coords.tolist()), sums[ordered].tolist()))
+    total = float(np.sum(flat))
+    sum_per_cube = float(sum(per_cube.values()))
+    bound = 3**u.dim * total
+    return TVReport(total, per_cube, sum_per_cube, bound, sum_per_cube <= bound * (1.0 + SPLITTING_SLACK))
+
+
+def _sparse_cube(level, extent=120, nonzero=60, seed=3):
+    rng = np.random.default_rng(seed)
+    vals = np.zeros((extent,) * 3)
+    vals.ravel()[rng.choice(vals.size, nonzero, replace=False)] = rng.standard_normal(nonzero)
+    return GridFunction(3, level, (-extent // 2,) * 3, vals.shape, vals)
+
+
+def _booking_grids():
+    from bvlorentz.corpus import corpus_grids
+
+    for dim in (1, 2, 3):
+        for seed in range(12):
+            yield from corpus_grids(seed, dim, 5)
+    for level in (0, -3):
+        for dim in (1, 2, 3):
+            rng = np.random.default_rng(50 + 10 * dim - level)
+            for density in (0.05, 0.5, 1.0):
+                extents = tuple(int(n) for n in rng.integers(1, 30 if dim < 3 else 12, dim))
+                origin = tuple(int(o) for o in rng.integers(-40, 5, dim))
+                vals = rng.standard_normal(extents) * (rng.random(extents) < density)
+                yield GridFunction(dim, level, origin, extents, vals)
+        yield _sparse_cube(level, extent=40)
+
+
+def test_lattice_split_equals_the_former_booking():
+    # corpus grids book many cells per cube (the lattice table); at levels
+    # 0 and -3 every cube holds one cell, so the keys are sorted instead
+    table = set()
+    for u in _booking_grids():
+        new, former = lattice_tv_sum(u), _former_lattice_tv_sum(u)
+        assert new.to_dict() == former.to_dict()
+        assert list(new.per_cube.items()) == list(former.per_cube.items())
+        origin, contrib = bv._local_contributions(u)
+        axes = [np.unique(bv._axis_cubes(o, n, u.level)) for o, n in zip(origin, contrib.shape)]
+        table.add(bool(np.prod([c.size for c in axes]) <= np.count_nonzero(contrib)))
+    assert table == {True, False}
+
+
+@pytest.mark.parametrize("level", [0, -3])
+def test_lattice_split_allocates_by_the_booked_cubes(level):
+    # 60 nonzero cells in a 120^3 box, one cube per cell: a table over the
+    # cube lattice would be two more arrays of the kernel output's size
+    u = _sparse_cube(level)
+    ref = _former_lattice_tv_sum(u)
+    kernel_bytes = 122**3 * 8
+    tracemalloc.start()
+    try:
+        rep = lattice_tv_sum(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * kernel_bytes
+    assert rep.to_dict() == ref.to_dict()
+
+
 @pytest.mark.parametrize("level", [-60, -61, -62, -63, -64])
 def test_lattice_split_refuses_cube_coordinates_beyond_int64(level):
     u = GridFunction(1, level, (3,), (3,), np.array([1.0, 0.0, 2.0]))

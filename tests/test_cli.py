@@ -3,8 +3,13 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +20,10 @@ from bvlorentz import bv, cli
 from bvlorentz import counterexample as cx
 from bvlorentz.cli import main
 from bvlorentz.corpus import corpus_grids
-from bvlorentz.grid import GridFunction, InputError, save_grid
+from bvlorentz.grid import GridFunction, InputError, load_grid, save_grid
 from bvlorentz.multiscale import DyadicSum, Term
 from bvlorentz.profiles import load_sequence, save_sequence, two_profile_sequence
+from bvlorentz.rearrange import LorentzIndex, critical_exponent, lebesgue_norm, lorentz_norm
 
 
 def _read(path: Path) -> dict:
@@ -120,7 +126,7 @@ def test_norms_bad_q_list_is_usage_error(tmp_path, saved_grid, capsys, q_list, t
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
+_OVERFLOWS = pytest.mark.parametrize(
     "dim, level, values, key",
     [
         # |values| sum past the largest double; the TV (7.68e+307) stays finite
@@ -129,10 +135,18 @@ def test_norms_bad_q_list_is_usage_error(tmp_path, saved_grid, capsys, q_list, t
         (3, -6, np.where(np.indices((2, 2, 2)).sum(axis=0) % 2, 1e305, -1e305), "tv"),
     ],
 )
-def test_norms_overflow_is_refused_without_output(tmp_path, capsys, dim, level, values, key):
+
+
+def _save_overflowing(tmp_path, dim, level, values):
     p = tmp_path / "big.grid"
     vals = np.asarray(values, dtype=float)
     save_grid(GridFunction(dim, level, (0,) * dim, vals.shape, vals), p)
+    return p
+
+
+@_OVERFLOWS
+def test_norms_overflow_is_refused_without_output(tmp_path, capsys, dim, level, values, key):
+    p = _save_overflowing(tmp_path, dim, level, values)
     out = tmp_path / "n.json"
     with np.errstate(over="ignore"):
         _assert_refused(
@@ -141,6 +155,131 @@ def test_norms_overflow_is_refused_without_output(tmp_path, capsys, dim, level, 
             f"norms: {key} of {p} overflows a double",
         )
     assert not out.exists()
+
+
+def test_norms_worker_keeps_the_callers_errstate(tmp_path, capsys):
+    # np.sum of |values| overflows on the worker thread (the TV, 2.5e304,
+    # does not): it must see the caller's over="ignore", or the overflow
+    # warning is raised there as an error
+    p = _save_overflowing(tmp_path, 2, 10, np.full((64, 64), 1e305))
+    out = tmp_path / "n.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(over="ignore"):
+            _assert_refused(
+                capsys,
+                ["norms", "--input", str(p), "--out", str(out)],
+                f"norms: l1 of {p} overflows a double",
+            )
+    assert not out.exists()
+
+
+@_OVERFLOWS
+def test_norms_joins_its_worker_on_refusal(tmp_path, capsys, dim, level, values, key):
+    p = _save_overflowing(tmp_path, dim, level, values)
+    before = threading.active_count()
+    with np.errstate(over="ignore"):
+        assert main(["norms", "--input", str(p)]) == 2
+    assert threading.active_count() == before
+    capsys.readouterr()
+
+
+def test_norms_joins_its_worker_on_success(tmp_path, saved_grid, capsys):
+    before = threading.active_count()
+    assert main(["norms", "--input", str(saved_grid), "--out", str(tmp_path / "n.json")]) == 0
+    assert threading.active_count() == before
+
+
+def _former_norms(cfg: dict) -> int:
+    """The former ``cmd_norms``: every value in sequence on one thread."""
+    qs = cli._parse_q_list("norms", cfg["q_list"])
+    u = load_grid(cfg["input"])
+    step = u.rearrangement
+    tv = bv.total_variation(u)
+    l1 = u.l1_norm()
+    p2 = 0.0 if step is None else lebesgue_norm(step, 2.0)
+    doc: dict = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "input": os.path.basename(cfg["input"]),
+        "dim": u.dim,
+        "level": u.level,
+        "cells": u.cell_count,
+        "support_measure": 0.0 if step is None else step.total_measure,
+        "tv": tv,
+        "l1": l1,
+        "bv_norm": tv + l1,
+        "sup": 0.0 if step is None else float(step.values[0]),
+        "lebesgue": {"p1": l1, "p2": p2},
+    }
+    if u.dim >= 2:
+        p = critical_exponent(u.dim)
+        doc["critical_exponent"] = p
+        doc["lebesgue"]["pcrit"] = p2 if p == 2.0 or step is None else lebesgue_norm(step, p)
+        table = {}
+        for q in qs:
+            key = "qinf" if q == float("inf") else f"q{q:g}"
+            table[key] = 0.0 if step is None else lorentz_norm(step, LorentzIndex(p, q))
+        doc["lorentz_critical"] = table
+    bad = cli._first_non_finite(doc)
+    if bad:
+        raise InputError(f"norms: {bad} of {cfg['input']} overflows a double")
+    cli._emit(doc, cfg["out"])
+    return 0
+
+
+def _smooth_256():
+    x = (np.arange(256) + 0.5) / 256 - 0.5
+    r2 = x[:, None] ** 2 + x[None, :] ** 2
+    return GridFunction(2, 8, (-128, -128), (256, 256), np.where(r2 < 0.2, np.cos(9 * r2), 0.0))
+
+
+@pytest.mark.parametrize(
+    "u",
+    [u for d in (1, 2, 3) for u in corpus_grids(11, d, 3)]
+    + [GridFunction(3, 2, (0, 0, 0), (4, 4, 4), np.zeros((4, 4, 4))), _smooth_256()],
+)
+@pytest.mark.parametrize("q_list", [None, "2,inf,0.5,2,inf,1"])
+def test_threaded_norms_writes_the_former_bytes(tmp_path, u, q_list):
+    p = tmp_path / "u.grid"
+    save_grid(u, p)
+    cfg = {"input": str(p), "q_list": q_list or "1,1.5,2,inf", "out": str(tmp_path / "former.json")}
+    assert _former_norms(cfg) == 0
+    argv = ["norms", "--input", str(p), "--out", str(tmp_path / "norms.json")]
+    assert main(argv + (["--q-list", q_list] if q_list else [])) == 0
+    assert (tmp_path / "norms.json").read_bytes() == (tmp_path / "former.json").read_bytes()
+
+
+def test_threaded_norms_under_frequent_thread_switches(tmp_path):
+    # both threads fill the grid's caches while switching every microsecond
+    p = tmp_path / "u.grid"
+    save_grid(corpus_grids(11, 3, 1)[0], p)
+    cfg = {"input": str(p), "q_list": "1,1.5,2,inf", "out": str(tmp_path / "former.json")}
+    assert _former_norms(cfg) == 0
+    former = (tmp_path / "former.json").read_bytes()
+    out = tmp_path / "norms.json"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert main(["norms", "--input", str(p), "--out", str(out)]) == 0
+            assert out.read_bytes() == former
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_audit_imports_no_thread_pool(tmp_path):
+    # norms imports concurrent.futures itself, so the other commands skip its import time
+    code = (
+        "import sys; from bvlorentz.cli import main; "
+        "main(['audit', '--count', '1', '--dims', '1', '--out', sys.argv[1]]); "
+        "sys.exit('concurrent.futures' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "a.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_emit_refuses_non_finite_output(tmp_path):
