@@ -244,9 +244,8 @@ def lattice_tv_sum(u: GridFunction) -> TVReport:
     nonzero cells only: their indices are unraveled, each axis index is
     looked up among that axis's distinct cube coordinates, and the ranks are
     raveled into a dense cube key, so no key array of the full padded grid
-    is made.  No array is sized by the cube lattice of the box unless that
-    lattice has no more cubes than there are nonzero cells; otherwise only
-    the booked cubes are indexed, by sorting the keys.  ``np.bincount`` adds
+    is made.  Only the booked cubes are indexed, by sorting the keys, so no
+    array is sized by the cube lattice of the box.  ``np.bincount`` adds
     each cube's contributions in flat cell order from 0.0, and ``per_cube``
     lists the cubes in order of their first nonzero cell.  The sum over
     cubes is checked against 3^dim times the total, the overlap factor
@@ -266,19 +265,10 @@ def lattice_tv_sum(u: GridFunction) -> TVReport:
     keys = np.ravel_multi_index(
         tuple(rank[i] for (_, rank), i in zip(axes, cells)), cube_shape
     )
-    # the booked cubes' keys, their sums and the position of each one's
-    # first nonzero cell; a table over the whole cube lattice is built only
-    # when it is no larger than the nonzero cells, else the keys are sorted
-    n_cubes = math.prod(cube_shape)
-    if n_cubes <= nz.size:
-        sums = np.bincount(keys, weights=flat[nz], minlength=n_cubes)
-        first = np.full(n_cubes, nz.size)
-        np.minimum.at(first, keys, np.arange(nz.size))
-        booked = np.flatnonzero(first < nz.size)
-        sums, first = sums[booked], first[booked]
-    else:
-        booked, first, cube = np.unique(keys, return_index=True, return_inverse=True)
-        sums = np.bincount(cube, weights=flat[nz], minlength=booked.size)
+    # the booked cubes' keys, the position of each one's first nonzero cell
+    # and each nonzero cell's cube among them
+    booked, first, cube = np.unique(keys, return_index=True, return_inverse=True)
+    sums = np.bincount(cube, weights=flat[nz], minlength=booked.size)
     order = np.argsort(first)  # first positions are distinct
     ranks = np.unravel_index(booked[order], cube_shape)
     coords = np.stack([c[r] for (c, _), r in zip(axes, ranks)], axis=-1)

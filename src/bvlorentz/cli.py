@@ -18,10 +18,12 @@ point checks its own arguments; this module checks only what it parses.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -131,10 +133,6 @@ def _write_text(text: str, path: str) -> None:
 # -- norms ---------------------------------------------------------------------
 
 def cmd_norms(cfg: dict) -> int:
-    # imported here, so that the other commands do not pay for them
-    import contextvars
-    from concurrent.futures import ThreadPoolExecutor
-
     if not cfg["input"]:
         raise InputError("norms: --input is required")
     qs = _parse_q_list("norms", cfg["q_list"])
@@ -144,7 +142,9 @@ def cmd_norms(cfg: dict) -> int:
     # that release the GIL.  The worker runs in a copy of this context, so
     # it sees the caller's numpy errstate.  Every value comes from the same
     # function on the same data as it would in sequence, so the output does
-    # not depend on the overlap.
+    # not depend on the overlap.  The worker's own peak is the padded
+    # per-face array, so at worst one such array is held beyond the
+    # sequential order's peak.
     with ThreadPoolExecutor(max_workers=1) as pool:
         faces = pool.submit(
             contextvars.copy_context().run, lambda: (bv.total_variation(u), u.l1_norm())
