@@ -18,7 +18,9 @@ point checks its own arguments; this module checks only what it parses.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextvars
+import functools
 import json
 import math
 import os
@@ -87,8 +89,13 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
 
 
 def _parse_q_list(command: str, text: str) -> list[float]:
-    """Second indices from a comma list; each must be a number q > 0 (inf allowed)."""
+    """Second indices from a comma list; each must be a number q > 0 (inf allowed).
+
+    Outputs name each q by its ``{q:g}`` text, so two distinct values with
+    the same text are refused; a repeated value is allowed.
+    """
     out = []
+    named = {}  # {q:g} text -> (token, q) of its first entry
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
@@ -99,6 +106,12 @@ def _parse_q_list(command: str, text: str) -> list[float]:
             q = float("nan")
         if not q > 0:
             raise InputError(f"{command}: --q-list entries must be positive numbers, got {tok!r}")
+        first, q_first = named.setdefault(f"{q:g}", (tok, q))
+        if q != q_first:
+            raise InputError(
+                f"{command}: --q-list entries {first!r} and {tok!r} are distinct values "
+                f"that both print as q{q:g}"
+            )
         out.append(q)
     if not out:
         raise InputError(f"{command}: empty --q-list: {text!r}")
@@ -132,37 +145,64 @@ def _write_text(text: str, path: str) -> None:
 
 # -- norms ---------------------------------------------------------------------
 
+def _drain(jobs: collections.deque) -> dict:
+    """Run (name, thunk) jobs popped from the shared queue until it is empty."""
+    done = {}
+    while True:
+        try:
+            name, job = jobs.popleft()  # atomic: each job runs on one thread
+        except IndexError:
+            return done
+        done[name] = job()
+
+
 def cmd_norms(cfg: dict) -> int:
     if not cfg["input"]:
         raise InputError("norms: --input is required")
     qs = _parse_q_list("norms", cfg["q_list"])
     u = load_grid(cfg["input"])
+    p = critical_exponent(u.dim) if u.dim >= 2 else None
+    # one key per q: a repeated q keeps its first place and its one value
+    keys = {("qinf" if q == float("inf") else f"q{q:g}"): q for q in qs}
     # The per-face pass and the L1 sum run on one worker thread while this
-    # thread sorts and builds the norm table: both halves are numpy passes
-    # that release the GIL.  The worker runs in a copy of this context, so
-    # it sees the caller's numpy errstate.  Every value comes from the same
-    # function on the same data as it would in sequence, so the output does
-    # not depend on the overlap.  The worker's own peak is the padded
-    # per-face array, so at worst one such array is held beyond the
-    # sequential order's peak.
+    # thread sorts.  Both threads then draw the norm table's jobs from one
+    # queue, the worker once its per-face pass is done, so it takes a share
+    # of the table unless that pass outlasts the table.  All are numpy
+    # passes that release the GIL.  The worker runs in copies of this
+    # context, so it sees the caller's numpy errstate.  Every value comes
+    # from the same function on the same data as it would in sequence, so
+    # the output does not depend on the split.  The worker's own peak is
+    # the padded per-face array, so at worst one such array is held beyond
+    # the sequential order's peak; each norm holds one chunk array.
     with ThreadPoolExecutor(max_workers=1) as pool:
         faces = pool.submit(
             contextvars.copy_context().run, lambda: (bv.total_variation(u), u.l1_norm())
         )
         step = u.rearrangement
-        p2 = 0.0 if step is None else lebesgue_norm(step, 2.0)
-        lebesgue = {"p2": p2}
-        critical = {}
-        if u.dim >= 2:
-            p = critical_exponent(u.dim)
-            # in 2-D the critical exponent is 2: pcrit is the p2 norm
-            lebesgue["pcrit"] = p2 if p == 2.0 or step is None else lebesgue_norm(step, p)
-            table = {}
-            for q in qs:
-                key = "qinf" if q == float("inf") else f"q{q:g}"
-                table[key] = 0.0 if step is None else lorentz_norm(step, LorentzIndex(p, q))
-            critical = {"critical_exponent": p, "lorentz_critical": table}
+        jobs = collections.deque()  # (name, thunk): "p2", "pcrit" and the table's keys
+        if step is not None:
+            # the caches both threads read are filled here, by one thread
+            step.normalized_values, step.normalized_cumulative, step.total_measure
+            jobs.append(("p2", lambda: lebesgue_norm(step, 2.0)))
+            if p is not None:
+                # in 2-D the critical exponent is 2: pcrit is the p2 norm
+                if p != 2.0:
+                    jobs.append(("pcrit", lambda: lebesgue_norm(step, p)))
+                jobs.extend(
+                    (key, functools.partial(lorentz_norm, step, LorentzIndex(p, q)))
+                    for key, q in keys.items()
+                )
+        theirs = pool.submit(contextvars.copy_context().run, _drain, jobs)
+        values = _drain(jobs)
+        values.update(theirs.result())
         tv, l1 = faces.result()
+    p2 = values.get("p2", 0.0)
+    lebesgue = {"p2": p2}
+    critical = {}
+    if p is not None:
+        lebesgue["pcrit"] = values.get("pcrit", p2)
+        table = {key: values.get(key, 0.0) for key in keys}
+        critical = {"critical_exponent": p, "lorentz_critical": table}
     # keys in the order the overflow check names the first bad one
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -447,10 +487,12 @@ _COMMANDS: dict[str, tuple] = {
 _COMMON = (
     ("config", str, None, "JSON config file; flags override its keys"),
     ("threads", int, None, "accepted for interface stability and ignored: norms overlaps its "
-     "per-face pass with the sort on one worker thread, and no output depends on it"),
+     "per-face pass with the sort on one worker thread, which then takes a share of the norm "
+     "table; power sums run in cache-sized blocks, and no output depends on either"),
 )
 
 
+@functools.cache  # once per process: each add_argument reads the terminal size
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bvlorentz",

@@ -31,6 +31,10 @@ __all__ = [
 #: Exact unit-ball volumes for the supported dimensions; no gamma function.
 _BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 
+#: Chunks per block of the power sums (2^15 doubles, 256 KiB), so a block's
+#: powers and the slice of terms they multiply stay in cache.
+_BLOCK_CHUNKS = 1 << 15
+
 
 class LorentzIndexError(ValueError):
     """Raised for inadmissible Lorentz exponents."""
@@ -211,7 +215,10 @@ def lorentz_norm(u, idx: LorentzIndex) -> float:
     tau = s.normalized_cumulative
     if p / q == math.inf:  # the norm grows like (p/q)^(1/q): far past a double
         return math.inf
-    core = float(np.sum(s.normalized_values ** q * (p / q) * np.diff(tau ** (q / p))))
+    # the measure factors tau_i^{q/p} - tau_{i-1}^{q/p}, differenced in place
+    terms = tau ** (q / p)
+    np.subtract(terms[1:], terms[:-1], out=terms[:-1])
+    core = _power_sum(s.normalized_values, q, p / q, terms[:-1])
     if core < sys.float_info.min:  # the terms underflow (q large): sum them in logs
         log_core_q = _log_core_over_q(s.normalized_values, tau, p, q)
     else:
@@ -220,6 +227,36 @@ def lorentz_norm(u, idx: LorentzIndex) -> float:
         except OverflowError:  # a factor is past a double (q or p near 0): multiply in logs
             log_core_q = math.log(core) / q
     return _exp_or_inf(math.log(vmax) + math.log(tmax) / p + log_core_q)
+
+
+def _blocked_powers(x: np.ndarray, e: float):
+    """(i, j, x[i:j] ** e) for consecutive blocks of ``_BLOCK_CHUNKS``.
+
+    Every block is computed in place in one reused buffer, with the
+    dispatch of ``x ** e`` (numpy takes np.sqrt for e = 0.5), so each power
+    has the bits of the full-array expression's.
+    """
+    buf = np.empty(min(x.size, _BLOCK_CHUNKS))
+    for i in range(0, x.size, _BLOCK_CHUNKS):
+        block = buf[: min(x.size - i, _BLOCK_CHUNKS)]
+        block[...] = x[i : i + block.size]
+        block **= e
+        yield i, i + block.size, block
+
+
+def _power_sum(v: np.ndarray, q: float, scale: float, weights: np.ndarray) -> float:
+    """np.sum(v ** q * scale * weights), bit for bit, overwriting ``weights``.
+
+    The terms are formed block by block in place in ``weights``, each by the
+    same operations in the same order as the full-array expression, and
+    np.sum groups the one contiguous term array as it would that
+    expression's result.  Beside ``weights`` only one block is held.
+    """
+    for i, j, block in _blocked_powers(v, q):
+        if scale != 1.0:  # x * 1.0 is x: skipping it changes no bit
+            block *= scale
+        np.multiply(block, weights[i:j], out=weights[i:j])
+    return float(np.sum(weights))
 
 
 def _exp_or_inf(log_norm: float) -> float:
@@ -252,8 +289,13 @@ def lorentz_norm_weak(u, p: float) -> float:
         return 0.0
     vmax = float(s.values[0])
     tmax = s.total_measure
-    tau = s.normalized_cumulative[1:]
-    return vmax * tmax ** (1.0 / p) * float(np.max(s.normalized_values * tau ** (1.0 / p)))
+    v = s.normalized_values
+    # the max over blocks is the max over all chunks, exactly
+    peak = max(
+        float(np.max(np.multiply(v[i:j], block, out=block)))
+        for i, j, block in _blocked_powers(s.normalized_cumulative[1:], 1.0 / p)
+    )
+    return vmax * tmax ** (1.0 / p) * peak
 
 
 def lorentz_norm_symmetrization(u, idx: LorentzIndex, dim: int | None = None) -> float:
@@ -315,5 +357,5 @@ def lebesgue_norm(u, p: float) -> float:
         return float(s.values[0])
     vmax = float(s.values[0])
     tmax = s.total_measure
-    core = np.sum(s.normalized_values ** p * (s.measures / tmax))
-    return vmax * tmax ** (1.0 / p) * float(core) ** (1.0 / p)
+    core = _power_sum(s.normalized_values, p, 1.0, s.measures / tmax)
+    return vmax * tmax ** (1.0 / p) * core ** (1.0 / p)

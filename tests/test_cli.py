@@ -3,6 +3,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import sys
@@ -17,13 +18,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvlorentz import bv, cli
+from bvlorentz import rearrange
 from bvlorentz import counterexample as cx
 from bvlorentz.cli import main
 from bvlorentz.corpus import corpus_grids
 from bvlorentz.grid import GridFunction, InputError, load_grid, save_grid
 from bvlorentz.multiscale import DyadicSum, Term
 from bvlorentz.profiles import load_sequence, save_sequence, two_profile_sequence
-from bvlorentz.rearrange import LorentzIndex, critical_exponent, lebesgue_norm, lorentz_norm
+from bvlorentz.rearrange import (
+    LorentzIndex,
+    StepFunction,
+    critical_exponent,
+    lebesgue_norm,
+    lorentz_norm,
+    lorentz_norm_weak,
+)
 
 
 def _read(path: Path) -> dict:
@@ -126,6 +135,34 @@ def test_norms_bad_q_list_is_usage_error(tmp_path, saved_grid, capsys, q_list, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "q_list, first, second, key",
+    [("1.0000001,1.0000002", "1.0000001", "1.0000002", "q1"), ("2,1.5,2.0000001", "2", "2.0000001", "q2")],
+)
+@pytest.mark.parametrize("command", ["norms", "counterexample"])
+def test_q_keys_that_collide_are_refused_without_output(
+    tmp_path, saved_grid, capsys, command, q_list, first, second, key
+):
+    # both values would be written under one key (norms) or column (counterexample)
+    out = tmp_path / "out"
+    if command == "norms":
+        argv = ["norms", "--input", str(saved_grid), "--out", str(out)]
+    else:
+        argv = ["counterexample", "--n-max", "3", "--no-probe", "--out-dir", str(out)]
+    message = (
+        f"{command}: --q-list entries {first!r} and {second!r} are distinct values "
+        f"that both print as {key}"
+    )
+    _assert_refused(capsys, argv + ["--q-list", q_list], message)
+    assert not out.exists()
+
+
+def test_q_list_keeps_identical_repeats():
+    text = "2,inf,0.5,2,inf,1,2.0,2e0"
+    inf = float("inf")
+    assert cli._parse_q_list("norms", text) == [2.0, inf, 0.5, 2.0, inf, 1.0, 2.0, 2.0]
+
+
 _OVERFLOWS = pytest.mark.parametrize(
     "dim, level, values, key",
     [
@@ -190,14 +227,46 @@ def test_norms_joins_its_worker_on_success(tmp_path, saved_grid, capsys):
     assert threading.active_count() == before
 
 
+def _former_lebesgue_norm(s: StepFunction, p: float) -> float:
+    """The former full-array ``lebesgue_norm`` of a step (finite p)."""
+    core = np.sum(s.normalized_values ** p * (s.measures / s.total_measure))
+    return float(s.values[0]) * s.total_measure ** (1.0 / p) * float(core) ** (1.0 / p)
+
+
+def _former_core(s: StepFunction, p: float, q: float) -> float:
+    """The former full-array power sum of ``lorentz_norm``."""
+    tau = s.normalized_cumulative
+    return float(np.sum(s.normalized_values ** q * (p / q) * np.diff(tau ** (q / p))))
+
+
+def _former_lorentz_norm(s: StepFunction, p: float, q: float) -> float:
+    """The former full-array ``lorentz_norm`` of a step, weak norm included."""
+    vmax, tmax = float(s.values[0]), s.total_measure
+    if math.isinf(q):
+        tau = s.normalized_cumulative[1:]
+        return vmax * tmax ** (1.0 / p) * float(np.max(s.normalized_values * tau ** (1.0 / p)))
+    if p / q == math.inf:
+        return math.inf
+    core = _former_core(s, p, q)
+    if core < sys.float_info.min:
+        log_core_q = rearrange._log_core_over_q(s.normalized_values, s.normalized_cumulative, p, q)
+    else:
+        try:
+            return vmax * tmax ** (1.0 / p) * core ** (1.0 / q)
+        except OverflowError:
+            log_core_q = math.log(core) / q
+    return rearrange._exp_or_inf(math.log(vmax) + math.log(tmax) / p + log_core_q)
+
+
 def _former_norms(cfg: dict) -> int:
-    """The former ``cmd_norms``: every value in sequence on one thread."""
+    """The former ``cmd_norms``: every value in sequence on one thread, each
+    power sum over full arrays."""
     qs = cli._parse_q_list("norms", cfg["q_list"])
     u = load_grid(cfg["input"])
     step = u.rearrangement
     tv = bv.total_variation(u)
     l1 = u.l1_norm()
-    p2 = 0.0 if step is None else lebesgue_norm(step, 2.0)
+    p2 = 0.0 if step is None else _former_lebesgue_norm(step, 2.0)
     doc: dict = {
         "schema_version": cli.SCHEMA_VERSION,
         "input": os.path.basename(cfg["input"]),
@@ -214,17 +283,63 @@ def _former_norms(cfg: dict) -> int:
     if u.dim >= 2:
         p = critical_exponent(u.dim)
         doc["critical_exponent"] = p
-        doc["lebesgue"]["pcrit"] = p2 if p == 2.0 or step is None else lebesgue_norm(step, p)
+        doc["lebesgue"]["pcrit"] = p2 if p == 2.0 or step is None else _former_lebesgue_norm(step, p)
         table = {}
         for q in qs:
             key = "qinf" if q == float("inf") else f"q{q:g}"
-            table[key] = 0.0 if step is None else lorentz_norm(step, LorentzIndex(p, q))
+            table[key] = 0.0 if step is None else _former_lorentz_norm(step, p, q)
         doc["lorentz_critical"] = table
     bad = cli._first_non_finite(doc)
     if bad:
         raise InputError(f"norms: {bad} of {cfg['input']} overflows a double")
     cli._emit(doc, cfg["out"])
     return 0
+
+
+def _distinct_step(n: int, seed: int) -> StepFunction:
+    """n chunks of distinct values in (0.5, 1.5] on measures of 1 to 8 cells."""
+    rng = np.random.default_rng(seed)
+    values = np.sort(rng.random(2 * n) + 0.5)[::-1]
+    values = values[np.flatnonzero(np.diff(values, prepend=2.0))][:n]
+    assert values.size == n
+    return StepFunction(values, rng.integers(1, 9, n) * 2.0**-10)
+
+
+_B = rearrange._BLOCK_CHUNKS
+
+
+@pytest.mark.parametrize("n", [_B - 1, _B, _B + 1, 2 * _B + 1])
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_blocked_norms_equal_the_former_full_array_expressions(n, p):
+    # q = p; a q that sends every term under the smallest normal double, so
+    # the norm is summed in logs; a q so small that core ** (1 / q) raises
+    # OverflowError; and the Lebesgue and weak norms
+    s = _distinct_step(n, n)
+    big, tiny = 2e4, 1e-3
+    assert _former_core(s, p, big) < sys.float_info.min
+    with pytest.raises(OverflowError):
+        _former_core(s, p, tiny) ** (1.0 / tiny)
+    for q in (p, big, tiny, 1.0, 3.0, math.inf):
+        assert lorentz_norm(s, LorentzIndex(p, q)) == _former_lorentz_norm(s, p, q), q
+    assert lorentz_norm_weak(s, p) == _former_lorentz_norm(s, p, math.inf)
+    for r in (p, 1.0, 2.0, 0.5, 3):
+        assert lebesgue_norm(s, r) == _former_lebesgue_norm(s, r), r
+
+
+@pytest.mark.parametrize("norm", ["q1", "q3", "p1.5"])
+def test_power_sums_hold_one_chunk_array_and_one_block(norm):
+    # beside the step's own caches, a norm holds one array of the chunks'
+    # length (n + 1 for the Lorentz measure factors), one block of powers
+    # and at most 64 KiB of small objects; the former full-array sums held
+    # two or three chunk arrays
+    n = 200_000
+    s = _distinct_step(n, 9)
+    s.normalized_values, s.normalized_cumulative, s.total_measure
+    if norm == "p1.5":
+        peak = _peak(lebesgue_norm, s, 1.5)
+    else:
+        peak = _peak(lorentz_norm, s, LorentzIndex(1.5, float(norm[1:])))
+    assert peak <= (n + 1) * 8 + _B * 8 + (64 << 10)
 
 
 def _smooth_256():
@@ -258,26 +373,62 @@ def _peak(fn, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("levels", [4, None])
-def test_threaded_norms_holds_at_most_one_padded_field_more(tmp_path, levels):
+@pytest.mark.parametrize(
+    "dim, n, levels", [(2, 512, 4), (2, 512, None), (3, 64, None)], ids=["4", "None", "3d-None"]
+)
+def test_threaded_norms_holds_at_most_one_padded_field_more(tmp_path, dim, n, levels):
     # the worker's peak is the padded per-face array and two slab buffers,
     # and at worst it meets the sort's peak on the calling thread; few
     # distinct values make the sort short, so the two peaks tend to meet.
-    # 64 KiB cover the pool's own objects (thread, future, context copy)
-    n = 512
-    vals = np.random.default_rng(5).random((n, n)) + 0.5
+    # With distinct values the norm table is long, and split between the
+    # two threads.  64 KiB cover the pool's own objects (thread, futures,
+    # context copies)
+    vals = np.random.default_rng(5).random((n,) * dim) + 0.5
     if levels:
         vals = np.ceil(vals * levels)
     p = tmp_path / "u.grid"
-    save_grid(GridFunction(2, 9, (-n // 2, -n // 2), (n, n), vals), p)
+    save_grid(GridFunction(dim, 9, (-n // 2,) * dim, (n,) * dim, vals), p)
     cfg = {"input": str(p), "q_list": "1,1.5,2,inf", "out": str(tmp_path / "former.json")}
     argv = ["norms", "--input", str(p), "--out", str(tmp_path / "norms.json")]
     main(argv)  # first-call allocations stay out of both peaks
     former = _peak(_former_norms, cfg)
     threaded = _peak(main, argv)
-    worker = (n + 2) ** 2 * 8 + 2 * (bv._SLAB_CELLS + n + 2) * 8 + (64 << 10)
+    row_cells = (n + 2) ** (dim - 1)  # one padded axis-0 row
+    worker = (n + 2) ** dim * 8 + 2 * (bv._SLAB_CELLS + row_cells) * 8 + (64 << 10)
     assert threaded <= former + worker
     assert (tmp_path / "norms.json").read_bytes() == (tmp_path / "former.json").read_bytes()
+
+
+def test_norms_table_is_shared_with_the_worker(tmp_path, monkeypatch):
+    # the caller's first job (p2) waits until the worker has drawn a Lorentz
+    # job, which waits until the caller has drawn one too: both threads run
+    # part of the table, and the bytes stay the former
+    p = tmp_path / "u.grid"
+    save_grid(corpus_grids(11, 3, 1)[0], p)
+    cfg = {"input": str(p), "q_list": "1,1.5,2,inf", "out": str(tmp_path / "former.json")}
+    assert _former_norms(cfg) == 0
+    ran = []
+    drew = {True: threading.Event(), False: threading.Event()}  # by "on the calling thread"
+
+    def lorentz(step, idx):
+        on_caller = threading.current_thread() is threading.main_thread()
+        ran.append((on_caller, idx.q))
+        drew[on_caller].set()
+        assert drew[not on_caller].wait(10.0)
+        return lorentz_norm(step, idx)
+
+    def lebesgue(step, r):
+        if threading.current_thread() is threading.main_thread():
+            assert drew[False].wait(10.0)
+        return lebesgue_norm(step, r)
+
+    monkeypatch.setattr(cli, "lorentz_norm", lorentz)
+    monkeypatch.setattr(cli, "lebesgue_norm", lebesgue)
+    out = tmp_path / "norms.json"
+    assert main(["norms", "--input", str(p), "--out", str(out)]) == 0
+    assert out.read_bytes() == (tmp_path / "former.json").read_bytes()
+    assert sorted(q for _, q in ran) == [1.0, 1.5, 2.0, float("inf")]
+    assert {on_caller for on_caller, _ in ran} == {True, False}
 
 
 def test_threaded_norms_under_frequent_thread_switches(tmp_path):
@@ -351,6 +502,52 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
     _assert_refused(
         capsys, ["audit", "--config", str(cfg)], f"config {cfg} must hold a JSON object"
     )
+
+
+def test_parser_is_built_once_per_process(monkeypatch, saved_grid, tmp_path):
+    cli._build_parser()
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(
+        argparse.ArgumentParser,
+        "add_argument",
+        lambda self, *a, **kw: added.append(a) or add_argument(self, *a, **kw),
+    )
+    for _ in range(2):
+        assert main(["norms", "--input", str(saved_grid), "--out", str(tmp_path / "n.json")]) == 0
+    assert added == []
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("columns", [None, "60"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *([command, "--help"] for command in sorted(cli._COMMANDS)),
+        [],
+        ["nope"],
+        ["norms", "--threads", "x"],
+        ["audit", "--negative-control", "x"],
+        ["counterexample", "--probe", "1"],
+    ],
+)
+def test_cached_parser_prints_what_a_fresh_one_prints(monkeypatch, capsys, columns, argv):
+    # the help width is read when the text is formatted, not when the
+    # parser is built: a parser built at another width prints the same
+    cli._build_parser()
+    if columns:
+        monkeypatch.setenv("COLUMNS", columns)
+
+    def run(parser):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    fresh = run(cli._build_parser.__wrapped__())
+    assert run(cli._build_parser()) == fresh
+    assert run(cli._build_parser()) == fresh
 
 
 # every int and float flag that a --config file may set, per subcommand
@@ -1003,14 +1200,14 @@ _GARBAGE = st.one_of(
 # (beyond text its type cannot parse) and a filter on the garbage it may take
 _FUZZ = {
     "norms": (["--input", "ok.grid", "--out", "OUT/n.json"], {
-        "--q-list": (["0", "x", ",", "-inf"], None),
+        "--q-list": (["0", "x", ",", "-inf", "1.0000001,1.0000002"], None),
         "--threads": ([], None),
     }),
     "counterexample": (["--n-max", "3", "--quad-level", "3", "--out-dir", "OUT/cx"], {
         "--dim": (["1", "4", "99999999999999999999"], None),
         "--n-max": (["0", "1", "21", "99999999999999999999"], None),
         "--quad-level": (["-1", "14", "99999999999999999999"], _at_most(6)),
-        "--q-list": (["0", "nan", ""], None),
+        "--q-list": (["0", "nan", "", "1,1.0000001"], None),
     }),
     "decompose": (["--input", "seq", "--epsilon", "0.1", "--out-dir", "OUT/d"], {
         "--epsilon": (["nan", "inf", "-1", "1e400"], None),
