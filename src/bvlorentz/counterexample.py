@@ -30,7 +30,6 @@ from .radial import (
     piecewise_tv,
     radial_tv,
     staircase,
-    to_stepfunction,
 )
 from .rearrange import LorentzIndex, critical_exponent, lebesgue_norm, lorentz_norm
 
@@ -38,10 +37,6 @@ __all__ = [
     "CounterexampleRow",
     "CounterexampleReport",
     "run_counterexample",
-    "expected_radial_tv",
-    "expected_piecewise_tv",
-    "expected_l2_norm",
-    "expected_pairing",
     "decay_fit",
     "aligned_probe_elements",
     "ProbeReport",
@@ -51,24 +46,6 @@ __all__ = [
     "PROBE_FIT_TOL",
     "gnuplot_script",
 ]
-
-
-# -- closed forms for the two-dimensional family ----------------------------
-
-def expected_radial_tv(n: int) -> float:
-    return 2.0 * math.pi * (n + 2) / n
-
-
-def expected_piecewise_tv(n: int) -> float:
-    return 6.0 * math.pi
-
-
-def expected_l2_norm(n: int) -> float:
-    return math.sqrt(3.0 * math.pi / n)
-
-
-def expected_pairing(n: int) -> float:
-    return 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -167,16 +144,15 @@ def run_counterexample(
     rows = []
     for n in range(1, n_max + 1):
         u = staircase(dim, n)
-        step = to_stepfunction(u)
-        lorentz = {float(q): lorentz_norm(step, LorentzIndex(p, float(q))) for q in q_list}
+        lorentz = {float(q): lorentz_norm(u, LorentzIndex(p, float(q))) for q in q_list}
         rows.append(
             CounterexampleRow(
                 n=n,
                 tv_radial=radial_tv(u),
                 tv_piecewise=piecewise_tv(u),
-                l2_norm=lebesgue_norm(step, 2.0),
+                l2_norm=lebesgue_norm(u, 2.0),
                 pairing=dual_pairing_inverse_radius(u),
-                lebesgue_critical=lebesgue_norm(step, p),
+                lebesgue_critical=lebesgue_norm(u, p),
                 lorentz=lorentz,
             )
         )

@@ -126,18 +126,14 @@ def scaled_chi_function(profile: TruncationProfile, j: int) -> ScalarC1:
     return ScalarC1(fn, profile.derivative_bound, f"chi[{j}]")
 
 
-def band_bounds(profile: TruncationProfile, j: int, wide: bool = False) -> tuple[float, float]:
-    """Half-open value interval [lo, hi) of the band at scale j."""
-    if wide:
-        return profile.value_scale(j - 1), profile.value_scale(j + 2)
-    return profile.value_scale(j), profile.value_scale(j + 1)
+def band_bounds(profile: TruncationProfile, j: int) -> tuple[float, float]:
+    """Half-open value interval [lo, hi) of the wide band at scale j."""
+    return profile.value_scale(j - 1), profile.value_scale(j + 2)
 
 
-def level_band(
-    u: GridFunction, profile: TruncationProfile, j: int, wide: bool = False
-) -> np.ndarray:
+def level_band(u: GridFunction, profile: TruncationProfile, j: int) -> np.ndarray:
     """Boolean mask on the box of ``u``: cells whose |value| lies in the band."""
-    lo, hi = band_bounds(profile, j, wide)
+    lo, hi = band_bounds(profile, j)
     a = np.abs(u.values)
     return (a >= lo) & (a < hi)
 
@@ -160,7 +156,7 @@ def active_scales(u: GridFunction, profile: TruncationProfile) -> list[int]:
     for e, v in ((step * (jlo - 1), pos.min()), (step * (jhi + 2), pos.max())):
         if not -1074 <= e <= 1023:
             raise ValueError(f"value {float(v)!r} needs the value scale 2^{e}, which a double cannot hold")
-    return [j for j in range(jlo, jhi + 1) if level_band(u, profile, j, wide=True).any()]
+    return [j for j in range(jlo, jhi + 1) if level_band(u, profile, j).any()]
 
 
 @dataclass(frozen=True)
@@ -218,7 +214,7 @@ def layer_energy_audit(
     band_tv: dict[int, float] = {}
     chain_reports: dict[int, ChainRuleReport] = {}
     for j in scales:
-        band[(slice(1, -1),) * u.dim] = level_band(u, profile, j, wide=True)
+        band[(slice(1, -1),) * u.dim] = level_band(u, profile, j)
         band_tv[j] = float(np.sum(contrib[band]))
         _, chain_reports[j] = compose_scalar(scaled_chi_function(profile, j), u)
 

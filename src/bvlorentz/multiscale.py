@@ -11,12 +11,14 @@ are additive over functions separated by at least one empty cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import bv
 from .grid import GridFunction, _computed, _footprint, _sum_on, linear_combine, trim
 from .group import GroupElement, act, compose, identity
+from .rearrange import StepFunction, step_from_pairs
 
 __all__ = ["DyadicSum", "Term", "dyadic_sum"]
 
@@ -105,15 +107,19 @@ class DyadicSum:
     def l1_norm(self) -> float:
         return float(sum(c.l1_norm() for c in self.clusters()))
 
-    def value_measure_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        vals, meas = [], []
+    @cached_property
+    def rearrangement(self) -> StepFunction | None:
+        """The decreasing rearrangement (None for a sum with no clusters).
+
+        Every cluster's chunks are joined, in cluster order, and sorted once;
+        a sum with no clusters sorts the empty list.
+        """
+        vals, meas = [np.zeros(0)], [np.zeros(0)]
         for c in self.clusters():
             v, m = c.value_measure_pairs()
             vals.append(v)
             meas.append(m)
-        if not vals:
-            return np.zeros(0), np.zeros(0)
-        return np.concatenate(vals), np.concatenate(meas)
+        return step_from_pairs(np.concatenate(vals), np.concatenate(meas))
 
     def materialize(
         self, level: int, origin: tuple[int, ...], extents: tuple[int, ...]

@@ -47,7 +47,7 @@ from .grid import (
 )
 from .group import DEFAULT_SCALE_BOUND, DyadicVector, GroupElement, _placement, inverse
 from .multiscale import DyadicSum, dyadic_sum
-from .rearrange import LorentzIndex, lorentz_norm, step_from_pairs
+from .rearrange import LorentzIndex, lorentz_norm
 
 __all__ = [
     "ExtractionArgumentError",
@@ -462,15 +462,10 @@ def energy_audit(decomp: ProfileDecomposition, delta: float = 0.1) -> EnergyRepo
 
 
 def remainder_lorentz(decomp: ProfileDecomposition, p: float, q_list) -> list[dict]:
-    out = []
-    for r in decomp.remainders:
-        vals, meas = r.value_measure_pairs()
-        step = step_from_pairs(vals, meas)
-        row = {}
-        for q in q_list:
-            row[f"q{q:g}"] = 0.0 if step is None else lorentz_norm(step, LorentzIndex(p, float(q)))
-        out.append(row)
-    return out
+    return [
+        {f"q{q:g}": lorentz_norm(r, LorentzIndex(p, float(q))) for q in q_list}
+        for r in decomp.remainders
+    ]
 
 
 # -- fixtures ------------------------------------------------------------------

@@ -9,6 +9,8 @@ where a grid would need millions of cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from .grid import GridFunction, UnsupportedDimensionError, _check_dim, _frozen, _guard
@@ -22,7 +24,6 @@ __all__ = [
     "radial_tv",
     "staircase",
     "to_grid",
-    "to_stepfunction",
 ]
 
 
@@ -74,8 +75,10 @@ class RadialStep:
         omega = unit_ball_volume(self.dim)
         return omega * np.diff(self.radii**self.dim)
 
-    def value_measure_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.values, self.shell_measures()
+    @cached_property
+    def rearrangement(self) -> StepFunction | None:
+        """The decreasing rearrangement of |u| over the shells (None if zero)."""
+        return step_from_pairs(self.values, self.shell_measures())
 
     def evaluate(self, r: np.ndarray) -> np.ndarray:
         """Value at radius r (shells are open at the inner radius)."""
@@ -139,10 +142,6 @@ def piecewise_tv(u: RadialStep) -> float:
     inner = u.radii[:-1] ** (dim - 1)
     outer = u.radii[1:] ** (dim - 1)
     return float(np.sum(dim * omega * (inner + outer) * np.abs(u.values)))
-
-
-def to_stepfunction(u: RadialStep) -> StepFunction | None:
-    return step_from_pairs(u.values, u.shell_measures())
 
 
 def dual_pairing_inverse_radius(u: RadialStep) -> float:

@@ -2,8 +2,9 @@
 
 Everything here operates on finite lists of (value, measure) chunks, so the
 defining integrals reduce to closed-form power sums and no quadrature error
-enters.  Any object exposing ``value_measure_pairs()`` can be rearranged;
-grid functions and radial step functions both do.
+enters.  The norms take a :class:`StepFunction` or any object that caches its
+decreasing rearrangement as ``rearrangement``: grid functions, formal sums
+and radial step functions all do.
 """
 from __future__ import annotations
 
@@ -163,13 +164,7 @@ def step_from_pairs(values: np.ndarray, measures) -> StepFunction | None:
 
 
 def _as_step(u) -> StepFunction | None:
-    if isinstance(u, StepFunction):
-        return u
-    if hasattr(u, "rearrangement"):
-        return u.rearrangement
-    if hasattr(u, "value_measure_pairs"):
-        return step_from_pairs(*u.value_measure_pairs())
-    raise TypeError(f"cannot rearrange object of type {type(u).__name__}")
+    return u if isinstance(u, StepFunction) else u.rearrangement
 
 
 def schwarz_profile(u, dim: int | None = None) -> StepFunction | None:

@@ -1,5 +1,6 @@
 """The staircase family: bounded variation, vanishing norms, mass escape."""
 import functools
+import math
 import time
 
 import numpy as np
@@ -14,14 +15,28 @@ from bvlorentz.counterexample import (
     aligned_probe_elements,
     decay_fit,
     dvanishing_probe,
-    expected_l2_norm,
-    expected_pairing,
-    expected_piecewise_tv,
-    expected_radial_tv,
     gnuplot_script,
     probe_ok,
     run_counterexample,
 )
+
+
+# -- closed forms for the two-dimensional family ----------------------------
+
+def expected_radial_tv(n: int) -> float:
+    return 2.0 * math.pi * (n + 2) / n
+
+
+def expected_piecewise_tv(n: int) -> float:
+    return 6.0 * math.pi
+
+
+def expected_l2_norm(n: int) -> float:
+    return math.sqrt(3.0 * math.pi / n)
+
+
+def expected_pairing(n: int) -> float:
+    return 2.0 * math.pi
 
 
 @pytest.fixture(scope="module")

@@ -92,9 +92,10 @@ def test_scaled_chi_same_bound_and_scaling():
 
 def test_band_bounds():
     p = build_profile(2)
-    assert band_bounds(p, 0) == (1.0, 2.0)
-    assert band_bounds(p, 0, wide=True) == (0.5, 4.0)
-    assert band_bounds(p, 2) == (4.0, 8.0)
+    assert band_bounds(p, 0) == (0.5, 4.0)
+    assert band_bounds(p, 2) == (2.0, 16.0)
+    q = build_profile(3)
+    assert band_bounds(q, 1) == (1.0, 64.0)
 
 
 def test_color_class_period():
@@ -118,21 +119,21 @@ def test_same_color_layers_have_disjoint_support():
 def test_level_band_masks_values(checker2d):
     p = build_profile(2)
     band = level_band(checker2d, p, 0)
-    # checkerboard values {0, 1}: only the 1s fall in [1, 2)
+    # checkerboard values {0, 1}: only the 1s fall in [1/2, 4)
     assert band.dtype == bool and band.shape == checker2d.extents
     np.testing.assert_array_equal(band, checker2d.values == 1.0)
-    # the wide band [1/2, 4) holds the same cells; [2, 4) holds none
-    np.testing.assert_array_equal(level_band(checker2d, p, 0, wide=True), band)
-    assert not level_band(checker2d, p, 1).any()
+    # [1, 8) holds them too, [2, 16) none
+    np.testing.assert_array_equal(level_band(checker2d, p, 1), band)
+    assert not level_band(checker2d, p, 2).any()
 
 
 def test_active_scales_bracket_value_range():
     u = GridFunction(2, 0, (0, 0), (2, 2), np.array([[0.75, 3.0], [12.0, 0.0]]))
     p = build_profile(2)
     scales = active_scales(u, p)
-    # 0.75 sits in wide bands j = -1, 0; 3.0 in j = 0, 1; 12.0 in j = 2, 3
+    # 0.75 sits in bands j = -2..0, 3.0 in j = 0..2, 12.0 in j = 2..4
     for j in scales:
-        lo, hi = band_bounds(p, j, wide=True)
+        lo, hi = band_bounds(p, j)
         assert np.any((np.abs(u.values) >= lo) & (np.abs(u.values) < hi))
     assert -1 in scales and 3 in scales
     z = GridFunction(2, 0, (0, 0), (1, 1), np.zeros((1, 1)))
@@ -206,7 +207,7 @@ def _reference_band_tv(u, scales):
     profile = build_profile(u.dim)
     band_tv = {}
     for j in scales:
-        lo, hi = band_bounds(profile, j, wide=True)
+        lo, hi = band_bounds(profile, j)
         a = np.abs(u.values)
         region = _MaskRegion(u.dim, u.level, u.origin, (a >= lo) & (a < hi))
         band_tv[j] = bv.total_variation_on(u, region)

@@ -3,12 +3,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvlorentz import grid, profiles
+from bvlorentz import grid, multiscale, profiles
 from bvlorentz.bv import total_variation
+from bvlorentz.corpus import corpus_elements, corpus_grids
 from bvlorentz.grid import GridFunction, resample_to
 from bvlorentz.group import DyadicVector, GroupElement, act, compose, identity, inverse
 from bvlorentz.multiscale import DyadicSum, Term, dyadic_sum
 from bvlorentz.profiles import staircase_sequence, two_profile_sequence
+from bvlorentz.rearrange import step_from_pairs
 
 
 def _block(value=1.0):
@@ -23,8 +25,7 @@ def test_wrap_and_is_zero(single_cell):
     assert z.clusters() == []
     assert z.total_variation() == 0.0
     assert z.l1_norm() == 0.0
-    v, m = z.value_measure_pairs()
-    assert v.size == 0 and m.size == 0
+    assert z.rearrangement is None
 
 
 def test_dimension_check(single_cell):
@@ -446,3 +447,106 @@ def test_linear_combine_equals_former_refine_and_add(dim, data):
         at = [fo * 2 ** (level - f.level) - o for fo, o in zip(f.origin, origin)]
         acc[tuple(slice(a, a + n) for a, n in zip(at, vals.shape))] += c * vals
     assert grid.linear_combine(coeffs, fns).values.tobytes() == acc.tobytes()
+
+
+# -- the cached rearrangement against the former pairs path ------------------------
+
+def _former_rearrangement(s):
+    """The former ``DyadicSum.value_measure_pairs``, sorted by the weighted path."""
+    vals, meas = [], []
+    for c in s.clusters():
+        flat = np.abs(c.values.ravel())
+        v = flat[flat > 0.0]
+        vals.append(v)
+        meas.append(np.full(v.shape, c.cell_measure))
+    if not vals:
+        return step_from_pairs(np.zeros(0), np.zeros(0))
+    return step_from_pairs(np.concatenate(vals), np.concatenate(meas))
+
+
+def _assert_rearrangement_is_former(s):
+    got, want = s.rearrangement, _former_rearrangement(s)
+    assert s.rearrangement is got
+    if want is None:
+        assert got is None
+        return
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.measures, want.measures)
+
+
+def _corpus_sums():
+    """Per seed and dim: the four corpus grids overlapping at the identity
+    (flattened where they touch), and each moved by its corpus element and
+    then 40 units along the first axis from the last (four clusters)."""
+    coeffs = (1.0, -0.5, 2.0, 0.25)
+    out = []
+    for seed in range(6):
+        for dim in (1, 2, 3):
+            grids, elements = corpus_grids(seed, dim, 4), corpus_elements(seed, dim, 4)
+            out.append(DyadicSum(dim, tuple(Term(c, identity(dim), u) for c, u in zip(coeffs, grids))))
+            apart = [GroupElement(0, DyadicVector.integers(40 * k, *[0] * (dim - 1))) for k in range(4)]
+            terms = tuple(Term(c, compose(t, g), u) for c, t, g, u in zip(coeffs, apart, elements, grids))
+            out.append(DyadicSum(dim, terms))
+    return out
+
+
+def _far_separated_sum():
+    """Two 3-D clusters of equal values whose levels are 18 apart, so that
+    their cell measures are 2^54 apart."""
+    coarse = GridFunction(3, 4, (0, 0, 0), (2, 2, 2), np.ones((2, 2, 2)))
+    fine = GridFunction(3, 22, (2**20, 0, 0), (4, 4, 4), np.ones((4, 4, 4)))
+    s = DyadicSum(3, (Term(1.0, identity(3), coarse), Term(1.0, identity(3), fine)))
+    assert len(s.clusters()) == 2
+    return s
+
+
+def test_far_separated_clusters_add_their_measures_cell_by_cell():
+    # each fine cell's 2^-66 is lost against 2^-9, one at a time; summing the
+    # fine cluster first (2^-60) and adding that would give 2^-9 + 2^-60
+    assert _far_separated_sum().rearrangement.measures.tolist() == [2.0**-9]
+
+
+@pytest.fixture(scope="module")
+def planted_remainders():
+    out = []
+    for kw in (dict(), dict(level=5), dict(dim=3, level=4)):
+        seq = two_profile_sequence(range(1, 9), **kw)
+        out += profiles.extract_profiles(seq, epsilon=0.1).remainders
+    return out
+
+
+def test_rearrangement_of_corpus_sums_is_the_former_pairs_path():
+    sums = _corpus_sums()
+    assert {1, 4} <= {len(s.clusters()) for s in sums}
+    for s in sums:
+        _assert_rearrangement_is_former(s)
+
+
+def test_rearrangement_of_planted_remainders_is_the_former_pairs_path(planted_remainders):
+    assert any(r.rearrangement is None for r in planted_remainders)
+    assert any(len(r.clusters()) > 1 for r in planted_remainders)
+    for r in planted_remainders:
+        _assert_rearrangement_is_former(r)
+
+
+def test_rearrangement_of_staircase_zero_and_far_separated_sums():
+    zero = dyadic_sum(GridFunction(2, 0, (0, 0), (1, 1), np.zeros((1, 1))))
+    for s in staircase_sequence((4, 5, 6)) + [zero, _far_separated_sum()]:
+        _assert_rearrangement_is_former(s)
+    assert zero.rearrangement is None
+
+
+def test_remainder_lorentz_sorts_each_remainder_once(monkeypatch):
+    calls = []
+
+    def counting(values, measures):
+        calls.append(np.size(values))
+        return step_from_pairs(values, measures)
+
+    seq = two_profile_sequence(range(1, 9), dim=3, level=4)
+    decomp = profiles.extract_profiles(seq, epsilon=0.1)
+    monkeypatch.setattr(multiscale, "step_from_pairs", counting)
+    first = profiles.remainder_lorentz(decomp, 1.5, (1.0, 1.5, 2.0, float("inf")))
+    assert len(calls) == len(decomp.remainders)
+    assert profiles.remainder_lorentz(decomp, 1.5, (1.0, 1.5, 2.0, float("inf"))) == first
+    assert len(calls) == len(decomp.remainders)

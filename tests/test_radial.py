@@ -14,9 +14,8 @@ from bvlorentz.radial import (
     radial_tv,
     staircase,
     to_grid,
-    to_stepfunction,
 )
-from bvlorentz.rearrange import lebesgue_norm
+from bvlorentz.rearrange import lebesgue_norm, step_from_pairs
 
 
 def test_construction_and_trimming():
@@ -89,13 +88,27 @@ def test_staircase_closed_forms_2d():
         assert dual_pairing_inverse_radius(u) == pytest.approx(
             2.0 * math.pi, rel=1e-12
         )
-        assert lebesgue_norm(to_stepfunction(u), 2.0) == pytest.approx(
+        assert lebesgue_norm(u.rearrangement, 2.0) == pytest.approx(
             math.sqrt(3.0 * math.pi / n), rel=1e-12
         )
     with pytest.raises(ValueError):
         staircase(2, 0)
     with pytest.raises(UnsupportedDimensionError):
         staircase(1, 3)
+
+
+def test_rearrangement_is_cached_from_the_shells():
+    cases = [annulus_indicator(2), annulus_indicator(3), staircase(3, 5)]
+    cases.append(RadialStep(2, np.array([0.0, 0.5, 1.0, 2.0]), np.array([-1.0, 3.0, -1.0])))
+    cases += [staircase(2, n) for n in range(1, 13)]
+    for u in cases:
+        got = u.rearrangement
+        want = step_from_pairs(u.values, u.shell_measures())
+        assert u.rearrangement is got
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.measures, want.measures)
+    zero = RadialStep(2, np.array([0.0, 5.0]), np.array([0.0]))
+    assert zero.rearrangement is None and zero.rearrangement is None
 
 
 def test_pairing_needs_dim_two():

@@ -218,15 +218,18 @@ def test_rearrangement_of_grid_function(single_cell):
 
 
 def test_zero_function_norms():
-    class Zero:
-        def value_measure_pairs(self):
-            return np.zeros(3), np.ones(3)
+    from bvlorentz.grid import GridFunction
+    from bvlorentz.multiscale import dyadic_sum
+    from bvlorentz.radial import RadialStep
 
-    z = Zero()
-    assert lorentz_norm(z, LorentzIndex(2.0, 1.0)) == 0.0
-    assert lorentz_norm_weak(z, 2.0) == 0.0
-    assert lebesgue_norm(z, 2.0) == 0.0
-    assert lorentz_norm_symmetrization(z, LorentzIndex(2.0, 1.0), dim=2) == 0.0
+    zero_grid = GridFunction(2, 1, (0, 0), (3, 3), np.zeros((3, 3)))
+    zeros = [zero_grid, dyadic_sum(zero_grid), RadialStep(2, np.array([0.0, 5.0]), np.array([0.0]))]
+    for z in zeros:
+        assert z.rearrangement is None
+        assert lorentz_norm(z, LorentzIndex(2.0, 1.0)) == 0.0
+        assert lorentz_norm_weak(z, 2.0) == 0.0
+        assert lebesgue_norm(z, 2.0) == 0.0
+        assert lorentz_norm_symmetrization(z, LorentzIndex(2.0, 1.0), dim=2) == 0.0
 
 
 # -- values-only rearrangement of grid functions against the pairs path ------
