@@ -168,9 +168,6 @@ class ChainRuleReport:
     bound: float
     ok: bool
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def compose_scalar(phi: ScalarC1, u: GridFunction) -> tuple[GridFunction, ChainRuleReport]:
     """Pointwise composition phi(u) with the variation inequality report.
@@ -202,15 +199,6 @@ class TVReport:
     sum_per_cube: float = 0.0
     splitting_bound: float = 0.0
     ok: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "sum_per_cube": self.sum_per_cube,
-            "splitting_bound": self.splitting_bound,
-            "cubes": {",".join(map(str, k)): v for k, v in sorted(self.per_cube.items())},
-            "ok": self.ok,
-        }
 
 
 def _axis_cubes(origin: int, n: int, level: int) -> np.ndarray:

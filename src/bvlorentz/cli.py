@@ -497,10 +497,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bvlorentz",
         description="numerical laboratory for concentration analysis on dyadic grids",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, about, flags) in _COMMANDS.items():
-        sp = sub.add_parser(command, help=about)
+        sp = sub.add_parser(command, help=about, allow_abbrev=False)
         for dest, typ, _, text in flags + _COMMON:
             if typ is bool:
                 kw = {"action": argparse.BooleanOptionalAction}

@@ -18,7 +18,6 @@ import numpy as np
 
 from .grid import (
     DEFAULT_CELL_GUARD,
-    DimensionMismatchError,
     InputError,
     MemoryGuardError,
     UnsupportedDimensionError,
@@ -206,9 +205,6 @@ def decay_fit(ns, values) -> float:
 PROBE_FIT_TARGET = -1.0
 PROBE_FIT_TOL = 0.2
 
-# the smallest normal double: scaling by 2^j is exact on values at or above it
-_TINY = 2.0**-1022
-
 
 def aligned_probe_elements(dim: int, count: int) -> list[GroupElement]:
     """Zoom-out elements g[-i, (-1, 0, ...)] that map one annulus of the
@@ -271,38 +267,33 @@ def _shell_lookup(u: RadialStep, breaks: np.ndarray) -> np.ndarray:
 def dvanishing_probe(
     dim: int = 2,
     n_list: tuple = tuple(range(1, 13)),
-    elements: list[GroupElement] | None = None,
     quad_level: int = 9,
 ) -> ProbeReport:
     """Midpoint quadrature of |g u_n| over the unit cube (0,1)^dim, for every
-    staircase ``u_n`` (n in ``n_list``) and group element g.
+    staircase ``u_n`` (n in ``n_list``) and every aligned element g of
+    ``aligned_probe_elements(dim, max(n_list))``.
 
     Every mass is bit-identical to a separate quadrature per (n, g), which
     evaluates ``u_n`` at |2^j (x - y)| on the (2^quad_level,)*dim nodes and
     takes the mean of the absolute values times 2^((dim-1) j).  Two exact
     identities let the probe share that work:
 
-    * One radius field per distinct translation y.  |2^j (x - y)| is
-      2^j |x - y| bit for bit, so R_y = |x - y| is built and located once,
+    * One radius field.  All the elements share y = -e_1, and |2^j (x - y)|
+      is 2^j |x - y| bit for bit, so R = |x - y| is built and located once,
       with ``searchsorted``, among E, the union of the scaled staircase
       breakpoints 2^-j * breaks over the elements' j.  Each staircase's
       fine-shell lookup maps onto E as ``lut[searchsorted(2^-j * breaks, E)]``.
     * One gather per distinct lookup.  Each composed lookup is restricted to
-      the shells that nodes of R_y hit and divided by the power of two of
+      the shells that nodes of R hit and divided by the power of two of
       its largest entry; the mean over the nodes is taken once per distinct
       such table and scaled back, exactly.  An all-zero table gives 0.
 
     Raises ``UnsupportedDimensionError`` for a dim outside {2, 3},
     ``InputError`` for a negative ``quad_level`` or fewer than two distinct
-    n (the decay fit needs two points), ``DimensionMismatchError`` for an
-    element of another dim, and ``MemoryGuardError`` when the
-    (2^quad_level)^dim nodes exceed ``DEFAULT_CELL_GUARD``.  Both identities
-    need every scaled value to stay a normal double, so the probe also
-    raises ``ScaleBoundError`` for an n or an element |j| above
-    ``DEFAULT_SCALE_BOUND``, and ``ValueError`` for a translation with a
-    nonzero squared axis distance (times 4^j when j < 0) below 2^-1022, the
-    smallest normal double.  Every refusal comes before any staircase or
-    node is built.
+    n (the decay fit needs two points), ``MemoryGuardError`` when the
+    (2^quad_level)^dim nodes exceed ``DEFAULT_CELL_GUARD`` and
+    ``ScaleBoundError`` for an n above ``DEFAULT_SCALE_BOUND``.  Every
+    refusal comes before any staircase or node is built.
     """
     _check_family_dim(dim)
     if quad_level < 0:
@@ -319,26 +310,7 @@ def dvanishing_probe(
         raise ScaleBoundError(f"n = {max(n_list)} exceeds scale bound {DEFAULT_SCALE_BOUND}")
     if len(set(n_list)) < 2:
         raise InputError(f"the decay fit needs at least two distinct n, got {tuple(n_list)}")
-    if elements is None:
-        elements = aligned_probe_elements(dim, max(n_list))
-    # elements grouped by translation, in order of first appearance
-    by_y: dict[tuple, list] = {}
-    for e, g in enumerate(elements):
-        if g.dim != dim:
-            raise DimensionMismatchError(f"element {e} has dim {g.dim}, the probe has dim {dim}")
-        if abs(g.j) > DEFAULT_SCALE_BOUND:
-            raise ScaleBoundError(f"|j| = {abs(g.j)} exceeds scale bound {DEFAULT_SCALE_BOUND}")
-        by_y.setdefault(tuple(g.y.as_floats().tolist()), []).append((e, g))
-    axis = _node_axis(quad_level)
-    for y, members in by_y.items():
-        scale_sq = 4.0 ** min(0, min(g.j for _, g in members))
-        for k in range(dim):
-            d = axis - y[k]
-            if np.any((d != 0.0) & (d**2 * scale_sq < _TINY)):
-                raise ValueError(
-                    f"probe translation {y} lies too close to a quadrature node: a squared "
-                    f"axis distance (times 4^j when j < 0) falls below 2^-1022"
-                )
+    elements = aligned_probe_elements(dim, max(n_list))
 
     family = [staircase(dim, n) for n in n_list]
     breaks = functools.reduce(np.union1d, (u.radii for u in family))
@@ -349,28 +321,30 @@ def dvanishing_probe(
     # shell of 2^j r is the one of 2^j uppers[t]: shell_at[j][t]
     uppers = np.append(edges, np.inf)
     shell_at = {j: np.searchsorted(breaks * 2.0**-j, uppers, side="left") for j in scales}
+    # y = -e_1, j >= -20 and quad_level <= 13: every nonzero squared axis
+    # distance times 4^j is at least 2^-68, a normal double, so R scales exactly
+    y = tuple(elements[0].y.as_floats().tolist())
+    idx = np.searchsorted(edges, _radius_field(y, dim, quad_level), side="left")
+    hit = np.bincount(idx.ravel(), minlength=uppers.size) > 0
+    means: dict[bytes, np.float64] = {}
     # captured[e][i]: mass of element e on staircase n_list[i]
-    captured: list = [None] * len(elements)
-    for y, members in by_y.items():
-        idx = np.searchsorted(edges, _radius_field(y, dim, quad_level), side="left")
-        hit = np.bincount(idx.ravel(), minlength=uppers.size) > 0
-        means: dict[bytes, np.float64] = {}
-        for e, g in members:
-            factor = 2.0 ** ((dim - 1) * g.j)
-            row = []
-            for lut in lookups:
-                table = np.where(hit, lut[shell_at[g.j]], 0.0)
-                top = float(table.max())
-                if top == 0.0:
-                    row.append(0.0)
-                    continue
-                exp = math.frexp(top)[1]
-                canon = table * 2.0**-exp
-                key = canon.tobytes()
-                if key not in means:
-                    means[key] = np.take(canon, idx).mean()
-                row.append(float(factor * (means[key] * 2.0**exp)))
-            captured[e] = row
+    captured = []
+    for g in elements:
+        factor = 2.0 ** ((dim - 1) * g.j)
+        row = []
+        for lut in lookups:
+            table = np.where(hit, lut[shell_at[g.j]], 0.0)
+            top = float(table.max())
+            if top == 0.0:
+                row.append(0.0)
+                continue
+            exp = math.frexp(top)[1]
+            canon = table * 2.0**-exp
+            key = canon.tobytes()
+            if key not in means:
+                means[key] = np.take(canon, idx).mean()
+            row.append(float(factor * (means[key] * 2.0**exp)))
+        captured.append(row)
     best = [max(masses) for masses in zip(*captured)]  # one n at a time
     fit = decay_fit(n_list, best)
     return ProbeReport(

@@ -174,18 +174,6 @@ class LayerAudit:
     def ok(self) -> bool:
         return self.band_sum_ok and self.chain_ok and self.color_disjoint_ok
 
-    def to_dict(self) -> dict:
-        return {
-            "scales": list(self.scales),
-            "tv_total": self.tv_total,
-            "band_tv": {str(j): v for j, v in sorted(self.band_tv.items())},
-            "band_tv_sum": self.band_tv_sum,
-            "band_sum_ok": self.band_sum_ok,
-            "chain_ok": self.chain_ok,
-            "color_disjoint_ok": self.color_disjoint_ok,
-            "ok": self.ok,
-        }
-
 
 def _color_disjoint(profile: TruncationProfile, u: GridFunction, scales: list[int]) -> bool:
     layered = {j: _evaluate(profile, _scaled(u.values, profile.value_scale(j))) for j in scales}

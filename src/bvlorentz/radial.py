@@ -32,8 +32,8 @@ class RadialStep:
     """Function equal to values[m] on the shell radii[m] < |x| <= radii[m+1].
 
     ``radii`` starts at 0 and is strictly increasing; ``values`` has one entry
-    per shell.  Trailing zero shells are trimmed on construction so the outer
-    radius is meaningful.
+    per shell.  Trailing zero shells are trimmed on construction, down to the
+    innermost one, so the outer radius is meaningful.
     """
 
     dim: int
@@ -44,8 +44,8 @@ class RadialStep:
         _check_dim(self.dim)
         r = np.asarray(self.radii, dtype=np.float64)
         v = np.asarray(self.values, dtype=np.float64)
-        if r.ndim != 1 or v.ndim != 1 or r.size != v.size + 1:
-            raise ValueError("need len(radii) == len(values) + 1")
+        if r.ndim != 1 or v.ndim != 1 or v.size == 0 or r.size != v.size + 1:
+            raise ValueError("need at least one shell and len(radii) == len(values) + 1")
         if r[0] != 0.0:
             raise ValueError("radii must start at 0")
         if not np.all(np.diff(r) > 0):  # also False at NaN
@@ -56,12 +56,9 @@ class RadialStep:
         if not finite.all():
             bad = v.size - np.count_nonzero(finite)
             raise ValueError(f"values must be finite: {bad} of {v.size} shells hold NaN or inf")
-        while v.size and v[-1] == 0.0:
+        while v.size > 1 and v[-1] == 0.0:
             v = v[:-1]
             r = r[:-1]
-        if v.size == 0:
-            r = np.array([0.0, 1.0])
-            v = np.array([0.0])
         r.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "radii", r)

@@ -98,9 +98,6 @@ def test_compose_scalar_chain_rule(checker2d):
     _, rep2 = compose_scalar(squash, checker2d)
     assert rep2.ok and rep2.tv_composed <= rep2.bound
 
-    d = rep.to_dict()
-    assert d["map_name"] == "half" and d["ok"] is True
-
 
 def test_compose_scalar_requires_zero_fixed(checker2d):
     shift = ScalarC1(lambda t: t + 1.0, 1.0, "shift")
@@ -122,8 +119,6 @@ def test_lattice_tv_sum(checker2d):
     # per-cube pieces partition the padded contributions
     assert rep.sum_per_cube == pytest.approx(rep.total, abs=1e-13)
     assert rep.splitting_bound == 3**2 * rep.total
-    d = rep.to_dict()
-    assert set(d) == {"total", "sum_per_cube", "splitting_bound", "cubes", "ok"}
 
 
 small_1d = st.builds(
@@ -208,7 +203,7 @@ def _assert_same_split(u):
     assert new.sum_per_cube == ref.sum_per_cube
     assert new.splitting_bound == ref.splitting_bound
     assert new.ok == ref.ok
-    assert new.to_dict() == ref.to_dict()
+    assert new == ref
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -317,7 +312,7 @@ def test_lattice_split_equals_the_former_booking():
     # cube holds one cell
     for u in _booking_grids():
         new, former = lattice_tv_sum(u), _former_lattice_tv_sum(u)
-        assert new.to_dict() == former.to_dict()
+        assert new == former
         assert list(new.per_cube.items()) == list(former.per_cube.items())
 
 
@@ -335,7 +330,7 @@ def test_lattice_split_allocates_by_the_booked_cubes(level):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * kernel_bytes
-    assert rep.to_dict() == ref.to_dict()
+    assert rep == ref
 
 
 @pytest.mark.parametrize("level", [-60, -61, -62, -63, -64])

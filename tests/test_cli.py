@@ -530,6 +530,8 @@ def test_parser_is_built_once_per_process(monkeypatch, saved_grid, tmp_path):
         ["norms", "--threads", "x"],
         ["audit", "--negative-control", "x"],
         ["counterexample", "--probe", "1"],
+        # an abbreviated flag is refused, as the config key "out" is
+        ["counterexample", "--no-pro", "--out", "DIR"],
     ],
 )
 def test_cached_parser_prints_what_a_fresh_one_prints(monkeypatch, capsys, columns, argv):
@@ -546,6 +548,7 @@ def test_cached_parser_prints_what_a_fresh_one_prints(monkeypatch, capsys, colum
         return exc.value.code, out.out, out.err
 
     fresh = run(cli._build_parser.__wrapped__())
+    assert fresh[0] == (0 if "--help" in argv else 2)
     assert run(cli._build_parser()) == fresh
     assert run(cli._build_parser()) == fresh
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from bvlorentz import counterexample as cx
-from bvlorentz.grid import DimensionMismatchError, InputError, MemoryGuardError, UnsupportedDimensionError
-from bvlorentz.group import DyadicVector, GroupElement, ScaleBoundError
+from bvlorentz.grid import InputError, MemoryGuardError, UnsupportedDimensionError
+from bvlorentz.group import GroupElement, ScaleBoundError
 from bvlorentz.radial import RadialStep, staircase
 from bvlorentz.counterexample import (
     PROBE_FIT_TOL,
@@ -161,11 +161,9 @@ def _reference_probe(dim, n_list, elements, quad_level):
     return tuple(best), decay_fit(n_list, best)
 
 
-def _assert_probe_exact(dim, n_list, elements, quad_level):
-    probe = dvanishing_probe(dim, n_list, elements, quad_level)
-    masses, fit = _reference_probe(
-        dim, n_list, elements or aligned_probe_elements(dim, max(n_list)), quad_level
-    )
+def _assert_probe_exact(dim, n_list, quad_level):
+    probe = dvanishing_probe(dim, n_list, quad_level)
+    masses, fit = _reference_probe(dim, n_list, aligned_probe_elements(dim, max(n_list)), quad_level)
     assert probe.masses == masses
     assert probe.fit_exponent == fit
 
@@ -174,56 +172,17 @@ def _assert_probe_exact(dim, n_list, elements, quad_level):
     "dim, quad_level", [(2, q) for q in range(9)] + [(3, q) for q in range(6)]
 )
 def test_probe_equals_per_pair_quadrature(dim, quad_level):
-    _assert_probe_exact(dim, tuple(range(1, 13)), None, quad_level)
-
-
-def test_probe_equals_per_pair_quadrature_custom_elements():
-    els = aligned_probe_elements(2, 8)[::-1]
-    # y on a node (1/256, 65/256) of the level-7 quadrature: radii 0, 2^-2 and
-    # 2^-1 are hit exactly, so the closed side of every shell is exercised
-    on_node = DyadicVector((1, 65), 8)
-    els = els[3:] + els[:3] + [GroupElement(0, on_node), GroupElement(1, on_node)]
-    _assert_probe_exact(2, (4, 8), els, 7)
-    els3 = aligned_probe_elements(3, 8)[::-1]
-    _assert_probe_exact(3, (4, 8), els3[1::2] + els3[::2], 5)
-
-
-def test_probe_equals_per_pair_quadrature_duplicated_element():
-    els = aligned_probe_elements(2, 12)
-    _assert_probe_exact(2, tuple(range(1, 13)), els[:5] + [els[2]] + els[5:] + [els[0]], 6)
-
-
-def test_probe_equals_per_pair_quadrature_interleaved_translations():
-    # two translations that are not (-1, 0), interleaved with the shared aligned ones
-    near = DyadicVector((1, 3), 2)
-    far = DyadicVector((-5, 7), 3)
-    els = []
-    for g in aligned_probe_elements(2, 12):
-        els += [g, GroupElement(g.j + 6, near), GroupElement(-g.j // 2, far)]
-    _assert_probe_exact(2, tuple(range(1, 13)), els, 6)
-    els3 = [GroupElement(g.j, y) for g in aligned_probe_elements(3, 8)
-            for y in (DyadicVector.integers(-1, 0, 0), DyadicVector((1, 1, 3), 2))]
-    _assert_probe_exact(3, tuple(range(1, 9)), els3, 4)
+    _assert_probe_exact(dim, tuple(range(1, 13)), quad_level)
 
 
 def test_probe_equals_per_pair_quadrature_sparse_n_list():
-    _assert_probe_exact(2, (3, 7, 12), None, 7)
-    _assert_probe_exact(3, (12, 3, 7), None, 5)
+    _assert_probe_exact(2, (3, 7, 12), 7)
+    _assert_probe_exact(3, (12, 3, 7), 5)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_probe_equals_per_pair_quadrature_up_to_the_scale_bound(dim):
-    _assert_probe_exact(dim, tuple(range(1, 21)), None, 4)
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered in square")
-def test_probe_equals_per_pair_quadrature_far_translations():
-    # |x - y|^2 overflows for one element and 4^j |x - y|^2 for the other;
-    # either way every node lies beyond the outermost shell
-    els = [GroupElement(-20, DyadicVector.integers(2**520, 0)),
-           GroupElement(20, DyadicVector.integers(0, -(2**500))),
-           GroupElement(-2, DyadicVector.integers(-1, 0))]
-    _assert_probe_exact(2, (2, 5), els, 5)
+    _assert_probe_exact(dim, tuple(range(1, 21)), 4)
 
 
 # the masses and fit at quad levels 9 (2-D) and 6 (3-D), n = 1..12, as
@@ -284,44 +243,19 @@ def test_probe_builds_one_field_per_translation(monkeypatch, dim, quad_level):
     assert len(fields) == 1  # the 12 aligned elements share y = (-1, 0, ...)
     assert 0 < counting.takes <= 24  # of 144 (n, g) pairs
 
-    fields.clear()
-    other = DyadicVector((1,) * dim, 2)
-    els = aligned_probe_elements(dim, 12)
-    dvanishing_probe(dim, (4, 8), els + [GroupElement(0, other), GroupElement(-1, other)], quad_level)
-    assert sorted(fields) == [(-1.0,) + (0.0,) * (dim - 1), (0.25,) * dim]
 
-
-@pytest.mark.parametrize("dim, n_list, elements, message", [
-    (2, (1, 21), None, "n = 21 exceeds scale bound 20"),
-    (3, (600,), None, "n = 600 exceeds scale bound 20"),
-    (2, (1, 2), [GroupElement(21, DyadicVector.zero(2))], "|j| = 21 exceeds scale bound 20"),
-    (2, (1, 2), [GroupElement(-1, DyadicVector.zero(2)), GroupElement(-25, DyadicVector.zero(2))],
-     "|j| = 25 exceeds scale bound 20"),
+@pytest.mark.parametrize("dim, n_list, message", [
+    (2, (1, 21), "n = 21 exceeds scale bound 20"),
+    (3, (600,), "n = 600 exceeds scale bound 20"),
 ])
-def test_probe_scale_bound_refuses_before_allocating(monkeypatch, dim, n_list, elements, message):
+def test_probe_scale_bound_refuses_before_allocating(monkeypatch, dim, n_list, message):
     def no_quadrature(*args):
         raise AssertionError("quadrature nodes allocated past the scale bound")
 
     monkeypatch.setattr(cx, "_radius_field", no_quadrature)
     with pytest.raises(ScaleBoundError) as exc:
-        dvanishing_probe(dim, n_list, elements, quad_level=5)
+        dvanishing_probe(dim, n_list, quad_level=5)
     assert str(exc.value) == message
-
-
-def test_probe_refuses_a_squared_distance_below_the_normal_range(monkeypatch):
-    # Within the cell guard a nonzero axis distance of float nodes and
-    # translations is at least 2^-67, so the check is exercised with a
-    # raised threshold: y = 1/16 + 2^-9 is 2^-9 from the level-3 node 1/16.
-    def no_quadrature(*args):
-        raise AssertionError("quadrature nodes allocated for a refused translation")
-
-    monkeypatch.setattr(cx, "_TINY", 2.0**-20)
-    y = DyadicVector((2**5 + 1, 0), 9)
-    dvanishing_probe(2, (1, 2), [GroupElement(0, y), GroupElement(5, y)], quad_level=3)
-    monkeypatch.setattr(cx, "_radius_field", no_quadrature)
-    with pytest.raises(ValueError, match=r"lies too close to a quadrature node"):
-        # 2^-18 times 4^-2 falls below the threshold
-        dvanishing_probe(2, (1, 2), [GroupElement(5, y), GroupElement(-2, y)], quad_level=3)
 
 
 @pytest.mark.parametrize("dim, n_list", [(2, tuple(range(1, 13))), (3, tuple(range(1, 13))), (2, (4, 8))])
@@ -417,28 +351,17 @@ def test_run_counterexample_refuses_before_building_a_staircase(monkeypatch, dim
     assert isinstance(exc.value, InputError)
 
 
-def _element(j, *y):
-    return GroupElement(j, DyadicVector.integers(*y))
-
-
-@pytest.mark.parametrize("dim, n_list, elements, quad_level, error, message", [
-    (1, (1, 2), None, 5, UnsupportedDimensionError, "dim must be 2 or 3, got 1"),
-    (4, (1, 2), None, 5, UnsupportedDimensionError, "dim must be 2 or 3, got 4"),
-    (2, (3,), None, 5, InputError, "the decay fit needs at least two distinct n, got (3,)"),
-    (2, (3, 3), None, 5, InputError, "the decay fit needs at least two distinct n, got (3, 3)"),
-    (2, (), None, 5, InputError, "the decay fit needs at least two distinct n, got ()"),
-    # a 3-D element in a 2-D probe, and a 2-D element in a 3-D probe
-    (2, (1, 2), [_element(-1, -1, 0, 5)], 4, DimensionMismatchError,
-     "element 0 has dim 3, the probe has dim 2"),
-    (3, (1, 2), [_element(-1, -1, 0, 0), _element(-2, -1, 0)], 4, DimensionMismatchError,
-     "element 1 has dim 2, the probe has dim 3"),
-    (2, (1, 2), None, 10**20, MemoryGuardError,
+@pytest.mark.parametrize("dim, n_list, quad_level, error, message", [
+    (1, (1, 2), 5, UnsupportedDimensionError, "dim must be 2 or 3, got 1"),
+    (4, (1, 2), 5, UnsupportedDimensionError, "dim must be 2 or 3, got 4"),
+    (2, (3,), 5, InputError, "the decay fit needs at least two distinct n, got (3,)"),
+    (2, (3, 3), 5, InputError, "the decay fit needs at least two distinct n, got (3, 3)"),
+    (2, (), 5, InputError, "the decay fit needs at least two distinct n, got ()"),
+    (2, (1, 2), 10**20, MemoryGuardError,
      f"probe quadrature at level {10**20} needs 2^{2 * 10**20} nodes in dim 2, guard is 2^27"),
 ])
-def test_probe_refuses_before_building_anything(
-    monkeypatch, dim, n_list, elements, quad_level, error, message
-):
+def test_probe_refuses_before_building_anything(monkeypatch, dim, n_list, quad_level, error, message):
     _build_nothing(monkeypatch)
     with pytest.raises(error) as exc:
-        dvanishing_probe(dim, n_list, elements, quad_level)
+        dvanishing_probe(dim, n_list, quad_level)
     assert str(exc.value) == message

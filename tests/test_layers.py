@@ -140,30 +140,16 @@ def test_active_scales_bracket_value_range():
     assert active_scales(z, p) == []
 
 
-def test_audit_on_corpus():
+def test_audit_on_corpus(checker2d):
+    assert layer_energy_audit(checker2d).ok
     for u in corpus_grids(seed=3, dim=2, count=12):
         audit = layer_energy_audit(u)
-        assert audit.ok, audit.to_dict()
+        assert audit.ok, audit
         assert audit.band_tv_sum <= BAND_SUM_FACTOR * audit.tv_total * (
             1 + BAND_SUM_SLACK
         )
         for rep in audit.chain_reports.values():
             assert rep.ok
-
-
-def test_audit_dict_shape(checker2d):
-    d = layer_energy_audit(checker2d).to_dict()
-    assert set(d) == {
-        "scales",
-        "tv_total",
-        "band_tv",
-        "band_tv_sum",
-        "band_sum_ok",
-        "chain_ok",
-        "color_disjoint_ok",
-        "ok",
-    }
-    assert d["ok"] is True
 
 
 @given(st.integers(min_value=-6, max_value=6))
@@ -226,7 +212,7 @@ def _assert_same_audit(u):
     )
     assert list(new.band_tv.items()) == list(ref.band_tv.items())
     assert new.band_tv_sum == ref.band_tv_sum
-    assert new.to_dict() == ref.to_dict()
+    assert new == ref
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -28,8 +28,11 @@ def test_construction_and_trimming():
         RadialStep(2, np.array([0.0, 1.0, 1.0]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         RadialStep(2, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="need at least one shell"):
+        RadialStep(2, np.array([0.0]), np.array([]))
     z = RadialStep(2, np.array([0.0, 5.0]), np.array([0.0]))
     assert z.l1_norm() == 0.0
+    assert z.outer_radius == 5.0  # a zero function keeps its innermost shell
 
 
 @pytest.mark.parametrize(
