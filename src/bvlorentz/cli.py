@@ -310,24 +310,38 @@ def _plateau_fixture(dim: int) -> GridFunction:
     return GridFunction(dim, 2, (0,) * dim, (8,) * dim, arr)
 
 
-def _suite_rearrangement(seed: int, count: int) -> dict:
-    worst = 0.0
-    checked = 0
-    for step in corpus_steps(seed, count):
+# relative deviation between the two forms of a Lorentz norm; isometry defect
+_REL_DEV_TOL, _DEFECT_TOL = 1e-10, 1e-12
+
+
+def _fold(checks) -> tuple[int, float, list[str]]:
+    """Count ``checks``, take their largest value from 0.0 and sort the names
+    of the failed ones.  Each suite yields one (value, ok, name) check per
+    sample it counts: a tolerance check fails on a NaN deviation, and a suite
+    that reports no worst value yields 0.0."""
+    count, worst, failed = 0, 0.0, set()
+    for value, ok, name in checks:
+        count += 1
+        worst = max(worst, value)
+        if not ok:
+            failed.add(name)
+    return count, worst, sorted(failed)
+
+
+def _rearrangement_checks(seed: int, count: int):
+    for i, step in enumerate(corpus_steps(seed, count)):
+        devs = []
         for p, q in ((2.0, 1.0), (2.0, 2.0), (1.5, 1.5), (3.0, 2.0)):
             a = lorentz_norm(step, LorentzIndex(p, q))
             b = lorentz_norm_symmetrization(step, LorentzIndex(p, q), dim=2)
-            worst = max(worst, abs(a - b) / a)
+            devs.append(abs(a - b) / a)
         same = lorentz_norm(step, LorentzIndex(2.0, 2.0))
         ref = lebesgue_norm(step, 2.0)
-        worst = max(worst, abs(same - ref) / ref)
-        checked += 1
-    return {"count": checked, "worst_rel_dev": worst, "tolerance": 1e-10, "ok": worst <= 1e-10}
+        devs.append(abs(same - ref) / ref)
+        yield max(devs), all(dev <= _REL_DEV_TOL for dev in devs), f"step {i}"
 
 
-def _suite_isometry(seed: int, dims: list[int], count: int) -> dict:
-    worst = 0.0
-    checked = 0
+def _isometry_checks(seed: int, dims: list[int], count: int):
     for d in dims:
         grids = corpus_grids(seed, d, count)
         els = corpus_elements(seed + 1, d, count)
@@ -335,73 +349,50 @@ def _suite_isometry(seed: int, dims: list[int], count: int) -> dict:
         if d >= 2:
             p = critical_exponent(d)
             norm_ids += [("lorentz", p, q) for q in (1.0, p, float("inf"))]
-        for u, g in zip(grids, els):
-            worst = max(worst, *isometry_defects(g, u, norm_ids))
-            checked += 1
-    return {"count": checked, "worst_defect": worst, "tolerance": 1e-12, "ok": worst <= 1e-12}
+        for i, (u, g) in enumerate(zip(grids, els)):
+            defects = isometry_defects(g, u, norm_ids)
+            yield max(defects), all(x <= _DEFECT_TOL for x in defects), f"{d}-D grid {i}"
 
 
-def _suite_lattice(seed: int, dims: list[int], count: int) -> dict:
-    ok = True
-    checked = 0
-    worst = 0.0
+def _lattice_checks(seed: int, dims: list[int], count: int):
     for d in dims:
-        for u in corpus_grids(seed + 2, d, count):
+        for i, u in enumerate(corpus_grids(seed + 2, d, count)):
             rep = bv.lattice_tv_sum(u)
-            ok = ok and rep.ok
-            if rep.splitting_bound > 0:
-                worst = max(worst, rep.sum_per_cube / rep.splitting_bound)
-            checked += 1
-    return {"count": checked, "worst_fraction_of_bound": worst, "ok": ok}
+            fraction = rep.sum_per_cube / rep.splitting_bound if rep.splitting_bound > 0 else 0.0
+            yield fraction, rep.ok, f"{d}-D grid {i}"
 
 
-def _suite_chain_rule(seed: int, dims: list[int], count: int, negative: str) -> dict:
+def _chain_rule_checks(seed: int, dims: list[int], count: int, negative: str):
     chi = layers.chi_function(layers.build_profile(2))
     if negative == "broken-chi":
         chi = bv.ScalarC1(chi.fn, chi.derivative_bound * 0.3, "chi-broken")
     half = bv.ScalarC1(lambda t: 0.5 * t, 0.5, "half")
     squash = bv.ScalarC1(np.tanh, 1.0, "squash")
-    violations: list[str] = []
-    checked = 0
     for d in dims:
-        samples = corpus_grids(seed + 3, d, count) + [_plateau_fixture(d)]
-        for u in samples:
+        for u in corpus_grids(seed + 3, d, count) + [_plateau_fixture(d)]:
             for phi in (chi, half, squash):
                 _, rep = bv.compose_scalar(phi, u)
-                if not rep.ok:
-                    violations.append(phi.name)
-                checked += 1
-    return {"count": checked, "violations": sorted(set(violations)), "ok": not violations}
+                yield 0.0, rep.ok, phi.name
 
 
-def _suite_layers(seed: int, count: int) -> dict:
-    ok = True
-    checked = 0
-    worst = 0.0
-    for u in corpus_grids(seed + 4, 2, count):
+def _layer_checks(seed: int, count: int):
+    for i, u in enumerate(corpus_grids(seed + 4, 2, count)):
         audit = layers.layer_energy_audit(u)
-        ok = ok and audit.ok
-        if audit.tv_total > 0:
-            worst = max(worst, audit.band_tv_sum / audit.tv_total)
-        checked += 1
-    return {"count": checked, "worst_band_factor": worst, "ok": ok}
+        factor = audit.band_tv_sum / audit.tv_total if audit.tv_total > 0 else 0.0
+        yield factor, audit.ok, f"grid {i}"
 
 
-def _suite_nesting(seed: int, count: int) -> dict:
+def _nesting_checks(seed: int, count: int):
     # second-index monotonicity holds with constant one only for q1 <= p
     # (indicators break it otherwise), so only those pairs are asserted
-    ok = True
-    checked = 0
-    for step in corpus_steps(seed + 5, count):
+    slack = 1.0 + 1e-12
+    for i, step in enumerate(corpus_steps(seed + 5, count)):
         for p in (1.5, 2.0):
             n1 = lorentz_norm(step, LorentzIndex(p, 1.0))
             n2 = lorentz_norm(step, LorentzIndex(p, 2.0))
             ninf = lorentz_norm_weak(step, p)
-            ok = ok and n2 <= n1 * (1.0 + 1e-12) and ninf <= n1 * (1.0 + 1e-12)
-            if p >= 2.0:
-                ok = ok and ninf <= n2 * (1.0 + 1e-12)
-            checked += 1
-    return {"count": checked, "ok": ok}
+            ok = n2 <= n1 * slack and ninf <= n1 * slack and (p < 2.0 or ninf <= n2 * slack)
+            yield 0.0, ok, f"step {i} p={p:g}"
 
 
 def cmd_audit(cfg: dict) -> int:
@@ -416,14 +407,21 @@ def cmd_audit(cfg: dict) -> int:
             raise InputError(f"audit: --dims entries must be 1, 2 or 3, got {tok!r}")
     dims = [int(tok) for tok in dims]
     negative = cfg["negative_control"]
-    suites = {
-        "rearrangement_equality": _suite_rearrangement(seed, count),
-        "group_isometry": _suite_isometry(seed, dims, count),
-        "lattice_splitting": _suite_lattice(seed, dims, count),
-        "chain_rule": _suite_chain_rule(seed, dims, count, negative),
-        "truncation_layers": _suite_layers(seed, count),
-        "lorentz_nesting": _suite_nesting(seed, count),
-    }
+    suites = {}
+    n, worst, failed = _fold(_rearrangement_checks(seed, count))
+    suites["rearrangement_equality"] = {"count": n, "worst_rel_dev": worst, "ok": not failed,
+                                        "tolerance": _REL_DEV_TOL}
+    n, worst, failed = _fold(_isometry_checks(seed, dims, count))
+    suites["group_isometry"] = {"count": n, "worst_defect": worst, "ok": not failed,
+                                "tolerance": _DEFECT_TOL}
+    n, worst, failed = _fold(_lattice_checks(seed, dims, count))
+    suites["lattice_splitting"] = {"count": n, "worst_fraction_of_bound": worst, "ok": not failed}
+    n, _, failed = _fold(_chain_rule_checks(seed, dims, count, negative))
+    suites["chain_rule"] = {"count": n, "violations": failed, "ok": not failed}
+    n, worst, failed = _fold(_layer_checks(seed, count))
+    suites["truncation_layers"] = {"count": n, "worst_band_factor": worst, "ok": not failed}
+    n, _, failed = _fold(_nesting_checks(seed, count))
+    suites["lorentz_nesting"] = {"count": n, "ok": not failed}
     doc = {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,

@@ -47,6 +47,11 @@ __all__ = [
 ]
 
 
+# the fixed columns of a row, in the order of the CSV file; one Lorentz column
+# per q follows them
+_COLUMNS = ("n", "tv_radial", "tv_piecewise", "l2_norm", "pairing", "lebesgue_critical")
+
+
 @dataclass(frozen=True)
 class CounterexampleRow:
     n: int
@@ -58,15 +63,9 @@ class CounterexampleRow:
     lorentz: dict  # q -> quasinorm at the critical first index
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "tv_radial": self.tv_radial,
-            "tv_piecewise": self.tv_piecewise,
-            "l2_norm": self.l2_norm,
-            "pairing": self.pairing,
-            "lebesgue_critical": self.lebesgue_critical,
-            "lorentz": {repr(q): v for q, v in sorted(self.lorentz.items())},
-        }
+        doc = {name: getattr(self, name) for name in _COLUMNS}
+        doc["lorentz"] = {repr(q): v for q, v in sorted(self.lorentz.items())}
+        return doc
 
 
 @dataclass(frozen=True)
@@ -92,21 +91,10 @@ class CounterexampleReport:
         }
 
     def csv_lines(self) -> list[str]:
-        qs = list(self.q_list)
-        header = ["n", "tv_radial", "tv_piecewise", "l2_norm", "pairing", "lebesgue_critical"]
-        header += [f"lorentz_q{q:g}" for q in qs]
-        lines = [",".join(header)]
+        lines = [",".join(_COLUMNS + tuple(f"lorentz_q{q:g}" for q in self.q_list))]
         for r in self.rows:
-            cells = [
-                str(r.n),
-                repr(r.tv_radial),
-                repr(r.tv_piecewise),
-                repr(r.l2_norm),
-                repr(r.pairing),
-                repr(r.lebesgue_critical),
-            ]
-            cells += [repr(r.lorentz[q]) for q in qs]
-            lines.append(",".join(cells))
+            cells = [getattr(r, name) for name in _COLUMNS] + [r.lorentz[q] for q in self.q_list]
+            lines.append(",".join(map(repr, cells)))
         return lines
 
 
@@ -371,9 +359,9 @@ def gnuplot_script(csv_name: str, q_list: tuple) -> str:
         "set term pngcairo size 900,600",
         "set output 'counterexample.png'",
     ]
-    plots = []
-    for i, q in enumerate(q_list):
-        col = 7 + i
-        plots.append(f"'{csv_name}' using 1:{col} with linespoints title 'q={q:g}'")
+    plots = [
+        f"'{csv_name}' using 1:{len(_COLUMNS) + 1 + i} with linespoints title 'q={q:g}'"
+        for i, q in enumerate(q_list)
+    ]
     lines.append("plot " + ", \\\n     ".join(plots))
     return "\n".join(lines) + "\n"

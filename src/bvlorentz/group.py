@@ -92,7 +92,11 @@ class DyadicVector:
 
     @staticmethod
     def from_dict(d: dict) -> "DyadicVector":
-        return DyadicVector(tuple(d["numerators"]), d["level"])
+        # JSON integers only: int() would load 0.9 as 0, true as 1, "12" as (1, 2)
+        nums, level = d["numerators"], d["level"]
+        if type(nums) is not list or not all(type(x) is int for x in nums + [level]):
+            raise ValueError(f"numerators and level must be integers, got {d!r}")
+        return DyadicVector(tuple(nums), level)
 
     @staticmethod
     def zero(dim: int) -> "DyadicVector":
@@ -119,7 +123,9 @@ class GroupElement:
 
     @staticmethod
     def from_dict(d: dict) -> "GroupElement":
-        return GroupElement(int(d["j"]), DyadicVector.from_dict(d["y"]))
+        if type(d["j"]) is not int:
+            raise ValueError(f"j must be an integer, got {d['j']!r}")
+        return GroupElement(d["j"], DyadicVector.from_dict(d["y"]))
 
 
 def identity(dim: int) -> GroupElement:

@@ -167,7 +167,7 @@ def _as_step(u) -> StepFunction | None:
     return u if isinstance(u, StepFunction) else u.rearrangement
 
 
-def schwarz_profile(u, dim: int | None = None) -> StepFunction | None:
+def schwarz_profile(u, dim: int) -> StepFunction | None:
     """Radial profile of the symmetrized function: u#(r) = u*(|B_1| r^dim).
 
     Returned as a step function over the radius variable; chunk "measures"
@@ -175,10 +175,6 @@ def schwarz_profile(u, dim: int | None = None) -> StepFunction | None:
     measure is lost against a much larger ball) is dropped: it adds exactly
     0 to every norm of the profile.  None if no chunk is left.
     """
-    if dim is None:
-        dim = getattr(u, "dim", None)
-    if dim is None:
-        raise LorentzIndexError("schwarz_profile needs the ambient dimension")
     s = _as_step(u)
     if s is None:
         return None
@@ -293,7 +289,7 @@ def lorentz_norm_weak(u, p: float) -> float:
     return vmax * tmax ** (1.0 / p) * peak
 
 
-def lorentz_norm_symmetrization(u, idx: LorentzIndex, dim: int | None = None) -> float:
+def lorentz_norm_symmetrization(u, idx: LorentzIndex, dim: int) -> float:
     """The same quasinorm computed through the Schwarz symmetrization.
 
     Evaluates |B_1|^{(q-p)/(pq)} (int (|x|^{dim/p} u#(|x|))^q dx/|x|^dim)^{1/q}
@@ -303,10 +299,6 @@ def lorentz_norm_symmetrization(u, idx: LorentzIndex, dim: int | None = None) ->
     for large q), the largest value and the outer radius are factored out,
     and a factored core that still underflows is summed in logs.
     """
-    if dim is None:
-        dim = getattr(u, "dim", None)
-    if dim is None:
-        raise LorentzIndexError("symmetrization form needs the ambient dimension")
     prof = schwarz_profile(u, dim)
     if prof is None:
         return 0.0

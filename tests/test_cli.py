@@ -1042,6 +1042,17 @@ def _drop(path):
         (_set(["elements", 1, "terms", 0, "g"], [0]), "element 1 term 0: g is no dim-2 element: [0]"),
         (_set(["elements", 1, "terms", 0, "g"], {"j": 0, "y": {"numerators": [0, 0, 0], "level": 0}}),
          "element 1 term 0: g is no dim-2 element: {'j': 0, 'y': {'numerators': [0, 0, 0], 'level': 0}}"),
+        # int() would load these as j = 1, level 1 and numerators (1, 0), (1, 2), (2, 0)
+        (_set(["elements", 1, "terms", 1, "g", "j"], 1.5),
+         "element 1 term 1: g is no dim-2 element: {'j': 1.5, 'y': {'level': 0, 'numerators': [2, 0]}}"),
+        (_set(["elements", 1, "terms", 1, "g", "y", "level"], True),
+         "element 1 term 1: g is no dim-2 element: {'j': 2, 'y': {'level': True, 'numerators': [2, 0]}}"),
+        (_set(["elements", 1, "terms", 1, "g", "y", "numerators"], ["1", 0.9]),
+         "element 1 term 1: g is no dim-2 element: {'j': 2, 'y': {'level': 0, 'numerators': ['1', 0.9]}}"),
+        (_set(["elements", 1, "terms", 1, "g", "y", "numerators"], "12"),
+         "element 1 term 1: g is no dim-2 element: {'j': 2, 'y': {'level': 0, 'numerators': '12'}}"),
+        (_set(["elements", 1, "terms", 1, "g", "y", "numerators"], [2.0, 0]),
+         "element 1 term 1: g is no dim-2 element: {'j': 2, 'y': {'level': 0, 'numerators': [2.0, 0]}}"),
         (_set(["elements", 1, "terms", 1, "g", "y", "level"], -10**7),
          "element 1 term 1: g is no dim-2 element: {'j': 2, 'y': {'level': -10000000, 'numerators': [2, 0]}}"),
         (_set(["elements", 1, "terms", 1, "g", "y", "level"], -70),
@@ -1133,6 +1144,53 @@ def test_audit_negative_control_fails_exactly_chain_rule(tmp_path, capsys):
             assert not suite["ok"]
         else:
             assert suite["ok"], f"{name} must stay green under the chi control"
+
+
+def _pinned_suites(count: int, violations: list[str]) -> dict:
+    """The suites of an audit at seed 7 over dims 1,2,3 with ``count`` grids
+    per dim; each worst value is spelled by its ``float.hex()``."""
+    ok = not violations
+    return {
+        "rearrangement_equality": {"count": count, "worst_rel_dev": "0x1.4b11d525a7d4bp-52",
+                                   "tolerance": 1e-10, "ok": True},
+        "group_isometry": {"count": 3 * count, "worst_defect": "0x1.2ad5713e9d53cp-52",
+                           "tolerance": 1e-12, "ok": True},
+        "lattice_splitting": {"count": 3 * count, "worst_fraction_of_bound": "0x1.5555555555556p-2",
+                              "ok": True},
+        "chain_rule": {"count": 9 * (count + 1), "violations": violations, "ok": ok},
+        "truncation_layers": {"count": count, "worst_band_factor": "0x1.7a0f056cda15fp+1", "ok": True},
+        "lorentz_nesting": {"count": 2 * count, "ok": True},
+    }
+
+
+@pytest.mark.parametrize(
+    "extra, rc, suites",
+    [
+        (["--count", "5"], 0, _pinned_suites(5, [])),
+        (["--count", "6", "--negative-control", "broken-chi"], 1, _pinned_suites(6, ["chi-broken"])),
+    ],
+    ids=["count-5", "count-6-broken-chi"],
+)
+def test_audit_outputs_are_pinned(tmp_path, capsys, extra, rc, suites):
+    out = tmp_path / "audit.json"
+    assert main(["audit", "--seed", "7", "--dims", "1,2,3", *extra, "--out", str(out)]) == rc
+    got = {
+        name: {key: value.hex() if key.startswith("worst_") else value for key, value in suite.items()}
+        for name, suite in _read(out)["suites"].items()
+    }
+    assert got == suites
+
+
+@pytest.mark.parametrize("defects", [[math.nan, 0.0], [0.0, math.nan]])
+def test_audit_nan_defect_fails_its_suite(monkeypatch, tmp_path, capsys, defects):
+    # max() would drop the NaN wherever it sits; each defect is checked on its own
+    monkeypatch.setattr(cli, "isometry_defects", lambda g, u, norm_ids: defects)
+    out = tmp_path / "audit.json"
+    assert main(["audit", "--count", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "audit: FAILED suites: group_isometry\n"
+    assert _read(out)["suites"]["group_isometry"] == {
+        "count": 2, "worst_defect": 0.0, "tolerance": 1e-12, "ok": False
+    }
 
 
 @pytest.mark.parametrize(

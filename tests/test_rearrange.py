@@ -114,8 +114,6 @@ def test_schwarz_profile_radii():
     s = StepFunction(np.array([1.0]), np.array([math.pi]))
     prof = schwarz_profile(s, 2)
     assert prof.measures[0] == pytest.approx(1.0, rel=1e-14)
-    with pytest.raises(LorentzIndexError):
-        schwarz_profile(s)  # StepFunction carries no ambient dim
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
