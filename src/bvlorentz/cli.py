@@ -164,21 +164,20 @@ def cmd_norms(cfg: dict) -> int:
     p = critical_exponent(u.dim) if u.dim >= 2 else None
     # one key per q: a repeated q keeps its first place and its one value
     keys = {("qinf" if q == float("inf") else f"q{q:g}"): q for q in qs}
-    # The per-face pass and the L1 sum run on one worker thread while this
-    # thread sorts.  Both threads then draw the norm table's jobs from one
-    # queue, the worker once its per-face pass is done, so it takes a share
-    # of the table unless that pass outlasts the table.  All are numpy
-    # passes that release the GIL.  The worker runs in copies of this
-    # context, so it sees the caller's numpy errstate.  Every value comes
-    # from the same function on the same data as it would in sequence, so
-    # the output does not depend on the split.  The worker's own peak is
+    # The per-face pass runs on one worker thread while this thread sorts
+    # (the L1 sum comes with the sort).  Both threads then draw the norm
+    # table's jobs from one queue, the worker once its per-face pass is done,
+    # so it takes a share of the table unless that pass outlasts the table.
+    # All are numpy passes that release the GIL.  The worker runs in copies
+    # of this context, so it sees the caller's numpy errstate.  Every value
+    # comes from the same function on the same data as it would in sequence,
+    # so the output does not depend on the split.  The worker's own peak is
     # the padded per-face array, so at worst one such array is held beyond
     # the sequential order's peak; each norm holds one chunk array.
     with ThreadPoolExecutor(max_workers=1) as pool:
-        faces = pool.submit(
-            contextvars.copy_context().run, lambda: (bv.total_variation(u), u.l1_norm())
-        )
+        faces = pool.submit(contextvars.copy_context().run, bv.total_variation, u)
         step = u.rearrangement
+        l1 = u.l1_norm()
         jobs = collections.deque()  # (name, thunk): "p2", "pcrit" and the table's keys
         if step is not None:
             # the caches both threads read are filled here, by one thread
@@ -195,7 +194,7 @@ def cmd_norms(cfg: dict) -> int:
         theirs = pool.submit(contextvars.copy_context().run, _drain, jobs)
         values = _drain(jobs)
         values.update(theirs.result())
-        tv, l1 = faces.result()
+        tv = faces.result()
     p2 = values.get("p2", 0.0)
     lebesgue = {"p2": p2}
     critical = {}

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .rearrange import StepFunction, step_from_pairs
+from .rearrange import StepFunction, _step_from_magnitudes
 
 __all__ = [
     "DimensionMismatchError",
@@ -178,10 +178,14 @@ class GridFunction:
     def rearrangement(self) -> StepFunction | None:
         """The decreasing rearrangement u* (None for the zero function).
 
-        Every cell has the same measure, so only the values are sorted; the
+        Every cell has the same measure, so only |values| are sorted, in
+        place in one fresh array whose sum is kept for :meth:`l1_norm`; the
         result equals ``step_from_pairs(*self.value_measure_pairs())``.
         """
-        return step_from_pairs(self.values, self.cell_measure)
+        a = np.abs(self.values.ravel())
+        with np.errstate(over="ignore"):
+            self.__dict__["_abs_sum"] = float(np.sum(a))
+        return _step_from_magnitudes(a, self.cell_measure)
 
     @cached_property
     def variation(self) -> float:
@@ -209,7 +213,9 @@ class GridFunction:
         return contrib
 
     def l1_norm(self) -> float:
-        return float(np.sum(np.abs(self.values))) * self.cell_measure
+        """The L1 norm, from the |values| sum the rearrangement cached if it ran."""
+        total = self.__dict__.get("_abs_sum")
+        return (float(np.sum(np.abs(self.values))) if total is None else total) * self.cell_measure
 
 
 def from_sampler(

@@ -36,6 +36,9 @@ _BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 #: powers and the slice of terms they multiply stay in cache.
 _BLOCK_CHUNKS = 1 << 15
 
+#: The ufuncs numpy's ``x ** e`` takes for these scalar exponents.
+_SCALAR_POWERS = {0.5: np.sqrt, 2.0: np.square, -1.0: np.reciprocal, 1.0: np.positive}
+
 
 class LorentzIndexError(ValueError):
     """Raised for inadmissible Lorentz exponents."""
@@ -99,6 +102,16 @@ class StepFunction:
             raise ValueError("chunk values must be strictly decreasing")
         if not np.all(m > 0):
             raise ValueError("chunk measures must be positive")
+        self._adopt(v, m)
+
+    @classmethod
+    def _unchecked(cls, values: np.ndarray, measures: np.ndarray) -> StepFunction:
+        """A step of fresh float64 arrays known to pass every check."""
+        s = object.__new__(cls)
+        s._adopt(values, measures)
+        return s
+
+    def _adopt(self, v: np.ndarray, m: np.ndarray) -> None:
         v.setflags(write=False)
         m.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -140,18 +153,9 @@ def step_from_pairs(values: np.ndarray, measures) -> StepFunction | None:
         raise ValueError("values and measures must have equal length")
     if np.any(m < 0):
         raise ValueError("measures must be nonnegative")
-    if uniform:
-        if not m > 0:
-            v = v[:0]
-        elif v.size and not v.min() > 0:  # zeros (and NaN) drop out
-            v = v[v > 0]
-        v.sort()
-        if v.size == 0:
-            return None
-        # runs of identical values, found ascending and emitted decreasing
-        starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
-        counts = np.diff(np.append(starts, v.size))
-        return StepFunction(v[starts[::-1]], counts[::-1] * m)
+    if uniform:  # the step is built unchecked, so check the caller's values here
+        s = _step_from_magnitudes(v, float(m))
+        return None if s is None else StepFunction(s.values, s.measures)
     keep = (v > 0) & (m > 0)
     v, m = v[keep], m[keep]
     order = np.argsort(-v, kind="stable")
@@ -161,6 +165,27 @@ def step_from_pairs(values: np.ndarray, measures) -> StepFunction | None:
     # merge runs of identical values so chunk values are strictly decreasing
     starts = np.flatnonzero(np.concatenate(([True], np.diff(v) != 0.0)))
     return StepFunction(v[starts], np.add.reduceat(m, starts))
+
+
+def _step_from_magnitudes(v: np.ndarray, m: float) -> StepFunction | None:
+    """The step of a fresh 1-d float64 array of |values| on cells of measure
+    ``m``, sorting ``v`` in place; None if no value is positive or m is 0."""
+    if not m > 0:
+        return None
+    if v.size and not v.min() > 0:  # zeros (and NaN) drop out before the sort
+        v = v[v > 0]
+    v.sort()
+    n = v.size
+    if n == 0:
+        return None
+    # runs of identical values, found ascending and emitted decreasing
+    first = np.empty(n + 1, dtype=bool)
+    first[0] = first[n] = True
+    np.not_equal(v[1:], v[:-1], out=first[1:n])
+    if np.count_nonzero(first) == n + 1:  # all distinct, and 1 * m is m
+        return StepFunction._unchecked(v[::-1].copy(), np.full(n, m))
+    starts = np.flatnonzero(first)  # the last is n
+    return StepFunction._unchecked(v[starts[-2::-1]], np.diff(starts)[::-1] * m)
 
 
 def _as_step(u) -> StepFunction | None:
@@ -223,15 +248,14 @@ def lorentz_norm(u, idx: LorentzIndex) -> float:
 def _blocked_powers(x: np.ndarray, e: float):
     """(i, j, x[i:j] ** e) for consecutive blocks of ``_BLOCK_CHUNKS``.
 
-    Every block is computed in place in one reused buffer, with the
-    dispatch of ``x ** e`` (numpy takes np.sqrt for e = 0.5), so each power
+    Every block is written into one reused buffer by the ufunc that ``x ** e``
+    dispatches to (np.sqrt for e = 0.5, np.square for 2, ...), so each power
     has the bits of the full-array expression's.
     """
+    power = _SCALAR_POWERS.get(e) or (lambda y, out: np.power(y, e, out=out))
     buf = np.empty(min(x.size, _BLOCK_CHUNKS))
     for i in range(0, x.size, _BLOCK_CHUNKS):
-        block = buf[: min(x.size - i, _BLOCK_CHUNKS)]
-        block[...] = x[i : i + block.size]
-        block **= e
+        block = power(x[i : i + _BLOCK_CHUNKS], out=buf[: min(x.size - i, _BLOCK_CHUNKS)])
         yield i, i + block.size, block
 
 

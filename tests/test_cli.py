@@ -194,10 +194,18 @@ def test_norms_overflow_is_refused_without_output(tmp_path, capsys, dim, level, 
     assert not out.exists()
 
 
-def test_norms_worker_keeps_the_callers_errstate(tmp_path, capsys):
-    # np.sum of |values| overflows on the worker thread (the TV, 2.5e304,
-    # does not): it must see the caller's over="ignore", or the overflow
-    # warning is raised there as an error
+def test_norms_worker_keeps_the_callers_errstate(tmp_path, capsys, monkeypatch):
+    # a multiply overflows on the worker thread before its per-face pass:
+    # it must see the caller's over="ignore", or the overflow warning is
+    # raised there as an error.  The L1 sum overflows (the TV, 2.5e304,
+    # does not), so the refusal names l1
+    real = bv.total_variation
+
+    def overflowing(u):
+        np.multiply(np.full(2, 1e300), 1e300)
+        return real(u)
+
+    monkeypatch.setattr(cli.bv, "total_variation", overflowing)
     p = _save_overflowing(tmp_path, 2, 10, np.full((64, 64), 1e305))
     out = tmp_path / "n.json"
     with warnings.catch_warnings():

@@ -275,12 +275,13 @@ def test_four_norms_sort_a_grid_once(monkeypatch, checker2d):
     from bvlorentz.grid import GridFunction
 
     calls = []
+    sort = grid._step_from_magnitudes
 
-    def counting(values, measures):
+    def counting(values, m):
         calls.append(np.size(values))
-        return step_from_pairs(values, measures)
+        return sort(values, m)
 
-    monkeypatch.setattr(grid, "step_from_pairs", counting)
+    monkeypatch.setattr(grid, "_step_from_magnitudes", counting)
     u = GridFunction(2, 2, (0, 0), (4, 4), checker2d.values + 1.0)
     norms = [lorentz_norm(u, LorentzIndex(2.0, q)) for q in (1.0, 1.5, 2.0, math.inf)]
     assert calls == [16]
@@ -315,6 +316,130 @@ def test_scalar_measure_path_equals_weighted_path(vals, m, frozen):
     assert np.array_equal(fast.values, ref.values) and np.array_equal(fast.measures, ref.measures)
     assert fast.values.flags.c_contiguous and fast.measures.flags.c_contiguous
 
+
+
+def _former_uniform_step(values, m):
+    """The former scalar-measure branch of ``step_from_pairs``."""
+    v = np.abs(np.asarray(values, dtype=np.float64).ravel())
+    if not m > 0:
+        v = v[:0]
+    elif v.size and not v.min() > 0:
+        v = v[v > 0]
+    v.sort()
+    if v.size == 0:
+        return None
+    starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+    counts = np.diff(np.append(starts, v.size))
+    return StepFunction(v[starts[::-1]], counts[::-1] * m)
+
+
+def _assert_same_step(got, want):
+    if want is None:
+        assert got is None
+        return
+    for a, b in ((got.values, want.values), (got.measures, want.measures)):
+        assert a.tobytes() == b.tobytes()
+        assert a.dtype == b.dtype == np.float64
+        assert a.strides == b.strides == (8,)
+        assert a.flags.c_contiguous and not a.flags.writeable
+
+
+def _smooth_field(rng, dim, n):
+    """Six Gaussians on (-1, 1)^dim rounded to 2^-19, as in the large-grids benchmark."""
+    axis = (np.arange(n) + 0.5) / n * 2.0 - 1.0
+    mesh = np.meshgrid(*([axis] * dim), indexing="ij", sparse=True)
+    f = np.zeros((n,) * dim)
+    for _ in range(6):
+        c, w, a = rng.uniform(-0.6, 0.6, dim), rng.uniform(0.15, 0.5), rng.uniform(0.5, 2.0)
+        f += a * np.exp(-sum((x - ci) ** 2 for x, ci in zip(mesh, c)) / (2.0 * w * w))
+    return np.round(f * 2.0**19) / 2.0**19
+
+
+def _equivalence_grids():
+    from bvlorentz.corpus import corpus_grids
+    from bvlorentz.grid import GridFunction
+    from bvlorentz.radial import staircase, to_grid
+
+    grids = [u for seed in range(7, 12) for d in (1, 2, 3) for u in corpus_grids(seed, d, 5)]
+    rng = np.random.default_rng(23)
+    sparse = np.zeros((128, 128))
+    for _ in range(20):
+        i, j = rng.integers(0, 125, 2)
+        sparse[i : i + 3, j : j + 3] = rng.uniform(0.5, 3.0)
+    grids += [  # the four large-grids fields at 128^2 and 16^3
+        GridFunction(2, 6, (-64, -64), (128, 128), _smooth_field(rng, 2, 128)),
+        to_grid(staircase(2, 7), level=6),
+        GridFunction(3, 3, (-8, -8, -8), (16, 16, 16), _smooth_field(rng, 3, 16)),
+        GridFunction(2, 6, (-64, -64), (128, 128), sparse),
+    ]
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, 1.0, -1.0, 1.0, 0.5, 1e300, -1e300, 0.5])
+    distinct = np.arange(1.0, 61.0) * np.where(np.arange(60) % 2, -0.375, 0.375)
+    grids += [
+        GridFunction(1, 3, (-6,), (12,), edges),  # ties, signed zeros, subnormals
+        GridFunction(2, -2, (0, 0), (3, 4), edges.reshape(3, 4)),
+        GridFunction(2, 3, (-4, 1), (5, 7), np.full((5, 7), -0.75)),  # one value
+        GridFunction(2, 3, (0, 0), (6, 10), rng.permutation(distinct).reshape(6, 10)),
+        GridFunction(3, 1, (0, 0, 0), (2, 3, 4), np.full((2, 3, 4), -0.0)),  # all zero
+        GridFunction(2, 0, (0, 0), (3, 3), np.zeros((3, 3))),
+    ]
+    return grids
+
+
+def test_grid_steps_equal_the_former_scalar_measure_steps():
+    for u in _equivalence_grids():
+        want = _former_uniform_step(u.values, u.cell_measure)
+        _assert_same_step(u.rearrangement, want)
+        _assert_same_step(step_from_pairs(u.values, u.cell_measure), want)
+    for vals, m in (([np.nan, 2.0, 0.0, -2.0, 1.0], 0.5), ([1.0, 2.0], 0.0), ([], 1.0), ([3.0], 2.0**-1074)):
+        _assert_same_step(step_from_pairs(np.array(vals), m), _former_uniform_step(vals, m))
+    for build in (step_from_pairs, _former_uniform_step):
+        with pytest.raises(ValueError, match="chunk values must be finite: 1 of 2"):
+            build(np.array([-np.inf, 0.0, 1.0]), 0.5)
+
+
+def test_grid_rearrangement_is_read_only_and_keeps_the_l1_norm():
+    from bvlorentz.grid import GridFunction
+
+    rng = np.random.default_rng(31)
+    for dim, shape, level in ((2, (5, 7), 3), (2, (1, 9), -1), (3, (3, 5, 7), 2), (3, (37, 41, 29), 4)):
+        vals = rng.standard_normal(shape) * (rng.random(shape) < 0.8)
+        for scale in (1.0, 1e305):  # the second sum overflows a double
+            fresh = GridFunction(dim, level, (0,) * dim, shape, vals * scale)
+            sorted_first = GridFunction(dim, level, (0,) * dim, shape, vals * scale)
+            s = sorted_first.rearrangement
+            with np.errstate(over="ignore"):
+                assert sorted_first.l1_norm() == fresh.l1_norm()
+            for a in (s.values, s.measures):
+                assert a.flags.c_contiguous and not a.flags.writeable and a.strides == (8,)
+
+
+_POWER_EXPONENTS = [0.5, 2, 2.0, -1, -1.0, 1, 1.0, 1.5, 0.75, 2 / 3, 3, 3.0, 0, 0.0]
+
+
+@pytest.mark.parametrize("e", _POWER_EXPONENTS, ids=[repr(e) for e in _POWER_EXPONENTS])
+@pytest.mark.parametrize("chunks", [4, None], ids=["4", "default"])
+def test_blocked_powers_have_the_bits_of_the_full_array_power(monkeypatch, e, chunks):
+    from bvlorentz import rearrange
+    from bvlorentz.rearrange import _blocked_powers
+
+    if chunks:
+        monkeypatch.setattr(rearrange, "_BLOCK_CHUNKS", chunks)
+    size = 3 * rearrange._BLOCK_CHUNKS + 1
+    rng = np.random.default_rng(41)
+    x = np.concatenate((
+        [0.0, -0.0, 5e-324, 2.0**-1060, 2.2250738585072014e-308, 1e-300, 0.3, 1.0, 3.7, 1e200, 1.7976931348623157e308],
+        10.0 ** rng.uniform(-320.0, 308.0, size),
+    ))
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        want = x ** e
+        got = np.empty_like(x)
+        end = 0
+        for i, j, block in _blocked_powers(x, e):
+            assert i == end and j - i == block.size
+            got[i:j] = block
+            end = j
+    assert end == x.size
+    assert got.tobytes() == want.tobytes()
 
 def _seed_lorentz(s, p, q):
     """The norm formulas as they stood before the normalized prefix sums were cached."""
