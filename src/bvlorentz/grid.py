@@ -169,9 +169,7 @@ class GridFunction:
     # -- rearrangement hook --------------------------------------------------
     def value_measure_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Nonzero |values| with their cell measures, for rearrangement."""
-        flat = np.abs(self.values.ravel())
-        keep = flat > 0.0
-        vals = flat[keep]
+        vals = np.abs(self.values[self.values != 0.0])
         return vals, np.full(vals.shape, self.cell_measure)
 
     @cached_property

@@ -36,7 +36,6 @@ _BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 #: powers and the slice of terms they multiply stay in cache.
 _BLOCK_CHUNKS = 1 << 15
 
-#: The ufuncs numpy's ``x ** e`` takes for these scalar exponents.
 _SCALAR_POWERS = {0.5: np.sqrt, 2.0: np.square, -1.0: np.reciprocal, 1.0: np.positive}
 
 
@@ -170,13 +169,11 @@ def step_from_pairs(values: np.ndarray, measures) -> StepFunction | None:
 def _step_from_magnitudes(v: np.ndarray, m: float) -> StepFunction | None:
     """The step of a fresh 1-d float64 array of |values| on cells of measure
     ``m``, sorting ``v`` in place; None if no value is positive or m is 0."""
-    if not m > 0:
-        return None
     if v.size and not v.min() > 0:  # zeros (and NaN) drop out before the sort
         v = v[v > 0]
     v.sort()
     n = v.size
-    if n == 0:
+    if n == 0 or not m > 0:
         return None
     # runs of identical values, found ascending and emitted decreasing
     first = np.empty(n + 1, dtype=bool)
