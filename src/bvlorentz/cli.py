@@ -165,15 +165,14 @@ def cmd_norms(cfg: dict) -> int:
     # one key per q: a repeated q keeps its first place and its one value
     keys = {("qinf" if q == float("inf") else f"q{q:g}"): q for q in qs}
     # The per-face pass runs on one worker thread while this thread sorts
-    # (the L1 sum comes with the sort).  Both threads then draw the norm
-    # table's jobs from one queue, the worker once its per-face pass is done,
-    # so it takes a share of the table unless that pass outlasts the table.
-    # All are numpy passes that release the GIL.  The worker runs in copies
-    # of this context, so it sees the caller's numpy errstate.  Every value
-    # comes from the same function on the same data as it would in sequence,
-    # so the output does not depend on the split.  The worker's own peak is
-    # the padded per-face array, so at worst one such array is held beyond
-    # the sequential order's peak; each norm holds one chunk array.
+    # (and sums |u| on the way, for L1).  Both threads then draw the norm
+    # table's jobs from one queue, so the worker takes a share of the table
+    # unless its per-face pass outlasts it.  All are numpy passes that release
+    # the GIL.  The worker runs in copies of this context, so it sees the
+    # caller's numpy errstate.  Every value comes from the same function on
+    # the same data as in sequence, so the output does not depend on the
+    # split.  The worker's own peak is the padded per-face array, so at worst
+    # one such array is held beyond the sequential order's peak.
     with ThreadPoolExecutor(max_workers=1) as pool:
         faces = pool.submit(contextvars.copy_context().run, bv.total_variation, u)
         step = u.rearrangement

@@ -176,9 +176,9 @@ class GridFunction:
     def rearrangement(self) -> StepFunction | None:
         """The decreasing rearrangement u* (None for the zero function).
 
-        Every cell has the same measure, so only |values| are sorted, in
-        place in one fresh array whose sum is kept for :meth:`l1_norm`; the
-        result equals ``step_from_pairs(*self.value_measure_pairs())``.
+        Every cell has the same measure, so only |values| are sorted, in one
+        fresh array whose sum :meth:`l1_norm` reuses; the result equals
+        ``step_from_pairs(*self.value_measure_pairs())``.
         """
         a = np.abs(self.values.ravel())
         with np.errstate(over="ignore"):
@@ -211,7 +211,6 @@ class GridFunction:
         return contrib
 
     def l1_norm(self) -> float:
-        """The L1 norm, from the |values| sum the rearrangement cached if it ran."""
         total = self.__dict__.get("_abs_sum")
         return (float(np.sum(np.abs(self.values))) if total is None else total) * self.cell_measure
 

@@ -101,20 +101,19 @@ class StepFunction:
             raise ValueError("chunk values must be strictly decreasing")
         if not np.all(m > 0):
             raise ValueError("chunk measures must be positive")
-        self._adopt(v, m)
-
-    @classmethod
-    def _unchecked(cls, values: np.ndarray, measures: np.ndarray) -> StepFunction:
-        """A step of fresh float64 arrays known to pass every check."""
-        s = object.__new__(cls)
-        s._adopt(values, measures)
-        return s
-
-    def _adopt(self, v: np.ndarray, m: np.ndarray) -> None:
         v.setflags(write=False)
         m.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "measures", m)
+
+    @classmethod
+    def _unchecked(cls, values: np.ndarray, measures: np.ndarray) -> StepFunction:
+        """A step of fresh float64 arrays known to pass every check."""
+        values.setflags(write=False)
+        measures.setflags(write=False)
+        s = object.__new__(cls)
+        s.__dict__.update(values=values, measures=measures)
+        return s
 
     @cached_property
     def total_measure(self) -> float:
@@ -141,8 +140,7 @@ def step_from_pairs(values: np.ndarray, measures) -> StepFunction | None:
     sits on a set of the same measure (the cells of a grid).  In the scalar
     case only the values are sorted, in place in one fresh array, and a run
     of k equal values gets measure k * m, the exact sum of its k equal
-    dyadic cell measures.  Returns None for the zero function (empty chunk
-    list).
+    dyadic cell measures.  None for the zero function (no chunk).
     """
     v = np.abs(np.asarray(values, dtype=np.float64).ravel())
     m = np.asarray(measures, dtype=np.float64)
