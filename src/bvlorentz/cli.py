@@ -18,7 +18,6 @@ point checks its own arguments; this module checks only what it parses.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextvars
 import functools
 import json
@@ -145,17 +144,6 @@ def _write_text(text: str, path: str) -> None:
 
 # -- norms ---------------------------------------------------------------------
 
-def _drain(jobs: collections.deque) -> dict:
-    """Run (name, thunk) jobs popped from the shared queue until it is empty."""
-    done = {}
-    while True:
-        try:
-            name, job = jobs.popleft()  # atomic: each job runs on one thread
-        except IndexError:
-            return done
-        done[name] = job()
-
-
 def cmd_norms(cfg: dict) -> int:
     if not cfg["input"]:
         raise InputError("norms: --input is required")
@@ -163,36 +151,34 @@ def cmd_norms(cfg: dict) -> int:
     u = load_grid(cfg["input"])
     p = critical_exponent(u.dim) if u.dim >= 2 else None
     # one key per q: a repeated q keeps its first place and its one value
-    keys = {("qinf" if q == float("inf") else f"q{q:g}"): q for q in qs}
-    # The per-face pass runs on one worker thread while this thread sorts
-    # (and sums |u| on the way, for L1).  Both threads then draw the norm
-    # table's jobs from one queue, so the worker takes a share of the table
-    # unless its per-face pass outlasts it.  All are numpy passes that release
-    # the GIL.  The worker runs in copies of this context, so it sees the
-    # caller's numpy errstate.  Every value comes from the same function on
-    # the same data as in sequence, so the output does not depend on the
-    # split.  The worker's own peak is the padded per-face array, so at worst
-    # one such array is held beyond the sequential order's peak.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        faces = pool.submit(contextvars.copy_context().run, bv.total_variation, u)
+    keys = {f"q{q:g}": q for q in qs}
+    # One pool of two threads: the per-face pass takes one while this thread
+    # sorts (and sums |u| on the way, for L1); then each norm of the table is
+    # one job, and both threads take them as they come free.  All are numpy
+    # passes that release the GIL.  Each job runs in a copy of this context,
+    # so it sees the caller's numpy errstate.  Every value comes from the
+    # same function on the same data as in sequence, so the output does not
+    # depend on the split.  The per-face pass peaks at the padded per-face
+    # array, so at worst one such array is held beyond the sequential peak.
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        def submit(fn, *args):
+            return pool.submit(contextvars.copy_context().run, fn, *args)
+
+        faces = submit(bv.total_variation, u)
         step = u.rearrangement
         l1 = u.l1_norm()
-        jobs = collections.deque()  # (name, thunk): "p2", "pcrit" and the table's keys
+        jobs = {}  # "p2", "pcrit" and the table's keys -> future
         if step is not None:
-            # the caches both threads read are filled here, by one thread
+            # the caches the pool threads read are filled here, by this thread
             step.normalized_values, step.normalized_cumulative, step.total_measure
-            jobs.append(("p2", lambda: lebesgue_norm(step, 2.0)))
+            jobs["p2"] = submit(lebesgue_norm, step, 2.0)
             if p is not None:
                 # in 2-D the critical exponent is 2: pcrit is the p2 norm
                 if p != 2.0:
-                    jobs.append(("pcrit", lambda: lebesgue_norm(step, p)))
-                jobs.extend(
-                    (key, functools.partial(lorentz_norm, step, LorentzIndex(p, q)))
-                    for key, q in keys.items()
-                )
-        theirs = pool.submit(contextvars.copy_context().run, _drain, jobs)
-        values = _drain(jobs)
-        values.update(theirs.result())
+                    jobs["pcrit"] = submit(lebesgue_norm, step, p)
+                for key, q in keys.items():
+                    jobs[key] = submit(lorentz_norm, step, LorentzIndex(p, q))
+        values = {key: job.result() for key, job in jobs.items()}
         tv = faces.result()
     p2 = values.get("p2", 0.0)
     lebesgue = {"p2": p2}
@@ -482,9 +468,7 @@ _COMMANDS: dict[str, tuple] = {
 # every subcommand also takes these; they are no --config keys
 _COMMON = (
     ("config", str, None, "JSON config file; flags override its keys"),
-    ("threads", int, None, "accepted for interface stability and ignored: norms overlaps its "
-     "per-face pass with the sort on one worker thread, which then takes a share of the norm "
-     "table; power sums run in cache-sized blocks, and no output depends on either"),
+    ("threads", int, None, "accepted for interface stability and ignored"),
 )
 
 

@@ -212,7 +212,10 @@ class GridFunction:
 
     def l1_norm(self) -> float:
         total = self.__dict__.get("_abs_sum")
-        return (float(np.sum(np.abs(self.values))) if total is None else total) * self.cell_measure
+        if total is None:  # inf on overflow, as the rearrangement's sum; users refuse it
+            with np.errstate(over="ignore"):
+                total = float(np.sum(np.abs(self.values)))
+        return total * self.cell_measure
 
 
 def from_sampler(

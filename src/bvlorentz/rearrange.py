@@ -133,26 +133,15 @@ class StepFunction:
         return np.cumsum(self.measures)
 
 
-def step_from_pairs(values: np.ndarray, measures) -> StepFunction | None:
-    """Sort |values| decreasingly, merge equal values, drop zeros.
-
-    ``measures`` is one measure per value, or a scalar when every value
-    sits on a set of the same measure (the cells of a grid).  In the scalar
-    case only the values are sorted, in place in one fresh array, and a run
-    of k equal values gets measure k * m, the exact sum of its k equal
-    dyadic cell measures.  None for the zero function (no chunk).
-    """
+def step_from_pairs(values: np.ndarray, measures: np.ndarray) -> StepFunction | None:
+    """Sort |values| decreasingly, merge equal values (adding their measures)
+    and drop zeros; one measure per value.  None for the zero function."""
     v = np.abs(np.asarray(values, dtype=np.float64).ravel())
-    m = np.asarray(measures, dtype=np.float64)
-    uniform = m.ndim == 0
-    m = m if uniform else m.ravel()
-    if not uniform and v.shape != m.shape:
+    m = np.asarray(measures, dtype=np.float64).ravel()
+    if v.shape != m.shape:
         raise ValueError("values and measures must have equal length")
     if np.any(m < 0):
         raise ValueError("measures must be nonnegative")
-    if uniform:  # the step is built unchecked, so check the caller's values here
-        s = _step_from_magnitudes(v, float(m))
-        return None if s is None else StepFunction(s.values, s.measures)
     keep = (v > 0) & (m > 0)
     v, m = v[keep], m[keep]
     order = np.argsort(-v, kind="stable")

@@ -195,17 +195,25 @@ def test_norms_overflow_is_refused_without_output(tmp_path, capsys, dim, level, 
 
 
 def test_norms_worker_keeps_the_callers_errstate(tmp_path, capsys, monkeypatch):
-    # a multiply overflows on the worker thread before its per-face pass:
-    # it must see the caller's over="ignore", or the overflow warning is
-    # raised there as an error.  The L1 sum overflows (the TV, 2.5e304,
-    # does not), so the refusal names l1
-    real = bv.total_variation
+    # a multiply overflows on a pool thread before the per-face pass, and
+    # another before each Lorentz norm: each must see the caller's
+    # over="ignore", or the overflow warning is raised there as an error.
+    # The L1 sum overflows (the TV, 2.5e304, does not), so the refusal
+    # names l1
+    real_tv, real_lorentz = bv.total_variation, cli.lorentz_norm
+    pool_threads = []
 
-    def overflowing(u):
+    def overflowing_tv(u):
         np.multiply(np.full(2, 1e300), 1e300)
-        return real(u)
+        return real_tv(u)
 
-    monkeypatch.setattr(cli.bv, "total_variation", overflowing)
+    def overflowing_lorentz(step, idx):
+        pool_threads.append(threading.current_thread() is not threading.main_thread())
+        np.multiply(np.full(2, 1e300), 1e300)
+        return real_lorentz(step, idx)
+
+    monkeypatch.setattr(cli.bv, "total_variation", overflowing_tv)
+    monkeypatch.setattr(cli, "lorentz_norm", overflowing_lorentz)
     p = _save_overflowing(tmp_path, 2, 10, np.full((64, 64), 1e305))
     out = tmp_path / "n.json"
     with warnings.catch_warnings():
@@ -217,6 +225,7 @@ def test_norms_worker_keeps_the_callers_errstate(tmp_path, capsys, monkeypatch):
                 f"norms: l1 of {p} overflows a double",
             )
     assert not out.exists()
+    assert pool_threads == [True] * 4  # one per q of the default --q-list
 
 
 @_OVERFLOWS
@@ -408,35 +417,32 @@ def test_threaded_norms_holds_at_most_one_padded_field_more(tmp_path, dim, n, le
 
 
 def test_norms_table_is_shared_with_the_worker(tmp_path, monkeypatch):
-    # the caller's first job (p2) waits until the worker has drawn a Lorentz
-    # job, which waits until the caller has drawn one too: both threads run
-    # part of the table, and the bytes stay the former
+    # each Lorentz job is held until a job has entered on a second thread:
+    # two table jobs then run at once on two pool threads, neither of them
+    # the calling one, and the bytes stay the former
     p = tmp_path / "u.grid"
     save_grid(corpus_grids(11, 3, 1)[0], p)
     cfg = {"input": str(p), "q_list": "1,1.5,2,inf", "out": str(tmp_path / "former.json")}
     assert _former_norms(cfg) == 0
     ran = []
-    drew = {True: threading.Event(), False: threading.Event()}  # by "on the calling thread"
+    lock = threading.Lock()
+    two_held = threading.Event()
 
     def lorentz(step, idx):
-        on_caller = threading.current_thread() is threading.main_thread()
-        ran.append((on_caller, idx.q))
-        drew[on_caller].set()
-        assert drew[not on_caller].wait(10.0)
+        with lock:
+            ran.append((threading.current_thread(), idx.q))
+            if len({thread for thread, _ in ran}) == 2:
+                two_held.set()
+        assert two_held.wait(10.0)
         return lorentz_norm(step, idx)
 
-    def lebesgue(step, r):
-        if threading.current_thread() is threading.main_thread():
-            assert drew[False].wait(10.0)
-        return lebesgue_norm(step, r)
-
     monkeypatch.setattr(cli, "lorentz_norm", lorentz)
-    monkeypatch.setattr(cli, "lebesgue_norm", lebesgue)
     out = tmp_path / "norms.json"
     assert main(["norms", "--input", str(p), "--out", str(out)]) == 0
     assert out.read_bytes() == (tmp_path / "former.json").read_bytes()
     assert sorted(q for _, q in ran) == [1.0, 1.5, 2.0, float("inf")]
-    assert {on_caller for on_caller, _ in ran} == {True, False}
+    threads = {thread for thread, _ in ran}
+    assert len(threads) == 2 and threading.main_thread() not in threads
 
 
 def test_threaded_norms_under_frequent_thread_switches(tmp_path):

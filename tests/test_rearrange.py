@@ -12,6 +12,7 @@ from bvlorentz.rearrange import (
     LorentzIndexError,
     StepFunction,
     _log_core_over_q,
+    _step_from_magnitudes,
     critical_exponent,
     lebesgue_norm,
     lorentz_norm,
@@ -265,9 +266,14 @@ def test_grid_rearrangement_of_zero_grid_is_none():
 
 
 def test_scalar_measure_validation():
-    assert step_from_pairs(np.array([1.0, 2.0]), 0.0) is None
+    # the grid's tail gives no step on cells of measure 0 (or less); the
+    # pairs path takes one measure per value and refuses a negative one
+    for m in (0.0, -0.25):
+        assert _step_from_magnitudes(np.array([1.0, 2.0]), m) is None
+    with pytest.raises(ValueError, match="equal length"):
+        step_from_pairs(np.array([1.0, 2.0]), 0.25)
     with pytest.raises(ValueError, match="nonnegative"):
-        step_from_pairs(np.array([1.0, 2.0]), -0.25)
+        step_from_pairs(np.array([1.0, 2.0]), np.array([0.25, -0.25]))
 
 
 def test_four_norms_sort_a_grid_once(monkeypatch, checker2d):
@@ -289,7 +295,7 @@ def test_four_norms_sort_a_grid_once(monkeypatch, checker2d):
     assert calls == [16]
 
 
-# values for the scalar-measure path: signed zeros, negatives, duplicates, subnormals
+# values for the grid's scalar-measure tail: signed zeros, negatives, duplicates, subnormals
 _cell_values = st.lists(
     st.one_of(
         st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 2.0**-1060]),
@@ -307,9 +313,9 @@ def test_scalar_measure_path_equals_weighted_path(vals, m, frozen):
     if frozen:
         v.setflags(write=False)
     before = v.copy()
-    fast = step_from_pairs(v, m)
+    fast = _step_from_magnitudes(np.abs(v), m)  # sorts its fresh |v| in place
     ref = step_from_pairs(v, np.full(v.size, m))
-    np.testing.assert_array_equal(v, before)  # the caller's values are not sorted in place
+    np.testing.assert_array_equal(v, before)  # the pairs path sorts no caller's array
     if ref is None:
         assert fast is None
         return
@@ -389,12 +395,15 @@ def test_grid_steps_equal_the_former_scalar_measure_steps():
     for u in _equivalence_grids():
         want = _former_uniform_step(u.values, u.cell_measure)
         _assert_same_step(u.rearrangement, want)
-        _assert_same_step(step_from_pairs(u.values, u.cell_measure), want)
+        _assert_same_step(step_from_pairs(*u.value_measure_pairs()), want)
     for vals, m in (([np.nan, 2.0, 0.0, -2.0, 1.0], 0.5), ([1.0, 2.0], 0.0), ([], 1.0), ([3.0], 2.0**-1074)):
-        _assert_same_step(step_from_pairs(np.array(vals), m), _former_uniform_step(vals, m))
-    for build in (step_from_pairs, _former_uniform_step):
-        with pytest.raises(ValueError, match="chunk values must be finite: 1 of 2"):
-            build(np.array([-np.inf, 0.0, 1.0]), 0.5)
+        tail = _step_from_magnitudes(np.abs(np.array(vals, dtype=np.float64)), m)
+        _assert_same_step(tail, _former_uniform_step(vals, m))
+    vals = np.array([-np.inf, 0.0, 1.0])
+    with pytest.raises(ValueError, match="chunk values must be finite: 1 of 2"):
+        step_from_pairs(vals, np.full(3, 0.5))
+    with pytest.raises(ValueError, match="chunk values must be finite: 1 of 2"):
+        _former_uniform_step(vals, 0.5)
 
 
 def test_grid_rearrangement_is_read_only_and_keeps_the_l1_norm():
@@ -407,10 +416,24 @@ def test_grid_rearrangement_is_read_only_and_keeps_the_l1_norm():
             fresh = GridFunction(dim, level, (0,) * dim, shape, vals * scale)
             sorted_first = GridFunction(dim, level, (0,) * dim, shape, vals * scale)
             s = sorted_first.rearrangement
-            with np.errstate(over="ignore"):
-                assert sorted_first.l1_norm() == fresh.l1_norm()
+            assert sorted_first.l1_norm() == fresh.l1_norm()  # under the default errstate
             for a in (s.values, s.measures):
                 assert a.flags.c_contiguous and not a.flags.writeable and a.strides == (8,)
+
+
+def test_overflowing_l1_norm_is_inf_in_either_order():
+    # the sum of |values| overflows a double: l1_norm is inf with no
+    # warning, whether or not the rearrangement summed it first
+    from bvlorentz.grid import GridFunction
+
+    vals = np.full((64, 64), 1e305)
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error", RuntimeWarning)
+        fresh = GridFunction(2, 10, (0, 0), (64, 64), vals)
+        assert fresh.l1_norm() == math.inf
+        sorted_first = GridFunction(2, 10, (0, 0), (64, 64), vals)
+        sorted_first.rearrangement
+        assert sorted_first.l1_norm() == math.inf
 
 
 _POWER_EXPONENTS = [0.5, 2, 2.0, -1, -1.0, 1, 1.0, 1.5, 0.75, 2 / 3, 3, 3.0, 0, 0.0]
