@@ -148,12 +148,21 @@ class ScalarC1:
     """Scalar map with an explicit sup bound on its derivative.
 
     The bound is part of the data, never estimated numerically; chain-rule
-    audits are only as honest as this field.
+    audits are only as honest as this field.  The map must fix 0, checked
+    once when it is made: zero extension outside the box is implicit, so a
+    map with phi(0) != 0 would silently change the function off the grid.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     derivative_bound: float
     name: str
+
+    def __post_init__(self) -> None:
+        at_zero = float(self(np.zeros(1))[0])
+        if at_zero != 0.0:
+            raise SupportViolationError(
+                f"scalar map {self.name!r} has phi(0) = {at_zero}, breaking zero extension"
+            )
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(t, dtype=float))
@@ -170,16 +179,7 @@ class ChainRuleReport:
 
 
 def compose_scalar(phi: ScalarC1, u: GridFunction) -> tuple[GridFunction, ChainRuleReport]:
-    """Pointwise composition phi(u) with the variation inequality report.
-
-    phi must fix 0: zero extension outside the box is implicit, so a map with
-    phi(0) != 0 would silently change the function off the grid.
-    """
-    at_zero = float(phi(np.zeros(1))[0])
-    if at_zero != 0.0:
-        raise SupportViolationError(
-            f"scalar map {phi.name!r} has phi(0) = {at_zero}, breaking zero extension"
-        )
+    """Pointwise composition phi(u) with the variation inequality report."""
     composed = GridFunction(u.dim, u.level, u.origin, u.extents, phi(u.values))
     tv_in = total_variation(u)
     tv_out = total_variation(composed)

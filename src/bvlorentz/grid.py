@@ -52,7 +52,7 @@ DEFAULT_CELL_GUARD = 2**27
 
 _MAGIC = b"BVLGRID1"
 
-#: Bound on |level| * dim for loaded grids, so that the cell measure
+#: Bound on |level| * dim for every grid, so that the cell measure
 #: 2^(-level*dim) and its inverse stay normal doubles, and on the |level| of
 #: a loaded translation.
 _MAX_LEVEL_DIM = 1022
@@ -131,6 +131,11 @@ class GridFunction:
 
     def __post_init__(self) -> None:
         _check_dim(self.dim)
+        if abs(self.level) * self.dim > _MAX_LEVEL_DIM:
+            raise InputError(
+                f"level {self.level} is out of range for dimension {self.dim}: "
+                f"its cell measure 2^{-self.level * self.dim} is not a normal double"
+            )
         if len(self.origin) != self.dim or len(self.extents) != self.dim:
             raise DimensionMismatchError(
                 f"origin/extents rank must equal dim={self.dim}"

@@ -10,8 +10,10 @@ slope one; the Lipschitz constant then has a closed form and is, for
 instance, exactly 25/9 in dimension two.
 
 Layers four scales apart have disjoint supports in value space, which is the
-combinatorial fact behind the four-coloring used by the energy audit.  Band
-variations are mask sums over one per-face contribution array.
+combinatorial fact behind the four-coloring used by the energy audit.  The
+audit composes each layer once, for its chain rule and its coloring: one
+union mask per color class.  Band variations are mask sums over one per-face
+contribution array.
 """
 from __future__ import annotations
 
@@ -175,16 +177,6 @@ class LayerAudit:
         return self.band_sum_ok and self.chain_ok and self.color_disjoint_ok
 
 
-def _color_disjoint(profile: TruncationProfile, u: GridFunction, scales: list[int]) -> bool:
-    layered = {j: _evaluate(profile, _scaled(u.values, profile.value_scale(j))) for j in scales}
-    for i, j1 in enumerate(scales):
-        for j2 in scales[i + 1 :]:
-            if j1 != j2 and color_class(j1) == color_class(j2):
-                if np.any((layered[j1] != 0.0) & (layered[j2] != 0.0)):
-                    return False
-    return True
-
-
 def layer_energy_audit(
     u: GridFunction, profile: TruncationProfile | None = None
 ) -> LayerAudit:
@@ -201,15 +193,21 @@ def layer_energy_audit(
     band = np.zeros(contrib.shape, dtype=bool)
     band_tv: dict[int, float] = {}
     chain_reports: dict[int, ChainRuleReport] = {}
+    # per color class, the union of the supports of its layers so far
+    colored: dict[int, np.ndarray] = {}
+    disjoint_ok = True
     for j in scales:
         band[(slice(1, -1),) * u.dim] = level_band(u, profile, j)
         band_tv[j] = float(np.sum(contrib[band]))
-        _, chain_reports[j] = compose_scalar(scaled_chi_function(profile, j), u)
+        layer, chain_reports[j] = compose_scalar(scaled_chi_function(profile, j), u)
+        support = layer.values != 0.0
+        seen = colored.setdefault(color_class(j), np.zeros_like(support))
+        disjoint_ok = disjoint_ok and not np.any(seen & support)
+        seen |= support
 
     band_sum = float(sum(band_tv.values()))
     band_ok = band_sum <= BAND_SUM_FACTOR * tv * (1.0 + BAND_SUM_SLACK) or tv == 0.0
     chain_ok = all(r.ok for r in chain_reports.values())
-    disjoint_ok = _color_disjoint(profile, u, scales)
     return LayerAudit(
         scales=tuple(scales),
         tv_total=tv,

@@ -59,6 +59,10 @@ class RadialStep:
         while v.size > 1 and v[-1] == 0.0:
             v = v[:-1]
             r = r[:-1]
+        with np.errstate(over="ignore"):
+            ball = unit_ball_volume(self.dim) * r[-1] ** self.dim
+        if ball == np.inf:
+            raise ValueError(f"the outer radius {float(r[-1])!r} bounds a ball whose volume overflows a double")
         r.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "radii", r)

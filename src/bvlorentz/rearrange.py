@@ -101,10 +101,15 @@ class StepFunction:
             raise ValueError("chunk values must be strictly decreasing")
         if not np.all(m > 0):
             raise ValueError("chunk measures must be positive")
+        with np.errstate(over="ignore"):
+            total = float(np.sum(m))
+        if total == math.inf:  # the measures are positive: the total is not NaN
+            raise ValueError("chunk measures must have a finite total: their sum overflows a double")
         v.setflags(write=False)
         m.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "measures", m)
+        self.__dict__["total_measure"] = total
 
     @classmethod
     def _unchecked(cls, values: np.ndarray, measures: np.ndarray) -> StepFunction:

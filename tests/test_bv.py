@@ -100,9 +100,9 @@ def test_compose_scalar_chain_rule(checker2d):
 
 
 def test_compose_scalar_requires_zero_fixed(checker2d):
-    shift = ScalarC1(lambda t: t + 1.0, 1.0, "shift")
-    with pytest.raises(SupportViolationError):
-        compose_scalar(shift, checker2d)
+    # the map is refused when it is made, so it never reaches compose_scalar
+    with pytest.raises(SupportViolationError, match=r"'shift' has phi\(0\) = 1.0, breaking zero extension"):
+        compose_scalar(ScalarC1(lambda t: t + 1.0, 1.0, "shift"), checker2d)
 
 
 def test_understated_bound_is_flagged(checker2d):

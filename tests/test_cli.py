@@ -23,6 +23,7 @@ from bvlorentz import counterexample as cx
 from bvlorentz.cli import main
 from bvlorentz.corpus import corpus_grids
 from bvlorentz.grid import GridFunction, InputError, load_grid, save_grid
+from bvlorentz.group import DyadicVector, GroupElement
 from bvlorentz.multiscale import DyadicSum, Term
 from bvlorentz.profiles import load_sequence, save_sequence, two_profile_sequence
 from bvlorentz.rearrange import (
@@ -977,6 +978,19 @@ def test_decompose_overflow_is_refused_without_output(tmp_path, capsys, factor, 
 
 def _scaled(u, factor):
     return GridFunction(u.dim, u.level, u.origin, u.extents, u.values * factor)
+
+
+def test_decompose_of_a_term_past_the_level_range_is_refused_without_output(tmp_path, capsys):
+    # each grid loads at level 340 (340 * 3 <= 1022); j = 20 realizes it at
+    # level 360, whose cell measure 2^-1080 is 0.0 and gave zero norms
+    u = GridFunction(3, 340, (0, 0, 0), (2, 2, 2), np.ones((2, 2, 2)))
+    term = Term(1.0, GroupElement(20, DyadicVector.zero(3)), u)
+    save_sequence(str(tmp_path / "seq"), [DyadicSum(3, (term,))] * 3)
+    out = tmp_path / "o"
+    argv = ["decompose", "--input", str(tmp_path / "seq"), "--epsilon", "0.1", "--out-dir", str(out)]
+    message = "level 360 is out of range for dimension 3: its cell measure 2^-1080 is not a normal double"
+    _assert_refused(capsys, argv, message)
+    assert not out.exists()
 
 
 def test_decompose_requires_epsilon(tmp_path, capsys):

@@ -14,6 +14,7 @@ from bvlorentz.grid import (
     DimensionMismatchError,
     GridFormatError,
     GridFunction,
+    InputError,
     MemoryGuardError,
     RefinementDirectionError,
     UnsupportedDimensionError,
@@ -76,6 +77,17 @@ def test_constructor_validation():
         GridFunction(1, 0, (0,), (0,), np.zeros((0,)))
     with pytest.raises(ValueError):
         GridFunction(2, 0, (0, 0), (2, 2), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("dim, level", [(1, 1023), (1, -1023), (2, 512), (2, -512), (3, 341), (3, -341)])
+def test_constructor_refuses_a_level_whose_cell_measure_is_not_normal(dim, level):
+    shape = (1,) * dim
+    with pytest.raises(InputError, match=f"^level {level} is out of range for dimension {dim}: "
+                       rf"its cell measure 2\^{-level * dim} is not a normal double$"):
+        GridFunction(dim, level, (0,) * dim, shape, np.ones(shape))
+    # one level closer to 0 the cell measure and its inverse are normal doubles
+    edge = GridFunction(dim, level - (1 if level > 0 else -1), (0,) * dim, shape, np.ones(shape))
+    assert 0.0 < edge.cell_measure < np.inf and 0.0 < 1.0 / edge.cell_measure < np.inf
 
 
 def test_refine_repeats_values(single_cell):

@@ -19,7 +19,7 @@ from bvlorentz.group import (
 )
 from bvlorentz import group
 from bvlorentz.corpus import corpus_elements, corpus_grids
-from bvlorentz.grid import GridFunction
+from bvlorentz.grid import GridFunction, InputError
 from bvlorentz.profiles import load_sequence, save_sequence
 from bvlorentz.rearrange import critical_exponent
 
@@ -88,6 +88,14 @@ def test_act_refines_for_fine_translation(single_cell):
     v = act(g, single_cell)
     assert v.level == 5
     assert v.l1_norm() == pytest.approx(single_cell.l1_norm(), rel=1e-14)
+
+
+def test_act_refuses_a_level_whose_cell_measure_underflows():
+    # level 340 * dim 3 is in range; j = 20 moves it to 360, whose cell
+    # measure 2^-1080 is 0.0 and gave zero norms
+    u = GridFunction(3, 340, (0, 0, 0), (2, 2, 2), np.ones((2, 2, 2)))
+    with pytest.raises(InputError, match=r"^level 360 is out of range for dimension 3: its cell measure 2\^-1080"):
+        act(GroupElement(20, DyadicVector.zero(3)), u)
 
 
 def test_act_inverse_restores(single_cell):

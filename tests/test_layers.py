@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bvlorentz import bv
+from bvlorentz import bv, layers
 from bvlorentz.bv import compose_scalar, total_variation
 from bvlorentz.grid import GridFunction, Region, UnsupportedDimensionError
 from bvlorentz.layers import (
@@ -200,15 +200,30 @@ def _reference_band_tv(u, scales):
     return band_tv
 
 
+def _former_color_disjoint(profile, u, scales):
+    """The former coloring check: every layer evaluated a second time and
+    kept, then compared pairwise within its color class."""
+    layered = {j: layers._evaluate(profile, layers._scaled(u.values, profile.value_scale(j))) for j in scales}
+    for i, j1 in enumerate(scales):
+        for j2 in scales[i + 1 :]:
+            if j1 != j2 and color_class(j1) == color_class(j2):
+                if np.any((layered[j1] != 0.0) & (layered[j2] != 0.0)):
+                    return False
+    return True
+
+
 def _assert_same_audit(u):
     new = layer_energy_audit(u)
-    band_tv = _reference_band_tv(u, active_scales(u, build_profile(u.dim)))
+    profile = build_profile(u.dim)
+    scales = active_scales(u, profile)
+    band_tv = _reference_band_tv(u, scales)
     band_sum = float(sum(band_tv.values()))
     tv = total_variation(u)
-    # the former audit's band verdict; the chain and coloring parts are unchanged
+    # the former audit's band and coloring verdicts; the chain part is unchanged
     ref = replace(
         new, band_tv=band_tv, band_tv_sum=band_sum,
         band_sum_ok=band_sum <= BAND_SUM_FACTOR * tv * (1.0 + BAND_SUM_SLACK) or tv == 0.0,
+        color_disjoint_ok=_former_color_disjoint(profile, u, scales),
     )
     assert list(new.band_tv.items()) == list(ref.band_tv.items())
     assert new.band_tv_sum == ref.band_tv_sum
@@ -271,6 +286,38 @@ def test_audit_runs_the_kernel_once_and_tests_no_points(monkeypatch):
     assert len(audit.scales) >= 2
     assert calls[:1] == [u] and len(calls) == 1 + len(audit.scales)
     assert all(v is not u for v in calls[1:])
+
+
+def test_audit_evaluates_each_layer_once(monkeypatch):
+    u = corpus_grids(seed=4, dim=2, count=1)[0]
+    calls = []
+    evaluate = layers._evaluate
+
+    def counted(profile, t):
+        calls.append(np.shape(t))
+        return evaluate(profile, t)
+
+    monkeypatch.setattr(layers, "_evaluate", counted)
+    audit = layer_energy_audit(u)
+    # per active scale: phi(0) once when the map is made, then the values
+    # once, by the composition that both the chain rule and the coloring read
+    assert len(audit.scales) >= 2
+    assert calls == [(1,), u.extents] * len(audit.scales)
+
+
+def test_stretched_profile_fails_the_coloring():
+    # upper / lower = 32 >= 2^4: the layers of scales 0 and 4 (one color)
+    # both take the value 10 into their supports
+    p = build_profile(2)
+    wide = replace(p, upper=4.0 * p.upper, fall_weight=4.0 * p.upper - p.plateau_hi)
+    assert wide.upper / wide.lower >= 2.0**4
+    u = GridFunction(2, 0, (0, 0), (1, 2), np.array([[1.0, 10.0]]))
+    scales = active_scales(u, wide)
+    assert {0, 4} <= set(scales) and color_class(0) == color_class(4)
+    audit = layer_energy_audit(u, wide)
+    assert not audit.color_disjoint_ok and not audit.ok
+    assert _former_color_disjoint(wide, u, scales) is False
+    assert layer_energy_audit(u).color_disjoint_ok
 
 
 def test_subnormal_value_is_refused_by_name():

@@ -22,6 +22,8 @@ def test_construction_and_trimming():
     u = RadialStep(2, np.array([0.0, 1.0, 2.0, 3.0]), np.array([2.0, 1.0, 0.0]))
     assert u.outer_radius == 2.0  # trailing zero shell trimmed
     assert u.values.tolist() == [2.0, 1.0]
+    # trimmed before the ball volume is checked, so only the kept radii count
+    assert RadialStep(2, np.array([0.0, 1.0, 1e160]), np.array([1.0, 0.0])).outer_radius == 1.0
     with pytest.raises(ValueError):
         RadialStep(2, np.array([0.5, 1.0]), np.array([1.0]))  # must start at 0
     with pytest.raises(ValueError):
@@ -44,6 +46,8 @@ def test_construction_and_trimming():
         ([0.0, 1.0, 2.0], [np.nan, 2.0], "values must be finite: 1 of 2 shells hold NaN or inf"),
         ([0.0, 1.0, 2.0], [np.inf, -np.inf], "values must be finite: 2 of 2 shells hold NaN or inf"),
         ([0.0, 1.0, 2.0, 3.0], [1.0, np.inf, 0.0], "values must be finite: 1 of 3 shells hold NaN or inf"),
+        # a shell measure of inf gave NaN norms
+        ([0.0, 1.0, 1e160], [1.0, 2.0], "the outer radius 1e\\+160 bounds a ball whose volume overflows a double"),
     ],
 )
 def test_non_finite_radial_data_is_refused(radii, values, message):

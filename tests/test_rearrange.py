@@ -110,6 +110,14 @@ def test_step_function_refuses_nan_measures():
         StepFunction(np.array([2.0, 1.0]), np.array([1.0, np.nan]))
 
 
+@pytest.mark.parametrize("measures", [[np.inf], [1.0, np.inf], [1e308, 1e308]])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_step_function_refuses_measures_without_a_finite_total(measures):
+    n = len(measures)
+    with pytest.raises(ValueError, match="^chunk measures must have a finite total: their sum overflows a double$"):
+        StepFunction(np.arange(n, 0, -1.0), np.array(measures))
+
+
 def test_schwarz_profile_radii():
     # indicator of measure pi symmetrizes to the unit disk in 2-d
     s = StepFunction(np.array([1.0]), np.array([math.pi]))
