@@ -51,64 +51,75 @@ class SupportViolationError(ValueError):
 _SLAB_CELLS = 1 << 15
 
 
-def _local_contributions(u: GridFunction) -> tuple[tuple[int, ...], np.ndarray]:
-    """Per-cell variation, attributed to the base cell of each forward pair.
+def _face_rows(u: GridFunction) -> tuple[int, int, Callable[[int, int, np.ndarray], None]]:
+    """Per-cell variation, attributed to the base cell of each forward pair,
+    h^{dim-1} * sum_k |forward difference| over the padded index domain (one
+    cell beyond the box on every side), a slab of axis-0 rows at a time.
 
-    Returns the origin of the padded index domain (one cell below the box on
-    every axis) and the array of h^{dim-1} * sum_k |forward difference| over
-    that domain: (n+2)^dim cells, the layout of the zero-padded values.
+    Returns the rows per slab (about ``_SLAB_CELLS`` cells), the cells per
+    padded row and ``fill(r0, r1, out)``, which writes padded rows r0..r1-1,
+    at most one slab, into the flat array ``out``.
 
-    The result is filled in slabs of padded axis-0 rows, about
-    ``_SLAB_CELLS`` cells each; the returned array is the only full-size
-    allocation.  A slab's rows, plus the one above them, are copied into a
-    reused zero-padded buffer.  The axis-0 term |pad[i+1] - pad[i]| is
-    written straight into the output rows.  Each other axis k, in axis
-    order, adds one contiguous shifted difference |flat[s:] - flat[:-s]| of
-    the slab's flat padded rows into the flat output rows, through one
-    reused scratch buffer, where s is the product of the padded extents
-    after axis k.  The rows are then scaled by h^{dim-1} in place.
+    A slab's rows, plus the one above them, are copied into a reused
+    zero-padded buffer.  The axis-0 term |pad[i+1] - pad[i]| is written
+    straight into the output rows.  Each other axis k, in axis order, adds
+    one contiguous shifted difference |flat[s:] - flat[:-s]| of the slab's
+    flat padded rows into the flat output rows, through one reused scratch
+    buffer, where s is the product of the padded extents after axis k.  The
+    rows are then scaled by h^{dim-1} in place.
 
     The bits are those of forward differences of a zero-padded copy, summed
     from a zero accumulator in axis order (the former kernel): each cell
-    gets the same terms in the same order and the same scaling.  Writing the
-    first term instead of adding it to 0.0 is exact, since 0.0 + t == t for
-    t >= +0.  A shifted difference that leaves a cell on the last padded
-    index of axis k wraps to index 0 of axis k further on; both of those
-    cells are padding, so it adds |0 - 0| = +0.0, as do faces between two
-    padding cells, and adding +0.0 leaves a sum of absolute values
-    unchanged.  The array has the former contiguous layout, so ``np.sum``
-    over it groups the terms the same way.
+    gets the same terms in the same order and the same scaling, whatever
+    the slabs.  Writing the first term instead of adding it to 0.0 is
+    exact, since 0.0 + t == t for t >= +0.  A shifted difference that
+    leaves a cell on the last padded index of axis k wraps to index 0 of
+    axis k further on; both of those cells are padding, so it adds
+    |0 - 0| = +0.0, as do faces between two padding cells, and adding +0.0
+    leaves a sum of absolute values unchanged.
     """
     v = u.values
     n0, rest = v.shape[0], v.shape[1:]
-    out = np.empty((n0 + 2,) + tuple(n + 2 for n in rest))
-    row_cells = math.prod(out.shape[1:])
-    rows = max(1, _SLAB_CELLS // row_cells)
-    pad = np.zeros((rows + 1,) + out.shape[1:])  # only its inner cells are ever written
+    row_shape = tuple(n + 2 for n in rest)
+    row_cells = math.prod(row_shape)
+    rows = max(1, min(n0 + 2, _SLAB_CELLS // row_cells))
+    pad = np.zeros((rows + 1,) + row_shape)  # only its inner cells are ever written
     scratch = np.empty(rows * row_cells)
     inner = (slice(1, -1),) * len(rest)
     # flat stride of one step along each axis after the first
-    strides = [math.prod(out.shape[axis + 1 :]) for axis in range(1, u.dim)]
+    strides = [math.prod(row_shape[k:]) for k in range(1, u.dim)]
     h_face = u.spacing ** (u.dim - 1)
-    for r0 in range(0, n0 + 2, rows):
-        r1 = min(r0 + rows, n0 + 2)
+
+    def fill(r0: int, r1: int, out: np.ndarray) -> None:
         # buffer row j is padded row r0 + j, i.e. row r0 + j - 1 of v when inside
         slab_pad = pad[: r1 - r0 + 1]
         lo, hi = max(1 - r0, 0), min(n0 + 1 - r0, r1 - r0 + 1)
         slab_pad[:lo] = 0.0
         slab_pad[(slice(lo, hi),) + inner] = v[r0 + lo - 1 : r0 + hi - 1]
         slab_pad[hi:] = 0.0
-        slab_out = out[r0:r1]
-        np.subtract(slab_pad[1:], slab_pad[:-1], out=slab_out)
-        np.abs(slab_out, out=slab_out)
+        np.subtract(slab_pad[1:], slab_pad[:-1], out=out.reshape((r1 - r0,) + row_shape))
+        np.abs(out, out=out)
         base = slab_pad[:-1].reshape(-1)
-        flat_out = slab_out.reshape(-1)
         for s in strides:
             diff = scratch[: base.size - s]
             np.subtract(base[s:], base[:-s], out=diff)
             np.abs(diff, out=diff)
-            flat_out[:-s] += diff
-        slab_out *= h_face
+            out[:-s] += diff
+        out *= h_face
+
+    return rows, row_cells, fill
+
+
+def _local_contributions(u: GridFunction) -> tuple[tuple[int, ...], np.ndarray]:
+    """The origin of the padded index domain and the per-cell variation over
+    it (see :func:`_face_rows`), filled slab by slab into the returned
+    array, the only full-size allocation."""
+    rows, row_cells, fill = _face_rows(u)
+    out = np.empty(tuple(n + 2 for n in u.extents))
+    flat = out.reshape(-1)
+    for r0 in range(0, out.shape[0], rows):
+        r1 = min(r0 + rows, out.shape[0])
+        fill(r0, r1, flat[r0 * row_cells : r1 * row_cells])
     return tuple(o - 1 for o in u.origin), out
 
 

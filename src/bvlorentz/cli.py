@@ -153,13 +153,14 @@ def cmd_norms(cfg: dict) -> int:
     # one key per q: a repeated q keeps its first place and its one value
     keys = {f"q{q:g}": q for q in qs}
     # One pool of two threads: the per-face pass takes one while this thread
-    # sorts (and sums |u| on the way, for L1); then each norm of the table is
-    # one job, and both threads take them as they come free.  All are numpy
-    # passes that release the GIL.  Each job runs in a copy of this context,
-    # so it sees the caller's numpy errstate.  Every value comes from the
-    # same function on the same data as in sequence, so the output does not
-    # depend on the split.  The per-face pass peaks at the padded per-face
-    # array, so at worst one such array is held beyond the sequential peak.
+    # sorts (after one leaf pass that sums |u|, for L1); then each norm of
+    # the table is one job, and both threads take them as they come free.
+    # All are numpy passes that release the GIL.  Each job runs in a copy of
+    # this context, so it sees the caller's numpy errstate.  Every value
+    # comes from the same function on the same data as in sequence, so the
+    # output does not depend on the split.  The per-face pass sums its rows
+    # leaf by leaf and holds no padded per-face array, only a leaf, a row
+    # and its slab buffers.
     with ThreadPoolExecutor(max_workers=2) as pool:
         def submit(fn, *args):
             return pool.submit(contextvars.copy_context().run, fn, *args)

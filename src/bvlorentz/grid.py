@@ -94,7 +94,28 @@ def _check_dim(dim: int) -> int:
 
 def _guard(cells: int) -> None:
     if cells > DEFAULT_CELL_GUARD:
-        raise MemoryGuardError(f"operation needs {cells} cells, guard is {DEFAULT_CELL_GUARD}")
+        count = cells if cells <= 2**64 else f"at least 2^{cells.bit_length() - 1}"
+        raise MemoryGuardError(f"operation needs {count} cells, guard is {DEFAULT_CELL_GUARD}")
+
+
+_LEAF_CELLS = 1 << 15  # terms in one leaf of _pairwise_sum (256 KiB)
+
+
+def _pairwise_sum(n: int, leaf: Callable[[int, int], float], i: int = 0) -> float:
+    """``np.sum`` of n float64 terms, bit for bit, from leaf sums.
+
+    numpy sums a contiguous float64 array pairwise, splitting a long one at
+    n//2 rounded down to a multiple of 8.  This walks the same splits down
+    to leaves of at most ``_LEAF_CELLS`` terms and adds ``leaf(i, j)``, the
+    ``np.sum`` of terms i..j-1, from the left, so the terms never exist all
+    at once; a test holds it equal to ``np.sum``.  ``i`` is the first term's
+    index: a nested recursion would be a reference cycle holding the leaf's
+    buffers until the garbage collector runs.
+    """
+    if n <= _LEAF_CELLS:
+        return float(leaf(i, i + n))
+    m = n // 2 - n // 2 % 8
+    return _pairwise_sum(m, leaf, i) + _pairwise_sum(n - m, leaf, i + m)
 
 
 def _cell_centers(level: int, origin: Sequence[int], extents: Sequence[int]) -> np.ndarray:
@@ -181,24 +202,59 @@ class GridFunction:
     def rearrangement(self) -> StepFunction | None:
         """The decreasing rearrangement u* (None for the zero function).
 
-        Every cell has the same measure, so only |values| are sorted, in one
-        fresh array whose sum :meth:`l1_norm` reuses; the result equals
-        ``step_from_pairs(*self.value_measure_pairs())``.
+        Every cell has the same measure, so only magnitudes are sorted.  One
+        leaf pass gives the sum of |u| (kept for :meth:`l1_norm`) and tells
+        whether a cell is zero; a grid with zeros sorts only its nonzero
+        magnitudes, so only a zero-free grid makes a full-size |u|.  The
+        result equals ``step_from_pairs(*self.value_measure_pairs())``.  A
+        support whose measure overflows a double is refused.
         """
-        a = np.abs(self.values.ravel())
+        flat = self.values.ravel()
         with np.errstate(over="ignore"):
-            self.__dict__["_abs_sum"] = float(np.sum(a))
-        return _step_from_magnitudes(a, self.cell_measure)
+            self.__dict__["_abs_sum"], zero = self._abs_leaves()
+            if zero:
+                a = flat[flat != 0.0]
+                np.abs(a, out=a)
+            else:
+                a = np.abs(flat)
+            step = _step_from_magnitudes(a, self.cell_measure)
+            if step is not None and step.total_measure == math.inf:
+                raise InputError(
+                    f"the support measure of {a.size} nonzero cells of measure "
+                    f"2^{-self.level * self.dim} overflows a double"
+                )
+        return step
 
     @cached_property
     def variation(self) -> float:
-        """The per-face total variation (see :mod:`bvlorentz.bv`).
-
-        Only the scalar is kept; the per-cell array it sums is freed.  It is
-        inf when the sum overflows a double, which its users refuse.
+        """The per-face total variation (see :mod:`bvlorentz.bv`): the
+        ``np.sum`` of :meth:`face_contributions`, bit for bit, with no array
+        of the whole box.  Each leaf of :func:`_pairwise_sum` is summed in
+        one buffer of a leaf and a padded row, into which the kernel fills
+        the rows reaching the leaf's end, after the unsummed cells move to
+        the front.  It is inf when the sum overflows a double, which its
+        users refuse.
         """
-        self.face_contributions()
-        return self.__dict__["variation"]
+        from .bv import _face_rows
+
+        rows, row_cells, fill = _face_rows(self)
+        n_rows = self.extents[0] + 2
+        buf = np.empty(min(n_rows * row_cells, _LEAF_CELLS + row_cells))
+        base = row = 0  # buf[0] holds padded cell base; rows below row are filled
+
+        def leaf(i: int, j: int) -> float:
+            nonlocal base, row
+            if row * row_cells < j:
+                buf[: row * row_cells - i] = buf[i - base : row * row_cells - base]
+                base, end = i, -(-j // row_cells)
+                for r0 in range(row, end, rows):
+                    r1 = min(r0 + rows, end)
+                    fill(r0, r1, buf[r0 * row_cells - base : r1 * row_cells - base])
+                row = end
+            return np.sum(buf[i - base : j - base])
+
+        with np.errstate(over="ignore"):
+            return _pairwise_sum(n_rows * row_cells, leaf)
 
     def face_contributions(self) -> np.ndarray:
         """The per-cell variation array over the padded box (see
@@ -215,11 +271,27 @@ class GridFunction:
                 self.__dict__["variation"] = float(np.sum(contrib))
         return contrib
 
+    def _abs_leaves(self) -> tuple[float, bool]:
+        """``np.sum(np.abs(self.values))``, bit for bit, and whether a cell
+        is zero, from one pass of ``np.abs`` into a reused leaf buffer; an
+        overflow warning is the caller's."""
+        flat = self.values.ravel()
+        buf = np.empty(min(flat.size, _LEAF_CELLS))
+        zero = False
+
+        def leaf(i: int, j: int) -> float:
+            nonlocal zero
+            b = np.abs(flat[i:j], out=buf[: j - i])
+            zero = zero or not b.min() > 0.0
+            return np.sum(b)
+
+        return _pairwise_sum(flat.size, leaf), zero
+
     def l1_norm(self) -> float:
         total = self.__dict__.get("_abs_sum")
         if total is None:  # inf on overflow, as the rearrangement's sum; users refuse it
             with np.errstate(over="ignore"):
-                total = float(np.sum(np.abs(self.values)))
+                total = self._abs_leaves()[0]
         return total * self.cell_measure
 
 

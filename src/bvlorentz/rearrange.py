@@ -159,10 +159,8 @@ def step_from_pairs(values: np.ndarray, measures: np.ndarray) -> StepFunction | 
 
 
 def _step_from_magnitudes(v: np.ndarray, m: float) -> StepFunction | None:
-    """The step of a fresh 1-d float64 array of |values| on cells of measure
-    ``m``, sorting ``v`` in place; None if no value is positive or m is 0."""
-    if v.size and not v.min() > 0:  # zeros (and NaN) drop out before the sort
-        v = v[v > 0]
+    """The step of a fresh 1-d float64 array of positive magnitudes on cells
+    of measure ``m``, sorting ``v`` in place; None if v is empty or m is 0."""
     v.sort()
     n = v.size
     if n == 0 or not m > 0:

@@ -508,14 +508,15 @@ def test_variation_kernel_allocates_only_its_output():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
+    # the row kernel that both the streamed variation and the full array run
     calls = []
-    kernel = bv._local_contributions
+    kernel = bv._face_rows
 
     def counted(u):
         calls.append(u)
         return kernel(u)
 
-    monkeypatch.setattr(bv, "_local_contributions", counted)
+    monkeypatch.setattr(bv, "_face_rows", counted)
     return calls
 
 

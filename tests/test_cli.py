@@ -22,7 +22,7 @@ from bvlorentz import rearrange
 from bvlorentz import counterexample as cx
 from bvlorentz.cli import main
 from bvlorentz.corpus import corpus_grids
-from bvlorentz.grid import GridFunction, InputError, load_grid, save_grid
+from bvlorentz.grid import _LEAF_CELLS, GridFunction, InputError, load_grid, save_grid
 from bvlorentz.group import DyadicVector, GroupElement
 from bvlorentz.multiscale import DyadicSum, Term
 from bvlorentz.profiles import load_sequence, save_sequence, two_profile_sequence
@@ -191,6 +191,21 @@ def test_norms_overflow_is_refused_without_output(tmp_path, capsys, dim, level, 
             capsys,
             ["norms", "--input", str(p), "--out", str(out)],
             f"norms: {key} of {p} overflows a double",
+        )
+    assert not out.exists()
+
+
+def test_norms_of_a_support_past_a_double_is_refused_with_one_line(tmp_path, capsys):
+    # the lowest admissible 3-D level: 512 cells of measure 2^1020 gave NaN
+    # norms, three RuntimeWarnings and then a refusal of support_measure
+    p = _save_overflowing(tmp_path, 3, -340, np.ones((8, 8, 8)))
+    out = tmp_path / "n.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _assert_refused(
+            capsys,
+            ["norms", "--input", str(p), "--out", str(out)],
+            "the support measure of 512 nonzero cells of measure 2^1020 overflows a double",
         )
     assert not out.exists()
 
@@ -395,8 +410,9 @@ def _peak(fn, *args):
     "dim, n, levels", [(2, 512, 4), (2, 512, None), (3, 64, None)], ids=["4", "None", "3d-None"]
 )
 def test_threaded_norms_holds_at_most_one_padded_field_more(tmp_path, dim, n, levels):
-    # the worker's peak is the padded per-face array and two slab buffers,
-    # and at worst it meets the sort's peak on the calling thread; few
+    # the worker's peak is the streamed variation's buffer of one leaf and
+    # one padded row, and the kernel's two slab buffers: no padded per-face
+    # array.  At worst it meets the sort's peak on the calling thread; few
     # distinct values make the sort short, so the two peaks tend to meet.
     # With distinct values the norm table is long, and split between the
     # two threads.  64 KiB cover the pool's own objects (thread, futures,
@@ -412,7 +428,7 @@ def test_threaded_norms_holds_at_most_one_padded_field_more(tmp_path, dim, n, le
     former = _peak(_former_norms, cfg)
     threaded = _peak(main, argv)
     row_cells = (n + 2) ** (dim - 1)  # one padded axis-0 row
-    worker = (n + 2) ** dim * 8 + 2 * (bv._SLAB_CELLS + row_cells) * 8 + (64 << 10)
+    worker = (_LEAF_CELLS + row_cells + 2 * (bv._SLAB_CELLS + row_cells)) * 8 + (64 << 10)
     assert threaded <= former + worker
     assert (tmp_path / "norms.json").read_bytes() == (tmp_path / "former.json").read_bytes()
 

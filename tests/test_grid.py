@@ -1,9 +1,12 @@
 """Grid construction, exact bookkeeping, box queries, serialization."""
 import json
+import math
 import struct
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +21,10 @@ from bvlorentz.grid import (
     MemoryGuardError,
     RefinementDirectionError,
     UnsupportedDimensionError,
+    _LEAF_CELLS,
     _cell_centers,
+    _guard,
+    _pairwise_sum,
     box_mass,
     common_refinement,
     cube_region,
@@ -33,6 +39,7 @@ from bvlorentz.grid import (
 )
 from bvlorentz.group import DyadicVector, GroupElement, act
 from bvlorentz.radial import annulus_indicator, to_grid
+from bvlorentz.rearrange import _step_from_magnitudes
 
 
 def test_basic_geometry(checker2d):
@@ -357,6 +364,166 @@ def test_cell_guard_counts_cells_past_int64():
     # an int64 product of these extents wraps to 0, which passed the guard
     with pytest.raises(MemoryGuardError, match=f"needs {2**64} cells"):
         resample_to(_ones(), 0, (0, 0), (2**32, 2**32))
+
+
+def test_cell_guard_prints_a_huge_count_as_a_power_of_two():
+    for cells, count in ((2**1027, "at least 2^1027"), (3 * 2**100 + 1, "at least 2^101")):
+        with pytest.raises(MemoryGuardError) as exc:
+            _guard(cells)
+        assert str(exc.value) == f"operation needs {count} cells, guard is {DEFAULT_CELL_GUARD}"
+
+
+# -- sums leaf by leaf ----------------------------------------------------------
+
+_PAIRWISE_SHAPES = (
+    [(n,) for n in range(_LEAF_CELLS - 8, _LEAF_CELLS + 33)]
+    + [(n,) for n in (1, 7, 9, 129, 2**16 - 1, 2**16, 2**16 + 1, 2**16 + 7, 100_001, 1_000_003)]
+    + [(2050, 2050), (130, 130, 130), (66, 2050)]
+)
+
+
+def test_pairwise_sum_is_numpy_sum():
+    # numpy's pairwise split, walked leaf by leaf, must give np.sum's bits;
+    # a numpy that changes its split rule fails here
+    rng = np.random.default_rng(2026)
+    for shape in _PAIRWISE_SHAPES:
+        terms = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300.0, 300.0, shape)
+        flat = terms.ravel()
+        spans = []
+
+        def leaf(i, j):
+            spans.append((i, j))
+            return np.sum(flat[i:j])
+
+        assert _pairwise_sum(flat.size, leaf) == np.sum(terms), shape
+        assert spans[0][0] == 0 and spans[-1][1] == flat.size
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert all(0 < j - i <= _LEAF_CELLS for i, j in spans)
+    for terms in (np.abs(rng.standard_normal(2**16 + 3)), np.full(2**16 + 3, -0.0), np.zeros(3 * _LEAF_CELLS)):
+        assert _pairwise_sum(terms.size, lambda i, j: np.sum(terms[i:j])) == np.sum(terms)
+
+
+def _leaf_grids():
+    """Grids for the leaf-by-leaf sums: the corpus of the audit's default
+    seeds, the planted fixtures, zero and signed-zero grids, grids of more
+    than one leaf, and a grid whose |u| sums past a double."""
+    from bvlorentz.corpus import corpus_grids
+    from bvlorentz.profiles import staircase_sequence, two_profile_sequence
+
+    grids = [u for seed in range(7, 12) for dim in (1, 2, 3) for u in corpus_grids(seed, dim, 5)]
+    for seq in (
+        two_profile_sequence(range(1, 9), level=5),
+        two_profile_sequence(range(1, 7), dim=3, level=1),
+        staircase_sequence((4, 5, 6)),
+    ):
+        grids += [t.u for e in seq for t in e.terms]
+    rng = np.random.default_rng(11)
+    signed = rng.standard_normal((3, 200, 200)) * (rng.random((3, 200, 200)) < 0.5)
+    signed[signed == 0.0] = -0.0
+    signed[1, 7] = 0.0
+    grids += [
+        GridFunction(2, 3, (0, 0), (5, 7), np.zeros((5, 7))),
+        GridFunction(3, 1, (0, 0, 0), (2, 3, 4), np.full((2, 3, 4), -0.0)),
+        GridFunction(1, 2, (0,), (100_000,), np.where(rng.random(100_000) < 0.3, 0.0, rng.standard_normal(100_000))),
+        GridFunction(2, 5, (-3, 4), (301, 257), rng.standard_normal((301, 257))),
+        GridFunction(3, 2, (0, 0, 0), (3, 200, 200), signed),  # a padded row outgrows a leaf
+        GridFunction(2, 10, (0, 0), (64, 64), np.full((64, 64), 1e305)),
+    ]
+    return grids
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_l1_sum_and_steps_equal_the_former_full_array_formulas():
+    for u in _leaf_grids():
+        # the former rearrangement: one full-size |u|, summed, then its
+        # positive magnitudes sorted
+        a = np.abs(u.values.ravel())
+        with np.errstate(over="ignore"):
+            former_sum = float(np.sum(a))
+        former = _step_from_magnitudes(a[a > 0], u.cell_measure)
+        fresh = GridFunction(u.dim, u.level, u.origin, u.extents, u.values)
+        assert fresh.l1_norm() == former_sum * u.cell_measure
+        step = u.rearrangement
+        assert u.l1_norm() == former_sum * u.cell_measure
+        if former is None:
+            assert step is None
+            continue
+        assert step.values.tobytes() == former.values.tobytes()
+        assert step.measures.tobytes() == former.measures.tobytes()
+    assert u.values[0, 0] == 1e305 and u.l1_norm() == math.inf  # with no warning
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_streamed_variation_is_the_sum_of_the_face_array():
+    from bvlorentz import bv
+
+    for u in _leaf_grids():
+        fresh = GridFunction(u.dim, u.level, u.origin, u.extents, u.values)
+        with np.errstate(over="ignore"):
+            total = float(np.sum(u.face_contributions()))
+        assert fresh.variation == total
+    # slabs of at most 7 cells, so a leaf's rows take many fills
+    with mock.patch.object(bv, "_SLAB_CELLS", 7):
+        for u in _leaf_grids()[-4:-1]:
+            fresh = GridFunction(u.dim, u.level, u.origin, u.extents, u.values)
+            assert fresh.variation == float(np.sum(u.face_contributions()))
+
+
+@pytest.mark.parametrize("extents", [(512, 512), (64, 64, 64)])
+def test_streamed_variation_makes_no_padded_array(extents):
+    from bvlorentz import bv  # imported before the peak is taken
+
+    u = GridFunction(len(extents), 6, (0,) * len(extents), extents, np.random.default_rng(8).random(extents))
+    padded = math.prod(n + 2 for n in extents) * 8
+    tracemalloc.start()
+    try:
+        tv = u.variation
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one leaf plus one padded row, and the kernel's slab buffers: about a
+    # third of the padded per-cell array
+    assert peak < padded / 2
+    assert tv == float(np.sum(bv._local_contributions(u)[1]))
+
+
+def _one_percent_support(n):
+    vals = np.zeros((n, n))
+    rng = np.random.default_rng(4)
+    for i, j in rng.integers(0, n - 5, (110, 2)):
+        vals[i : i + 5, j : j + 5] = rng.uniform(0.5, 3.0)
+    return vals
+
+
+def test_rearrangement_of_a_grid_with_zeros_makes_no_full_size_array():
+    vals = _one_percent_support(512)
+    assert 0.005 < np.count_nonzero(vals) / vals.size < 0.02
+    u = GridFunction(2, 9, (0, 0), vals.shape, vals)
+    tracemalloc.start()
+    try:
+        step = u.rearrangement
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the leaf buffer, then the nonzero mask (one byte a cell) and the
+    # support's magnitudes: about one eighth of a full-size array
+    assert peak < vals.nbytes / 4
+    assert step.total_measure == np.count_nonzero(vals) * u.cell_measure
+
+
+@pytest.mark.parametrize("dim, level", [(1, -1022), (2, -511), (3, -340)])
+def test_a_support_measure_past_a_double_is_refused(dim, level):
+    # the lowest admissible level: each cell's measure is a normal double,
+    # but 8^dim of them sum past the largest one
+    u = GridFunction(dim, level, (0,) * dim, (8,) * dim, np.ones((8,) * dim))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InputError, match=f"support measure of {8**dim} nonzero cells of measure 2\\^{-level * dim} overflows"):
+            u.rearrangement
+    one = np.zeros((8,) * dim)
+    one[(0,) * dim] = 1.0
+    single = GridFunction(dim, level, (0,) * dim, (8,) * dim, one)
+    assert single.rearrangement.total_measure == single.cell_measure
 
 
 def _stacked(axes):
