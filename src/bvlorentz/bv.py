@@ -84,7 +84,7 @@ def _face_rows(u: GridFunction) -> tuple[int, int, Callable[[int, int, np.ndarra
     row_cells = math.prod(row_shape)
     rows = max(1, min(n0 + 2, _SLAB_CELLS // row_cells))
     pad = np.zeros((rows + 1,) + row_shape)  # only its inner cells are ever written
-    scratch = np.empty(rows * row_cells)
+    scratch = np.empty(rows * row_cells if rest else 0)  # a 1-D grid has no other axis
     inner = (slice(1, -1),) * len(rest)
     # flat stride of one step along each axis after the first
     strides = [math.prod(row_shape[k:]) for k in range(1, u.dim)]
