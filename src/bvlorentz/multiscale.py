@@ -29,6 +29,11 @@ class Term:
     g: GroupElement
     u: GridFunction
 
+    @cached_property
+    def realized(self) -> GridFunction:
+        """trim(coeff * (g u)), once per term: ``with_term`` shares the old terms."""
+        return trim(_realize(self))
+
 
 def _realize(t: Term) -> GridFunction:
     out = act(t.g, t.u)
@@ -67,8 +72,7 @@ class DyadicSum:
         """Concrete grid functions with pairwise separated supports."""
         if self._cluster_cache is not None:
             return self._cluster_cache
-        realized = [trim(_realize(t)) for t in self.terms]
-        realized = [r for r in realized if np.any(r.values)]
+        realized = [t.realized for t in self.terms if np.any(t.realized.values)]
         n = len(realized)
         parent = list(range(n))
 

@@ -146,18 +146,20 @@ class ProfileDecomposition:
 
 # -- cube search -------------------------------------------------------------
 
-def _mass_pyramids(clusters: list[GridFunction], scale_window: int) -> list:
+def _mass_pyramids(clusters: list[GridFunction], scale_window: int, built: dict | None = None) -> list:
     """Per cluster: (level, [(origin, block sums of |c| over 2^p cells per
-    axis) for p = 0 .. level + scale_window])."""
-    out = []
-    for c in clusters:
-        a, origin = np.abs(c.values), c.origin
-        sums = [(np.asarray(origin), a)]
-        for _ in range(max(0, c.level + scale_window)):
-            a, origin = _halve(a, origin)
-            sums.append((np.asarray(origin), a))
-        out.append((c.level, sums))
-    return out
+    axis, their first maximum, its cell, the box in Python ints) for
+    p = 0 .. level + scale_window]); ``built`` maps id(c) to (c, pyramid)."""
+    built = {} if built is None else built
+    for c in (c for c in clusters if id(c) not in built):
+        a, origin, sums = np.abs(c.values), tuple(map(int, c.origin)), []
+        for p in range(max(0, c.level + scale_window) + 1):
+            a, origin = _halve(a, origin) if p else (a, origin)
+            k = int(a.argmax())
+            top = tuple(o + int(i) for o, i in zip(origin, np.unravel_index(k, a.shape)))
+            sums.append((np.asarray(origin), a, a.item(k), top, (origin, tuple(o + n for o, n in zip(origin, a.shape)))))
+        built[id(c)] = (c, sums)
+    return [(c.level, built[id(c)][1]) for c in clusters]
 
 
 def _best_cube_at_scale(pyramids: list, s: int, dim: int) -> tuple[float, tuple[int, ...]]:
@@ -173,21 +175,27 @@ def _best_cube_at_scale(pyramids: list, s: int, dim: int) -> tuple[float, tuple[
     exhaustive for separated clusters.  Only clusters whose cube boxes meet
     can add to each other's candidates: a cluster whose box meets no other
     is scored by one multiply of its own block (the bits of 0.0 + block * c),
-    and the candidates of the others are gathered from those alone.
+    and the candidates of the others are gathered from those alone; above
+    2^-1022 that multiply is exact and keeps order, so it is the recorded
+    first maximum (at 2^-1022 a smaller earlier block can round up to a tie).
     """
     layers = []
     for level, sums in pyramids:
         m = level + s
-        origin, block = sums[max(m, 0)]
+        origin, block, vmax, top, (lo, hi) = sums[max(m, 0)]
         shift = max(-m, 0)
-        box = (origin << shift, (origin + block.shape) << shift)
-        layers.append((m, shift, origin, block, 2.0 ** ((dim - 1) * s - dim * max(m, 0)), box))
+        box = ([x << shift for x in lo], [x << shift for x in hi])
+        layers.append((m, shift, origin, block, vmax, top, 2.0 ** ((dim - 1) * s - dim * max(m, 0)), box))
     found, shared, keys = [], [], []
-    for m, shift, origin, block, c, box in layers:
-        flat = np.flatnonzero(block > 0.0) if m > 0 else np.array([np.argmax(block)])
+    for m, shift, origin, block, vmax, top, c, (lo, hi) in layers:
         # every box meets itself, so a lone cluster counts one meeting
-        if sum(bool(np.all(np.maximum(box[0], b[0]) < np.minimum(box[1], b[1])))
-               for *_, b in layers) == 1:
+        lone = sum(all(max(a, b) < min(x, y) for a, b, x, y in zip(lo, blo, hi, bhi))
+                   for *_, (blo, bhi) in layers) == 1
+        if lone and sys.float_info.min < vmax * c < math.inf:
+            found.append((vmax * c, tuple(x << shift for x in top)))
+            continue
+        flat = np.flatnonzero(block > 0.0) if m > 0 else np.array([np.argmax(block)])
+        if lone:
             scores = block.ravel()[flat] * c
             k = int(np.argmax(scores))  # the first maximum, in lexicographic order
             cube = (origin + np.unravel_index(flat[k], block.shape)) << shift
@@ -211,19 +219,19 @@ def _best_cube_at_scale(pyramids: list, s: int, dim: int) -> tuple[float, tuple[
     return best, min(cube for mass, cube in found if mass == best)
 
 
-def _best_alignment(r: DyadicSum, scale_window: int):
+def _best_alignment(r: DyadicSum, scale_window: int, built: dict | None = None):
     """(score, h): h maps the best-scoring feature onto the unit cube at 0.
 
     Scales are visited smallest magnitude first (negative before positive)
     and cubes in lexicographic order, so exact ties resolve deterministically;
     a zero sum gets the identity.  A cube mass that overflows a double
-    raises ``InputError``.
+    raises ``InputError``.  ``built`` holds the pyramids of one extraction.
     """
     clusters = r.clusters()
     best_mass, best_s, best_cube = 0.0, 0, (0,) * r.dim
     scales = sorted(range(-scale_window, scale_window + 1), key=lambda t: (abs(t), t))
     with np.errstate(over="ignore"):  # an overflowing mass is refused below
-        pyramids = _mass_pyramids(clusters, scale_window)
+        pyramids = _mass_pyramids(clusters, scale_window, built)
         found = [_best_cube_at_scale(pyramids, s, r.dim) for s in (scales if clusters else ())]
     for s, (mass, cube) in zip(scales, found):
         if not math.isfinite(mass):
@@ -331,9 +339,10 @@ def extract_profiles(
     levels: list[int] = []
     terminated_by = "max_profiles"
     R = int(window_radius)
+    built: dict = {}  # id(cluster) -> (cluster, pyramid), for this call only
 
     for _ in range(max_profiles):
-        found = [_best_alignment(r, scale_window) for r in remainders]
+        found = [_best_alignment(r, scale_window, built) for r in remainders]
         scores = tuple(f[0] for f in found)
         aligns = tuple(f[1] for f in found)
         history.append(scores)

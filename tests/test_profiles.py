@@ -1,5 +1,6 @@
 """Profile extraction: recovery, termination, guards, audits, round-trips."""
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bvlorentz import profiles
+from bvlorentz import multiscale, profiles
 from bvlorentz.bv import total_variation
 from bvlorentz.grid import (
     GridFunction,
@@ -303,7 +304,7 @@ def _gather_cube_masses(pyramids, s, dim, cubes):
     total = np.zeros(len(cubes))
     for level, sums in pyramids:
         m = level + s
-        origin, block = sums[max(m, 0)]
+        origin, block = sums[max(m, 0)][:2]
         idx = (cubes >> max(-m, 0)) - origin
         inside = np.all((idx >= 0) & (idx < block.shape), axis=1)
         total[inside] += block[tuple(idx[inside].T)] * 2.0 ** ((dim - 1) * s - dim * max(m, 0))
@@ -316,7 +317,7 @@ def _candidate_cubes(pyramids, s):
     keys = []
     for level, sums in pyramids:
         m = level + s
-        origin, block = sums[max(m, 0)]
+        origin, block = sums[max(m, 0)][:2]
         if m > 0:
             keys.append(np.argwhere(block > 0.0) + origin)
         else:
@@ -372,6 +373,22 @@ def _subnormal_ties():
     return dyadic_sum(GridFunction(2, 3, (0, 0), vals.shape, vals))
 
 
+def _normal_boundary_ties():
+    """A lone fine cluster whose scaled maximum at scale 0 is 2^-1022 exactly,
+    the smallest normal double; the earlier cell's vmax * (1 - 2^-53) scales
+    to a subnormal halfway below it and rounds up to a tie."""
+    vals = np.zeros((9, 1))
+    vals[0, 0] = 2.0**-1016 * (1.0 - 2.0**-53)
+    vals[8, 0] = 2.0**-1016
+    return dyadic_sum(GridFunction(2, 3, (0, 0), vals.shape, vals))
+
+
+def _overflowing_cluster():
+    """A lone level -10 cluster whose scaled maximum 2^(1020+s) overflows a
+    double from scale 4 on."""
+    return dyadic_sum(GridFunction(2, -10, (0, 0), (1, 2), np.array([[2.0**1019, 2.0**1020]])))
+
+
 _SCORER_FIXTURES = [
     (lambda: two_profile_sequence(range(1, 9), level=6), 0.1),
     (lambda: two_profile_sequence(range(1, 9), level=5), 0.1),
@@ -407,15 +424,33 @@ def test_scorer_equals_unique_reference(make, epsilon):
 
 @pytest.mark.parametrize(
     "make, epsilon",
-    _SCORER_FIXTURES + [(lambda: [_meeting_clusters()], None), (lambda: [_subnormal_ties()], None)],
-    ids=_SCORER_IDS + ["meeting-boxes", "subnormal-ties"],
+    _SCORER_FIXTURES + [
+        (lambda: [_meeting_clusters()], None),
+        (lambda: [_subnormal_ties()], None),
+        (lambda: [_normal_boundary_ties()], None),
+        (lambda: [_overflowing_cluster()], None),
+    ],
+    ids=_SCORER_IDS + ["meeting-boxes", "subnormal-ties", "normal-boundary-ties", "overflowing-cluster"],
 )
 def test_scorer_equals_former_gather_scorer(make, epsilon):
     for r in _scored_sums(make, epsilon):
         pyramids = profiles._mass_pyramids(r.clusters(), 10)
         for s in range(-10, 11):
-            got = profiles._best_cube_at_scale(pyramids, s, r.dim)
-            assert got == _gather_best_cube_at_scale(pyramids, s, r.dim), s
+            # an overflowing mass is scored as inf, which _best_alignment refuses
+            with np.errstate(over="ignore"):
+                got = profiles._best_cube_at_scale(pyramids, s, r.dim)
+                assert got == _gather_best_cube_at_scale(pyramids, s, r.dim), s
+
+
+def test_normal_boundary_ties_go_to_the_first_cube():
+    pyramids = profiles._mass_pyramids(_normal_boundary_ties().clusters(), 10)
+    assert profiles._best_cube_at_scale(pyramids, 0, 2) == (2.0**-1022, (0, 0))
+
+
+def test_overflowing_lone_cluster_is_refused():
+    with pytest.raises(InputError) as exc:
+        profiles._best_alignment(_overflowing_cluster(), 10)
+    assert str(exc.value) == "the cube masses at scale 4 overflow a double"
 
 
 def _cube_boxes_meet(pyramids, s):
@@ -423,7 +458,7 @@ def _cube_boxes_meet(pyramids, s):
     boxes = []
     for level, sums in pyramids:
         m = level + s
-        origin, block = sums[max(m, 0)]
+        origin, block = sums[max(m, 0)][:2]
         shift = max(-m, 0)
         boxes.append((origin << shift, (origin + block.shape) << shift))
     return any(
@@ -463,6 +498,72 @@ def test_staircase_ties_go_to_the_smallest_mirror_cube():
         assert profiles._best_cube_at_scale(pyramids, -1, 2) == (score, (-1, -1))
         masses = _gather_cube_masses(pyramids, -1, 2, mirrors)
         assert masses.tolist() == [score] * 4
+
+
+# -- pinned outputs ----------------------------------------------------------------
+
+def _pinned_planted(element0_tv: str, tv: str, profile_tv: list, level: int, digests: list) -> dict:
+    """A planted decomposition: two passes harvest the broad and the shrunk
+    bump, a third finds nothing; each float is spelled by its ``float.hex()``."""
+    return {
+        "scores_history": [["0x1.0000000000000p-1"] * 8, ["0x1.0000000000000p-2"] * 8, ["0x0.0p+0"] * 8],
+        "original_tv": [element0_tv] + [tv] * 7,
+        "remainder_tv": ["0x0.0p+0"] * 8,
+        "profile_tv": profile_tv,
+        "levels": [level, level, 0],
+        "terminated_by": "epsilon",
+        "profile_sha256": digests,
+    }
+
+
+_PINNED_DECOMPOSITIONS = {
+    "planted-L6": (
+        lambda: two_profile_sequence(range(1, 9), level=6), 0.1,
+        _pinned_planted("0x1.7955400000000p+2", "0x1.7a00000000000p+2",
+                        ["0x1.f800000000000p+1", "0x1.f800000000000p+0"], 6,
+                        ["aeeeb3b5e00f3a3a594abd6eca70e7a6b71a2a2a284f91cd636f74ae31bb20d9",
+                         "55e4699f7f6e97607b6f2824ac8884e17ac47dfc6320edfd0488721ba4164d6c"]),
+    ),
+    "planted-L5": (
+        lambda: two_profile_sequence(range(1, 9), level=5), 0.1,
+        _pinned_planted("0x1.72aa000000000p+2", "0x1.7400000000000p+2",
+                        ["0x1.f000000000000p+1", "0x1.f000000000000p+0"], 5,
+                        ["d85ea2595b96a21628b04f98b9cf552a3c00950d41e7b6704ec4e62ce1f891c0",
+                         "f5194b3a7d9c9e8dcd4fbade8ad75fa81d2c2bdbef77a2dc2d145e9f03806549"]),
+    ),
+    "staircase-456-eps12": (
+        lambda: staircase_sequence((4, 5, 6)), 12.0,
+        {
+            "scores_history": [["0x1.2780000000000p-1", "0x1.f433333333334p-2", "0x1.ac0aaaaaaaaaap-2"]],
+            "original_tv": ["0x1.8000000000000p+3", "0x1.6666666666667p+3", "0x1.5555555555554p+3"],
+            "remainder_tv": ["0x1.8000000000000p+3", "0x1.6666666666667p+3", "0x1.5555555555554p+3"],
+            "profile_tv": [],
+            "levels": [6],
+            "terminated_by": "epsilon",
+            "profile_sha256": [],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("make, epsilon, pinned", _PINNED_DECOMPOSITIONS.values(), ids=_PINNED_DECOMPOSITIONS)
+def test_decompose_outputs_are_pinned(make, epsilon, pinned):
+    decomp = extract_profiles(make(), epsilon=epsilon)
+    assert {
+        "scores_history": [[x.hex() for x in scores] for scores in decomp.scores_history],
+        "original_tv": [x.hex() for x in decomp.original_tv],
+        "remainder_tv": [x.hex() for x in decomp.remainder_tv],
+        "profile_tv": [p.tv.hex() for p in decomp.profiles],
+        "levels": list(decomp.levels),
+        "terminated_by": decomp.terminated_by,
+        "profile_sha256": [hashlib.sha256(p.function.values.tobytes()).hexdigest() for p in decomp.profiles],
+    } == pinned
+
+
+def test_decompose_refusal_gaps_are_pinned():
+    with pytest.raises(NonConvergentSubsequenceError) as exc:
+        extract_profiles(two_profile_sequence(range(1, 5)), epsilon=0.1)
+    assert [g.hex() for g in exc.value.gaps] == ["0x1.5555555555555p-3", "0x1.c71c71c71c71cp-5"]
 
 
 # -- support-box window ----------------------------------------------------------
@@ -529,6 +630,45 @@ def test_support_box_extraction_equals_the_full_window(make, epsilon):
     for got, ref in zip(decomp.profiles, ref_profiles):
         assert (got.function.level, got.function.origin, got.function.extents) == (ref.level, ref.origin, ref.extents)
         assert got.function.values.tobytes() == ref.values.tobytes()
+
+
+# -- reuse across passes --------------------------------------------------------
+
+def _planted_passes(monkeypatch, name, record):
+    """Wraps ``profiles.<name>`` so that ``record`` is called with its
+    arguments first; returns the planted-L6 decomposition."""
+    inner = getattr(profiles, name)
+    monkeypatch.setattr(profiles, name, lambda *args: record(*args) or inner(*args))
+    return extract_profiles(two_profile_sequence(range(1, 9)), epsilon=0.1)
+
+
+def test_each_remainder_realizes_only_its_new_term(monkeypatch):
+    realize, windows, realized = multiscale._realize, [], []
+    # each pass scores its remainders before it sizes the window of its tail
+    monkeypatch.setattr(multiscale, "_realize", lambda t: realized.append((len(windows), t)) or realize(t))
+    decomp = _planted_passes(monkeypatch, "_window", lambda *args: windows.append(1))
+    # the aligned tail's terms are made by r.apply(h) in each pass; the
+    # remainders' terms are shared from pass to pass
+    kept = {id(t) for r in decomp.remainders for t in r.terms}
+    per_pass = [sum(k == n and id(t) in kept for k, t in realized) for n in range(len(decomp.levels))]
+    assert per_pass == [16, 8, 8]
+    assert sum(per_pass) == len(kept)
+
+
+def test_each_cluster_pyramid_is_built_once_per_extraction(monkeypatch):
+    halve, halvings, scored = profiles._halve, [], []
+    monkeypatch.setattr(profiles, "_halve", lambda *args: halvings.append(1) or halve(*args))
+    _planted_passes(monkeypatch, "_best_alignment", lambda r, *args: scored.append(r.clusters()))
+    distinct = {id(c): c for clusters in scored for c in clusters}
+    assert len(distinct) < sum(map(len, scored))  # some cluster is scored in two passes
+    assert len(halvings) == sum(max(0, c.level + 10) for c in distinct.values())
+
+
+def test_warm_caches_change_no_output():
+    seq = two_profile_sequence(range(1, 9))
+    cold, warm = extract_profiles(seq, epsilon=0.1), extract_profiles(seq, epsilon=0.1)
+    assert json.dumps(warm.to_dict()) == json.dumps(cold.to_dict())
+    assert [p.function.values.tobytes() for p in warm.profiles] == [p.function.values.tobytes() for p in cold.profiles]
 
 
 @pytest.mark.parametrize("ks", [range(1, 9), range(1, 5)], ids=["planted-L6", "near"])
