@@ -10,8 +10,10 @@ so a bubble of fixed shape scores the same wherever the sequence put it.
 Rescaling only relabels cells, so one pyramid per cluster of pairwise block
 sums of |c| scores every cube at every scale; ties go to the smallest |s|
 (negative first), then to the lexicographically smallest cube.  A cluster
-whose cube box meets no other cluster's is scored by one multiply of its own
-block; only clusters whose boxes meet are gathered from.
+whose cube box meets no other cluster's takes the maximum its pyramid level
+recorded when built (one multiply of its block near underflow or overflow);
+only clusters whose boxes meet are gathered from.  A pass realizes only the
+terms it added, and an extraction builds each cluster's pyramid once.
 
 The limit proxy is the trimmed materialization of the last aligned element,
 guarded by a Cauchy check on the aligned tail.  The tail is materialized on
@@ -148,7 +150,7 @@ class ProfileDecomposition:
 
 def _mass_pyramids(clusters: list[GridFunction], scale_window: int, built: dict | None = None) -> list:
     """Per cluster: (level, [(origin, block sums of |c| over 2^p cells per
-    axis, their first maximum, its cell, the box in Python ints) for
+    axis, their first maximum, its cell, the origin in Python ints) for
     p = 0 .. level + scale_window]); ``built`` maps id(c) to (c, pyramid)."""
     built = {} if built is None else built
     for c in (c for c in clusters if id(c) not in built):
@@ -157,7 +159,7 @@ def _mass_pyramids(clusters: list[GridFunction], scale_window: int, built: dict 
             a, origin = _halve(a, origin) if p else (a, origin)
             k = int(a.argmax())
             top = tuple(o + int(i) for o, i in zip(origin, np.unravel_index(k, a.shape)))
-            sums.append((np.asarray(origin), a, a.item(k), top, (origin, tuple(o + n for o, n in zip(origin, a.shape)))))
+            sums.append((np.asarray(origin), a, a.item(k), top, origin))
         built[id(c)] = (c, sums)
     return [(c.level, built[id(c)][1]) for c in clusters]
 
@@ -182,9 +184,9 @@ def _best_cube_at_scale(pyramids: list, s: int, dim: int) -> tuple[float, tuple[
     layers = []
     for level, sums in pyramids:
         m = level + s
-        origin, block, vmax, top, (lo, hi) = sums[max(m, 0)]
+        origin, block, vmax, top, lo = sums[max(m, 0)]
         shift = max(-m, 0)
-        box = ([x << shift for x in lo], [x << shift for x in hi])
+        box = ([x << shift for x in lo], [(x + n) << shift for x, n in zip(lo, block.shape)])
         layers.append((m, shift, origin, block, vmax, top, 2.0 ** ((dim - 1) * s - dim * max(m, 0)), box))
     found, shared, keys = [], [], []
     for m, shift, origin, block, vmax, top, c, (lo, hi) in layers:

@@ -444,6 +444,10 @@ def test_scorer_equals_former_gather_scorer(make, epsilon):
 
 def test_normal_boundary_ties_go_to_the_first_cube():
     pyramids = profiles._mass_pyramids(_normal_boundary_ties().clusters(), 10)
+    masses = _gather_cube_masses(pyramids, 0, 2, np.array([(0, 0), (1, 0)]))
+    # the larger later block scales to 2^-1022 exactly and the earlier one
+    # rounds up to it, so a bound that admits 2^-1022 would pick (1, 0)
+    assert masses.tolist() == [2.0**-1022] * 2
     assert profiles._best_cube_at_scale(pyramids, 0, 2) == (2.0**-1022, (0, 0))
 
 
