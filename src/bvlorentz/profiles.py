@@ -11,9 +11,9 @@ Rescaling only relabels cells, so one pyramid per cluster of pairwise block
 sums of |c| scores every cube at every scale; ties go to the smallest |s|
 (negative first), then to the lexicographically smallest cube.  A cluster
 whose cube box meets no other cluster's takes the maximum its pyramid level
-recorded when built (one multiply of its block near underflow or overflow);
-only clusters whose boxes meet are gathered from.  A pass realizes only the
-terms it added, and an extraction builds each cluster's pyramid once.
+recorded when built; the others, and a lone cluster whose scaled maximum
+is not a finite double above 2^-1022, are gathered.  A pass realizes only
+the terms it added.
 
 The limit proxy is the trimmed materialization of the last aligned element,
 guarded by a Cauchy check on the aligned tail.  The tail is materialized on
@@ -148,20 +148,20 @@ class ProfileDecomposition:
 
 # -- cube search -------------------------------------------------------------
 
-def _mass_pyramids(clusters: list[GridFunction], scale_window: int, built: dict | None = None) -> list:
+def _mass_pyramids(clusters: list[GridFunction], scale_window: int) -> list:
     """Per cluster: (level, [(origin, block sums of |c| over 2^p cells per
-    axis, their first maximum, its cell, the origin in Python ints) for
-    p = 0 .. level + scale_window]); ``built`` maps id(c) to (c, pyramid)."""
-    built = {} if built is None else built
-    for c in (c for c in clusters if id(c) not in built):
+    axis, their first maximum, its cell) for p = 0 .. level + scale_window]),
+    origins and cells in Python ints."""
+    out = []
+    for c in clusters:
         a, origin, sums = np.abs(c.values), tuple(map(int, c.origin)), []
         for p in range(max(0, c.level + scale_window) + 1):
             a, origin = _halve(a, origin) if p else (a, origin)
             k = int(a.argmax())
             top = tuple(o + int(i) for o, i in zip(origin, np.unravel_index(k, a.shape)))
-            sums.append((np.asarray(origin), a, a.item(k), top, origin))
-        built[id(c)] = (c, sums)
-    return [(c.level, built[id(c)][1]) for c in clusters]
+            sums.append((origin, a, a.item(k), top))
+        out.append((c.level, sums))
+    return out
 
 
 def _best_cube_at_scale(pyramids: list, s: int, dim: int) -> tuple[float, tuple[int, ...]]:
@@ -174,19 +174,19 @@ def _best_cube_at_scale(pyramids: list, s: int, dim: int) -> tuple[float, tuple[
     2^((dim-1)s - dim*max(m, 0)), clusters in order, starting from 0.0.
     Candidates are the per-cluster maximizers (every nonzero block of a fine
     cluster, the corner of the largest cell of a coarse one), which is
-    exhaustive for separated clusters.  Only clusters whose cube boxes meet
-    can add to each other's candidates: a cluster whose box meets no other
-    is scored by one multiply of its own block (the bits of 0.0 + block * c),
-    and the candidates of the others are gathered from those alone; above
-    2^-1022 that multiply is exact and keeps order, so it is the recorded
-    first maximum (at 2^-1022 a smaller earlier block can round up to a tie).
+    exhaustive for separated clusters.  A cluster whose cube box meets no
+    other's gets nothing from the others and adds nothing to them; when its
+    scaled maximum is above 2^-1022 and finite, the multiply is exact and
+    keeps order, so its recorded first maximum is its best cube (at 2^-1022
+    a smaller earlier block can round up to a tie).  Every other cluster is
+    gathered.
     """
     layers = []
     for level, sums in pyramids:
         m = level + s
-        origin, block, vmax, top, lo = sums[max(m, 0)]
+        origin, block, vmax, top = sums[max(m, 0)]
         shift = max(-m, 0)
-        box = ([x << shift for x in lo], [(x + n) << shift for x, n in zip(lo, block.shape)])
+        box = ([x << shift for x in origin], [(x + n) << shift for x, n in zip(origin, block.shape)])
         layers.append((m, shift, origin, block, vmax, top, 2.0 ** ((dim - 1) * s - dim * max(m, 0)), box))
     found, shared, keys = [], [], []
     for m, shift, origin, block, vmax, top, c, (lo, hi) in layers:
@@ -197,14 +197,8 @@ def _best_cube_at_scale(pyramids: list, s: int, dim: int) -> tuple[float, tuple[
             found.append((vmax * c, tuple(x << shift for x in top)))
             continue
         flat = np.flatnonzero(block > 0.0) if m > 0 else np.array([np.argmax(block)])
-        if lone:
-            scores = block.ravel()[flat] * c
-            k = int(np.argmax(scores))  # the first maximum, in lexicographic order
-            cube = (origin + np.unravel_index(flat[k], block.shape)) << shift
-            found.append((float(scores[k]), tuple(int(x) for x in cube)))
-        else:
-            shared.append((shift, origin, block, c))
-            keys.append((np.column_stack(np.unravel_index(flat, block.shape)) + origin) << shift)
+        shared.append((shift, origin, block, c))
+        keys.append((np.column_stack(np.unravel_index(flat, block.shape)) + origin) << shift)
     if shared:
         # a key listed twice gets the same total, so duplicates cannot move
         # the maximum; the lexicographically smallest cube among the maxima wins
@@ -221,19 +215,19 @@ def _best_cube_at_scale(pyramids: list, s: int, dim: int) -> tuple[float, tuple[
     return best, min(cube for mass, cube in found if mass == best)
 
 
-def _best_alignment(r: DyadicSum, scale_window: int, built: dict | None = None):
+def _best_alignment(r: DyadicSum, scale_window: int):
     """(score, h): h maps the best-scoring feature onto the unit cube at 0.
 
     Scales are visited smallest magnitude first (negative before positive)
     and cubes in lexicographic order, so exact ties resolve deterministically;
     a zero sum gets the identity.  A cube mass that overflows a double
-    raises ``InputError``.  ``built`` holds the pyramids of one extraction.
+    raises ``InputError``.
     """
     clusters = r.clusters()
     best_mass, best_s, best_cube = 0.0, 0, (0,) * r.dim
     scales = sorted(range(-scale_window, scale_window + 1), key=lambda t: (abs(t), t))
     with np.errstate(over="ignore"):  # an overflowing mass is refused below
-        pyramids = _mass_pyramids(clusters, scale_window, built)
+        pyramids = _mass_pyramids(clusters, scale_window)
         found = [_best_cube_at_scale(pyramids, s, r.dim) for s in (scales if clusters else ())]
     for s, (mass, cube) in zip(scales, found):
         if not math.isfinite(mass):
@@ -341,10 +335,9 @@ def extract_profiles(
     levels: list[int] = []
     terminated_by = "max_profiles"
     R = int(window_radius)
-    built: dict = {}  # id(cluster) -> (cluster, pyramid), for this call only
 
     for _ in range(max_profiles):
-        found = [_best_alignment(r, scale_window, built) for r in remainders]
+        found = [_best_alignment(r, scale_window) for r in remainders]
         scores = tuple(f[0] for f in found)
         aligns = tuple(f[1] for f in found)
         history.append(scores)

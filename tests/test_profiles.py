@@ -298,13 +298,20 @@ def test_pyramid_scores_equal_box_mass_in_other_dims(dim):
     _assert_pyramid_matches_reference(sums)
 
 
+def _origin_and_block(sums, m):
+    """The origin, as an array, and the block sums of the pyramid level a
+    cluster at level m is read from."""
+    origin, block = sums[max(m, 0)][:2]
+    return np.asarray(origin), block
+
+
 def _gather_cube_masses(pyramids, s, dim, cubes):
     """The former mass kernel: every cube is gathered by fancy indexing from
     every cluster's block, clusters added in order onto 0.0."""
     total = np.zeros(len(cubes))
     for level, sums in pyramids:
         m = level + s
-        origin, block = sums[max(m, 0)][:2]
+        origin, block = _origin_and_block(sums, m)
         idx = (cubes >> max(-m, 0)) - origin
         inside = np.all((idx >= 0) & (idx < block.shape), axis=1)
         total[inside] += block[tuple(idx[inside].T)] * 2.0 ** ((dim - 1) * s - dim * max(m, 0))
@@ -317,7 +324,7 @@ def _candidate_cubes(pyramids, s):
     keys = []
     for level, sums in pyramids:
         m = level + s
-        origin, block = sums[max(m, 0)][:2]
+        origin, block = _origin_and_block(sums, m)
         if m > 0:
             keys.append(np.argwhere(block > 0.0) + origin)
         else:
@@ -423,21 +430,21 @@ def test_scorer_equals_unique_reference(make, epsilon):
 
 
 @pytest.mark.parametrize(
-    "make, epsilon",
-    _SCORER_FIXTURES + [
-        (lambda: [_meeting_clusters()], None),
-        (lambda: [_subnormal_ties()], None),
-        (lambda: [_normal_boundary_ties()], None),
-        (lambda: [_overflowing_cluster()], None),
+    "make, epsilon, over",
+    [(make, epsilon, "warn") for make, epsilon in _SCORER_FIXTURES] + [
+        (lambda: [_meeting_clusters()], None, "warn"),
+        (lambda: [_subnormal_ties()], None, "warn"),
+        (lambda: [_normal_boundary_ties()], None, "warn"),
+        # its masses overflow to inf on purpose, which _best_alignment refuses
+        (lambda: [_overflowing_cluster()], None, "ignore"),
     ],
     ids=_SCORER_IDS + ["meeting-boxes", "subnormal-ties", "normal-boundary-ties", "overflowing-cluster"],
 )
-def test_scorer_equals_former_gather_scorer(make, epsilon):
+def test_scorer_equals_former_gather_scorer(make, epsilon, over):
     for r in _scored_sums(make, epsilon):
         pyramids = profiles._mass_pyramids(r.clusters(), 10)
         for s in range(-10, 11):
-            # an overflowing mass is scored as inf, which _best_alignment refuses
-            with np.errstate(over="ignore"):
+            with np.errstate(over=over):
                 got = profiles._best_cube_at_scale(pyramids, s, r.dim)
                 assert got == _gather_best_cube_at_scale(pyramids, s, r.dim), s
 
@@ -462,7 +469,7 @@ def _cube_boxes_meet(pyramids, s):
     boxes = []
     for level, sums in pyramids:
         m = level + s
-        origin, block = sums[max(m, 0)][:2]
+        origin, block = _origin_and_block(sums, m)
         shift = max(-m, 0)
         boxes.append((origin << shift, (origin + block.shape) << shift))
     return any(
@@ -638,34 +645,18 @@ def test_support_box_extraction_equals_the_full_window(make, epsilon):
 
 # -- reuse across passes --------------------------------------------------------
 
-def _planted_passes(monkeypatch, name, record):
-    """Wraps ``profiles.<name>`` so that ``record`` is called with its
-    arguments first; returns the planted-L6 decomposition."""
-    inner = getattr(profiles, name)
-    monkeypatch.setattr(profiles, name, lambda *args: record(*args) or inner(*args))
-    return extract_profiles(two_profile_sequence(range(1, 9)), epsilon=0.1)
-
-
 def test_each_remainder_realizes_only_its_new_term(monkeypatch):
-    realize, windows, realized = multiscale._realize, [], []
+    realize, window, windows, realized = multiscale._realize, profiles._window, [], []
     # each pass scores its remainders before it sizes the window of its tail
     monkeypatch.setattr(multiscale, "_realize", lambda t: realized.append((len(windows), t)) or realize(t))
-    decomp = _planted_passes(monkeypatch, "_window", lambda *args: windows.append(1))
+    monkeypatch.setattr(profiles, "_window", lambda *args: windows.append(1) or window(*args))
+    decomp = extract_profiles(two_profile_sequence(range(1, 9)), epsilon=0.1)
     # the aligned tail's terms are made by r.apply(h) in each pass; the
     # remainders' terms are shared from pass to pass
     kept = {id(t) for r in decomp.remainders for t in r.terms}
     per_pass = [sum(k == n and id(t) in kept for k, t in realized) for n in range(len(decomp.levels))]
     assert per_pass == [16, 8, 8]
     assert sum(per_pass) == len(kept)
-
-
-def test_each_cluster_pyramid_is_built_once_per_extraction(monkeypatch):
-    halve, halvings, scored = profiles._halve, [], []
-    monkeypatch.setattr(profiles, "_halve", lambda *args: halvings.append(1) or halve(*args))
-    _planted_passes(monkeypatch, "_best_alignment", lambda r, *args: scored.append(r.clusters()))
-    distinct = {id(c): c for clusters in scored for c in clusters}
-    assert len(distinct) < sum(map(len, scored))  # some cluster is scored in two passes
-    assert len(halvings) == sum(max(0, c.level + 10) for c in distinct.values())
 
 
 def test_warm_caches_change_no_output():
