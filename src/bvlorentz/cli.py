@@ -152,42 +152,24 @@ def cmd_norms(cfg: dict) -> int:
     p = critical_exponent(u.dim) if u.dim >= 2 else None
     # one key per q: a repeated q keeps its first place and its one value
     keys = {f"q{q:g}": q for q in qs}
-    # One pool of two threads: the per-face pass takes one while this thread
-    # sorts (after one leaf pass that sums |u|, for L1); then each norm of
-    # the table is one job, and both threads take them as they come free.
-    # All are numpy passes that release the GIL.  Each job runs in a copy of
-    # this context, so it sees the caller's numpy errstate.  Every value
-    # comes from the same function on the same data as in sequence, so the
-    # output does not depend on the split.  The per-face pass sums its rows
-    # leaf by leaf and holds no padded per-face array, only a leaf, a row
-    # and its slab buffers.
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        def submit(fn, *args):
-            return pool.submit(contextvars.copy_context().run, fn, *args)
-
-        faces = submit(bv.total_variation, u)
+    # One worker runs the per-face pass, in a copy of this context so that it
+    # sees the caller's numpy errstate; it sums its rows leaf by leaf and
+    # holds no padded per-face array.  Meanwhile this thread sorts (after one
+    # leaf pass that sums |u|, for L1) and computes the table from u*; every
+    # norm of the zero function is 0.0.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        faces = pool.submit(contextvars.copy_context().run, bv.total_variation, u)
         step = u.rearrangement
         l1 = u.l1_norm()
-        jobs = {}  # "p2", "pcrit" and the table's keys -> future
-        if step is not None:
-            # the caches the pool threads read are filled here, by this thread
-            step.normalized_values, step.normalized_cumulative, step.total_measure
-            jobs["p2"] = submit(lebesgue_norm, step, 2.0)
-            if p is not None:
-                # in 2-D the critical exponent is 2: pcrit is the p2 norm
-                if p != 2.0:
-                    jobs["pcrit"] = submit(lebesgue_norm, step, p)
-                for key, q in keys.items():
-                    jobs[key] = submit(lorentz_norm, step, LorentzIndex(p, q))
-        values = {key: job.result() for key, job in jobs.items()}
+        p2 = lebesgue_norm(u, 2.0)
+        lebesgue = {"p2": p2}
+        critical = {}
+        if p is not None:
+            # in 2-D the critical exponent is 2: pcrit is the p2 norm
+            lebesgue["pcrit"] = p2 if p == 2.0 else lebesgue_norm(u, p)
+            table = {key: lorentz_norm(u, LorentzIndex(p, q)) for key, q in keys.items()}
+            critical = {"critical_exponent": p, "lorentz_critical": table}
         tv = faces.result()
-    p2 = values.get("p2", 0.0)
-    lebesgue = {"p2": p2}
-    critical = {}
-    if p is not None:
-        lebesgue["pcrit"] = values.get("pcrit", p2)
-        table = {key: values.get(key, 0.0) for key in keys}
-        critical = {"critical_exponent": p, "lorentz_critical": table}
     # keys in the order the overflow check names the first bad one
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -466,10 +448,9 @@ _COMMANDS: dict[str, tuple] = {
         ("out", str, None, "output JSON path (default: stdout)"),
     )),
 }
-# every subcommand also takes these; they are no --config keys
+# every subcommand also takes this one; it is no --config key
 _COMMON = (
     ("config", str, None, "JSON config file; flags override its keys"),
-    ("threads", int, None, "accepted for interface stability and ignored"),
 )
 
 

@@ -179,7 +179,7 @@ def _best_cube_at_scale(pyramids: list, s: int, dim: int) -> tuple[float, tuple[
     scaled maximum is above 2^-1022 and finite, the multiply is exact and
     keeps order, so its recorded first maximum is its best cube (at 2^-1022
     a smaller earlier block can round up to a tie).  Every other cluster is
-    gathered.
+    gathered, in int64 arrays: a gathered box past that range is refused.
     """
     layers = []
     for level, sums in pyramids:
@@ -196,6 +196,8 @@ def _best_cube_at_scale(pyramids: list, s: int, dim: int) -> tuple[float, tuple[
         if lone and sys.float_info.min < vmax * c < math.inf:
             found.append((vmax * c, tuple(x << shift for x in top)))
             continue
+        if min(lo) < -(1 << 63) or max(hi) > 1 << 63:  # its keys would wrap
+            raise InputError(f"the cubes at scale {s} leave the int64 range of the gather")
         flat = np.flatnonzero(block > 0.0) if m > 0 else np.array([np.argmax(block)])
         shared.append((shift, origin, block, c))
         keys.append((np.column_stack(np.unravel_index(flat, block.shape)) + origin) << shift)

@@ -211,22 +211,23 @@ def test_norms_of_a_support_past_a_double_is_refused_with_one_line(tmp_path, cap
 
 
 def test_norms_worker_keeps_the_callers_errstate(tmp_path, capsys, monkeypatch):
-    # a multiply overflows on a pool thread before the per-face pass, and
-    # another before each Lorentz norm: each must see the caller's
+    # a multiply overflows on the worker before the per-face pass, and on
+    # this thread before each Lorentz norm: each must see the caller's
     # over="ignore", or the overflow warning is raised there as an error.
     # The L1 sum overflows (the TV, 2.5e304, does not), so the refusal
     # names l1
     real_tv, real_lorentz = bv.total_variation, cli.lorentz_norm
-    pool_threads = []
+    tv_threads, lorentz_threads = [], []
 
     def overflowing_tv(u):
+        tv_threads.append(threading.current_thread() is not threading.main_thread())
         np.multiply(np.full(2, 1e300), 1e300)
         return real_tv(u)
 
-    def overflowing_lorentz(step, idx):
-        pool_threads.append(threading.current_thread() is not threading.main_thread())
+    def overflowing_lorentz(u, idx):
+        lorentz_threads.append(threading.current_thread() is not threading.main_thread())
         np.multiply(np.full(2, 1e300), 1e300)
-        return real_lorentz(step, idx)
+        return real_lorentz(u, idx)
 
     monkeypatch.setattr(cli.bv, "total_variation", overflowing_tv)
     monkeypatch.setattr(cli, "lorentz_norm", overflowing_lorentz)
@@ -241,7 +242,8 @@ def test_norms_worker_keeps_the_callers_errstate(tmp_path, capsys, monkeypatch):
                 f"norms: l1 of {p} overflows a double",
             )
     assert not out.exists()
-    assert pool_threads == [True] * 4  # one per q of the default --q-list
+    assert tv_threads == [True]
+    assert lorentz_threads == [False] * 4  # one per q of the default --q-list
 
 
 @_OVERFLOWS
@@ -414,9 +416,9 @@ def test_threaded_norms_holds_at_most_one_padded_field_more(tmp_path, dim, n, le
     # one padded row, and the kernel's two slab buffers: no padded per-face
     # array.  At worst it meets the sort's peak on the calling thread; few
     # distinct values make the sort short, so the two peaks tend to meet.
-    # With distinct values the norm table is long, and split between the
-    # two threads.  64 KiB cover the pool's own objects (thread, futures,
-    # context copies)
+    # With distinct values the norm table is long, and the calling thread
+    # computes it after the sort.  64 KiB cover the pool's own objects
+    # (thread, future, context copy)
     vals = np.random.default_rng(5).random((n,) * dim) + 0.5
     if levels:
         vals = np.ceil(vals * levels)
@@ -433,33 +435,29 @@ def test_threaded_norms_holds_at_most_one_padded_field_more(tmp_path, dim, n, le
     assert (tmp_path / "norms.json").read_bytes() == (tmp_path / "former.json").read_bytes()
 
 
-def test_norms_table_is_shared_with_the_worker(tmp_path, monkeypatch):
-    # each Lorentz job is held until a job has entered on a second thread:
-    # two table jobs then run at once on two pool threads, neither of them
-    # the calling one, and the bytes stay the former
+def test_norms_table_runs_on_the_calling_thread(tmp_path, monkeypatch):
+    # only the per-face pass runs on the worker; every Lebesgue and Lorentz
+    # norm of the table runs on this thread, and the bytes stay the former
     p = tmp_path / "u.grid"
     save_grid(corpus_grids(11, 3, 1)[0], p)
     cfg = {"input": str(p), "q_list": "1,1.5,2,inf", "out": str(tmp_path / "former.json")}
     assert _former_norms(cfg) == 0
     ran = []
-    lock = threading.Lock()
-    two_held = threading.Event()
 
-    def lorentz(step, idx):
-        with lock:
-            ran.append((threading.current_thread(), idx.q))
-            if len({thread for thread, _ in ran}) == 2:
-                two_held.set()
-        assert two_held.wait(10.0)
-        return lorentz_norm(step, idx)
+    def record(name, fn):
+        def wrapped(*args):
+            ran.append((name, threading.current_thread() is threading.main_thread()))
+            return fn(*args)
+        return wrapped
 
-    monkeypatch.setattr(cli, "lorentz_norm", lorentz)
+    monkeypatch.setattr(cli.bv, "total_variation", record("tv", bv.total_variation))
+    monkeypatch.setattr(cli, "lebesgue_norm", record("lebesgue", lebesgue_norm))
+    monkeypatch.setattr(cli, "lorentz_norm", record("lorentz", lorentz_norm))
     out = tmp_path / "norms.json"
     assert main(["norms", "--input", str(p), "--out", str(out)]) == 0
     assert out.read_bytes() == (tmp_path / "former.json").read_bytes()
-    assert sorted(q for _, q in ran) == [1.0, 1.5, 2.0, float("inf")]
-    threads = {thread for thread, _ in ran}
-    assert len(threads) == 2 and threading.main_thread() not in threads
+    # p2 and pcrit (3-D), then one Lorentz norm per q
+    assert sorted(ran) == [("lebesgue", True)] * 2 + [("lorentz", True)] * 4 + [("tv", False)]
 
 
 def test_threaded_norms_under_frequent_thread_switches(tmp_path):
@@ -485,12 +483,6 @@ def test_emit_refuses_non_finite_output(tmp_path):
     with pytest.raises(InputError, match="overflows a double"):
         cli._emit({"a": {"b": float("inf")}}, str(out))
     assert not out.exists()
-
-
-def test_threads_flag_accepted(saved_grid, capsys):
-    rc = main(["norms", "--input", str(saved_grid), "--threads", "8"])
-    assert rc == 0
-    capsys.readouterr()
 
 
 # -- config precedence ---------------------------------------------------------
@@ -558,7 +550,7 @@ def test_parser_is_built_once_per_process(monkeypatch, saved_grid, tmp_path):
         *([command, "--help"] for command in sorted(cli._COMMANDS)),
         [],
         ["nope"],
-        ["norms", "--threads", "x"],
+        ["counterexample", "--dim", "x"],
         ["audit", "--negative-control", "x"],
         ["counterexample", "--probe", "1"],
         # an abbreviated flag is refused, as the config key "out" is
@@ -683,7 +675,7 @@ _FORMER_FLAGS = {
         (("--out",), None, None),
     ],
 }
-_FORMER_COMMON = [(("--config",), None, None), (("--threads",), int, None)]
+_FORMER_COMMON = [(("--config",), None, None)]
 
 
 @pytest.mark.parametrize("command", sorted(_FORMER_DEFAULTS))
@@ -1306,7 +1298,6 @@ _GARBAGE = st.one_of(
 _FUZZ = {
     "norms": (["--input", "ok.grid", "--out", "OUT/n.json"], {
         "--q-list": (["0", "x", ",", "-inf", "1.0000001,1.0000002"], None),
-        "--threads": ([], None),
     }),
     "counterexample": (["--n-max", "3", "--quad-level", "3", "--out-dir", "OUT/cx"], {
         "--dim": (["1", "4", "99999999999999999999"], None),

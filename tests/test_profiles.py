@@ -464,6 +464,20 @@ def test_overflowing_lone_cluster_is_refused():
     assert str(exc.value) == "the cube masses at scale 4 overflow a double"
 
 
+def test_gathered_cubes_past_int64_are_refused():
+    # a coarse cell shifted 70 bits: scaled to 2^-1025 it is gathered, and
+    # its cube (3 << 70, 0) would wrap in int64; scaled to 2^-10 it takes the
+    # lone path in Python ints and scores exactly
+    def pyramids(value):
+        u = GridFunction(2, -60, (3, 0), (1, 1), np.array([[value]]))
+        return profiles._mass_pyramids([u], 10)
+
+    with pytest.raises(InputError) as exc:
+        profiles._best_cube_at_scale(pyramids(2.0**-1015), -10, 2)
+    assert str(exc.value) == "the cubes at scale -10 leave the int64 range of the gather"
+    assert profiles._best_cube_at_scale(pyramids(1.0), -10, 2) == (2.0**-10, (3 << 70, 0))
+
+
 def _cube_boxes_meet(pyramids, s):
     """Whether the cube boxes of two clusters share a cube at scale s."""
     boxes = []
