@@ -152,11 +152,10 @@ def cmd_norms(cfg: dict) -> int:
     p = critical_exponent(u.dim) if u.dim >= 2 else None
     # one key per q: a repeated q keeps its first place and its one value
     keys = {f"q{q:g}": q for q in qs}
-    # One worker runs the per-face pass, in a copy of this context so that it
-    # sees the caller's numpy errstate; it sums its rows leaf by leaf and
-    # holds no padded per-face array.  Meanwhile this thread sorts (after one
-    # leaf pass that sums |u|, for L1) and computes the table from u*; every
-    # norm of the zero function is 0.0.
+    # The per-face pass does not need the sort, so one worker runs it
+    # meanwhile, in a copy of this context so that it sees the caller's numpy
+    # errstate.  This thread sorts (after one leaf pass that sums |u|, for
+    # L1) and computes the table from u*; each norm of a zero u is 0.0.
     with ThreadPoolExecutor(max_workers=1) as pool:
         faces = pool.submit(contextvars.copy_context().run, bv.total_variation, u)
         step = u.rearrangement
