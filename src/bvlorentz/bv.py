@@ -11,10 +11,15 @@ refinement and exactly additive over functions with separated supports.  For
 sharp indicators it converges to the anisotropic perimeter, about 4/pi times
 the Euclidean one for disks; all audits therefore compare ratios and
 invariances, never absolute perimeters.
+
+The per-face kernel lives in :mod:`bvlorentz.grid`: the total is the cached
+:attr:`GridFunction.variation`, and every reader of the per-cell array over
+the padded box (region sums here, the lattice split, the layer audit) gets
+it from :meth:`GridFunction.face_contributions`, whose lowest cell is
+``origin - 1`` on every axis.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -46,83 +51,6 @@ class SupportViolationError(ValueError):
     """Raised when a scalar map does not fix 0 and would break zero extension."""
 
 
-#: Cells of one slab of padded axis-0 rows (2^15 doubles, 256 KiB), so a
-#: slab's padded copy, its scratch and its output rows stay in cache.
-_SLAB_CELLS = 1 << 15
-
-
-def _face_rows(u: GridFunction) -> tuple[int, int, Callable[[int, int, np.ndarray], None]]:
-    """Per-cell variation, attributed to the base cell of each forward pair,
-    h^{dim-1} * sum_k |forward difference| over the padded index domain (one
-    cell beyond the box on every side), a slab of axis-0 rows at a time.
-
-    Returns the rows per slab (about ``_SLAB_CELLS`` cells), the cells per
-    padded row and ``fill(r0, r1, out)``, which writes padded rows r0..r1-1,
-    at most one slab, into the flat array ``out``.
-
-    A slab's rows, plus the one above them, are copied into a reused
-    zero-padded buffer.  The axis-0 term |pad[i+1] - pad[i]| is written
-    straight into the output rows.  Each other axis k, in axis order, adds
-    one contiguous shifted difference |flat[s:] - flat[:-s]| of the slab's
-    flat padded rows into the flat output rows, through one reused scratch
-    buffer, where s is the product of the padded extents after axis k.  The
-    rows are then scaled by h^{dim-1} in place.
-
-    The bits are those of forward differences of a zero-padded copy, summed
-    from a zero accumulator in axis order (the former kernel): each cell
-    gets the same terms in the same order and the same scaling, whatever
-    the slabs.  Writing the first term instead of adding it to 0.0 is
-    exact, since 0.0 + t == t for t >= +0.  A shifted difference that
-    leaves a cell on the last padded index of axis k wraps to index 0 of
-    axis k further on; both of those cells are padding, so it adds
-    |0 - 0| = +0.0, as do faces between two padding cells, and adding +0.0
-    leaves a sum of absolute values unchanged.
-    """
-    v = u.values
-    n0, rest = v.shape[0], v.shape[1:]
-    row_shape = tuple(n + 2 for n in rest)
-    row_cells = math.prod(row_shape)
-    rows = max(1, min(n0 + 2, _SLAB_CELLS // row_cells))
-    pad = np.zeros((rows + 1,) + row_shape)  # only its inner cells are ever written
-    scratch = np.empty(rows * row_cells if rest else 0)  # a 1-D grid has no other axis
-    inner = (slice(1, -1),) * len(rest)
-    # flat stride of one step along each axis after the first
-    strides = [math.prod(row_shape[k:]) for k in range(1, u.dim)]
-    h_face = u.spacing ** (u.dim - 1)
-
-    def fill(r0: int, r1: int, out: np.ndarray) -> None:
-        # buffer row j is padded row r0 + j, i.e. row r0 + j - 1 of v when inside
-        slab_pad = pad[: r1 - r0 + 1]
-        lo, hi = max(1 - r0, 0), min(n0 + 1 - r0, r1 - r0 + 1)
-        slab_pad[:lo] = 0.0
-        slab_pad[(slice(lo, hi),) + inner] = v[r0 + lo - 1 : r0 + hi - 1]
-        slab_pad[hi:] = 0.0
-        np.subtract(slab_pad[1:], slab_pad[:-1], out=out.reshape((r1 - r0,) + row_shape))
-        np.abs(out, out=out)
-        base = slab_pad[:-1].reshape(-1)
-        for s in strides:
-            diff = scratch[: base.size - s]
-            np.subtract(base[s:], base[:-s], out=diff)
-            np.abs(diff, out=diff)
-            out[:-s] += diff
-        out *= h_face
-
-    return rows, row_cells, fill
-
-
-def _local_contributions(u: GridFunction) -> tuple[tuple[int, ...], np.ndarray]:
-    """The origin of the padded index domain and the per-cell variation over
-    it (see :func:`_face_rows`), filled slab by slab into the returned
-    array, the only full-size allocation."""
-    rows, row_cells, fill = _face_rows(u)
-    out = np.empty(tuple(n + 2 for n in u.extents))
-    flat = out.reshape(-1)
-    for r0 in range(0, out.shape[0], rows):
-        r1 = min(r0 + rows, out.shape[0])
-        fill(r0, r1, flat[r0 * row_cells : r1 * row_cells])
-    return tuple(o - 1 for o in u.origin), out
-
-
 def total_variation(u: GridFunction) -> float:
     """Per-face variation of ``u``, computed once per grid function."""
     return u.variation
@@ -136,7 +64,8 @@ def total_variation_on(u: GridFunction, region: Region) -> float:
     """
     if region.dim != u.dim:
         raise DimensionMismatchError("region dim must match function dim")
-    origin, contrib = _local_contributions(u)
+    contrib = u.face_contributions()
+    origin = tuple(o - 1 for o in u.origin)
     inside = region.contains_points(_cell_centers(u.level, origin, contrib.shape))
     return float(np.sum(contrib.ravel()[inside]))
 
@@ -250,7 +179,8 @@ def lattice_tv_sum(u: GridFunction) -> TVReport:
     cubes is checked against 3^dim times the total, the overlap factor
     coming from differences that read one cell beyond each cube.
     """
-    origin, contrib = _local_contributions(u)
+    contrib = u.face_contributions()
+    origin = tuple(o - 1 for o in u.origin)
     flat = contrib.ravel()
     nz = np.flatnonzero(flat)
     # per axis: the distinct cube coordinates, and each padded cell's rank
@@ -274,7 +204,7 @@ def lattice_tv_sum(u: GridFunction) -> TVReport:
     per_cube: dict[tuple[int, ...], float] = dict(
         zip(map(tuple, coords.tolist()), sums[order].tolist())
     )
-    total = float(np.sum(flat))
+    total = u.variation
     sum_per_cube = float(sum(per_cube.values()))
     bound = 3**u.dim * total
     ok = sum_per_cube <= bound * (1.0 + SPLITTING_SLACK)

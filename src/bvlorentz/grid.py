@@ -118,6 +118,70 @@ def _pairwise_sum(n: int, leaf: Callable[[int, int], float], i: int = 0) -> floa
     return _pairwise_sum(m, leaf, i) + _pairwise_sum(n - m, leaf, i + m)
 
 
+#: Cells of one slab of padded axis-0 rows (2^15 doubles, 256 KiB), so a
+#: slab's padded copy, its scratch and its output rows stay in cache.
+_SLAB_CELLS = 1 << 15
+
+
+def _face_rows(u: GridFunction) -> tuple[int, int, Callable[[int, int, np.ndarray], None]]:
+    """Per-cell variation, attributed to the base cell of each forward pair,
+    h^{dim-1} * sum_k |forward difference| over the padded index domain (one
+    cell beyond the box on every side), a slab of axis-0 rows at a time.
+
+    Returns the rows per slab (about ``_SLAB_CELLS`` cells), the cells per
+    padded row and ``fill(r0, r1, out)``, which writes padded rows r0..r1-1,
+    at most one slab, into the flat array ``out``.
+
+    A slab's rows, plus the one above them, are copied into a reused
+    zero-padded buffer.  The axis-0 term |pad[i+1] - pad[i]| is written
+    straight into the output rows.  Each other axis k, in axis order, adds
+    one contiguous shifted difference |flat[s:] - flat[:-s]| of the slab's
+    flat padded rows into the flat output rows, through one reused scratch
+    buffer, where s is the product of the padded extents after axis k.  The
+    rows are then scaled by h^{dim-1} in place.
+
+    The bits are those of forward differences of a zero-padded copy, summed
+    from a zero accumulator in axis order (the former kernel): each cell
+    gets the same terms in the same order and the same scaling, whatever
+    the slabs.  Writing the first term instead of adding it to 0.0 is
+    exact, since 0.0 + t == t for t >= +0.  A shifted difference that
+    leaves a cell on the last padded index of axis k wraps to index 0 of
+    axis k further on; both of those cells are padding, so it adds
+    |0 - 0| = +0.0, as do faces between two padding cells, and adding +0.0
+    leaves a sum of absolute values unchanged.
+    """
+    v = u.values
+    n0, rest = v.shape[0], v.shape[1:]
+    row_shape = tuple(n + 2 for n in rest)
+    row_cells = math.prod(row_shape)
+    rows = max(1, min(n0 + 2, _SLAB_CELLS // row_cells))
+    pad = np.zeros((rows + 1,) + row_shape)  # only its inner cells are ever written
+    scratch = np.empty(rows * row_cells if rest else 0)  # a 1-D grid has no other axis
+    inner = (slice(1, -1),) * len(rest)
+    # flat stride of one step along each axis after the first
+    strides = [math.prod(row_shape[k:]) for k in range(1, u.dim)]
+    h_face = u.spacing ** (u.dim - 1)
+
+    def fill(r0: int, r1: int, out: np.ndarray) -> None:
+        # buffer row j is padded row r0 + j, i.e. row r0 + j - 1 of v when inside
+        slab_pad = pad[: r1 - r0 + 1]
+        lo, hi = max(1 - r0, 0), min(n0 + 1 - r0, r1 - r0 + 1)
+        slab_pad[:lo] = 0.0
+        slab_pad[(slice(lo, hi),) + inner] = v[r0 + lo - 1 : r0 + hi - 1]
+        slab_pad[hi:] = 0.0
+        np.subtract(slab_pad[1:], slab_pad[:-1], out=out.reshape((r1 - r0,) + row_shape))
+        np.abs(out, out=out)
+        base = slab_pad[:-1].reshape(-1)
+        for s in strides:
+            diff = scratch[: base.size - s]
+            np.subtract(base[s:], base[:-s], out=diff)
+            np.abs(diff, out=diff)
+            out[:-s] += diff
+        out *= h_face
+
+    return rows, row_cells, fill
+
+
 def _cell_centers(level: int, origin: Sequence[int], extents: Sequence[int]) -> np.ndarray:
     """Centers of the cells of a box at ``level``, as an array of shape (cells, dim)."""
     h = 2.0 ** (-level)
@@ -202,17 +266,16 @@ class GridFunction:
     def rearrangement(self) -> StepFunction | None:
         """The decreasing rearrangement u* (None for the zero function).
 
-        Every cell has the same measure, so only magnitudes are sorted.  One
-        leaf pass gives the sum of |u| (kept for :meth:`l1_norm`) and tells
-        whether a cell is zero; a grid with zeros sorts only its nonzero
-        magnitudes, so only a zero-free grid makes a full-size |u|.  The
-        result equals ``step_from_pairs(*self.value_measure_pairs())``.  A
-        support whose measure overflows a double is refused.
+        Every cell has the same measure, so only magnitudes are sorted.
+        :attr:`_abs_leaves` tells whether a cell is zero; a grid with zeros
+        sorts only its nonzero magnitudes, so only a zero-free grid makes a
+        full-size |u|.  The result equals
+        ``step_from_pairs(*self.value_measure_pairs())``.  A support whose
+        measure overflows a double is refused.
         """
         flat = self.values.ravel()
         with np.errstate(over="ignore"):
-            self.__dict__["_abs_sum"], zero = self._abs_leaves()
-            if zero:
+            if self._abs_leaves[1]:
                 a = flat[flat != 0.0]
                 np.abs(a, out=a)
             else:
@@ -235,8 +298,6 @@ class GridFunction:
         the front.  It is inf when the sum overflows a double, which its
         users refuse.
         """
-        from .bv import _face_rows
-
         rows, row_cells, fill = _face_rows(self)
         n_rows = self.extents[0] + 2
         buf = np.empty(min(n_rows * row_cells, _LEAF_CELLS + row_cells))
@@ -257,24 +318,32 @@ class GridFunction:
             return _pairwise_sum(n_rows * row_cells, leaf)
 
     def face_contributions(self) -> np.ndarray:
-        """The per-cell variation array over the padded box (see
-        :mod:`bvlorentz.bv`), which is not kept.
+        """The per-cell variation over the padded box, whose lowest cell is
+        ``origin - 1`` on every axis (see :func:`_face_rows`), filled slab
+        by slab into the returned array, the only full-size allocation and
+        not kept.  Every reader of the whole array comes through here.
 
         Its sum is cached as :attr:`variation` on the way, so a caller that
-        needs both the array and the total runs the kernel once.
+        needs both the array and the total runs the kernel once.  A product
+        that overflows is inf, with no warning; its users refuse it.
         """
-        from .bv import _local_contributions
-
+        rows, row_cells, fill = _face_rows(self)
+        out = np.empty(tuple(n + 2 for n in self.extents))
+        flat = out.reshape(-1)
         with np.errstate(over="ignore"):
-            _, contrib = _local_contributions(self)
+            for r0 in range(0, out.shape[0], rows):
+                r1 = min(r0 + rows, out.shape[0])
+                fill(r0, r1, flat[r0 * row_cells : r1 * row_cells])
             if "variation" not in self.__dict__:
-                self.__dict__["variation"] = float(np.sum(contrib))
-        return contrib
+                self.__dict__["variation"] = float(np.sum(out))
+        return out
 
+    @cached_property
     def _abs_leaves(self) -> tuple[float, bool]:
-        """``np.sum(np.abs(self.values))``, bit for bit, and whether a cell
-        is zero, from one pass of ``np.abs`` into a reused leaf buffer; an
-        overflow warning is the caller's."""
+        """``np.sum(np.abs(self.values))``, bit for bit (inf on overflow,
+        which users refuse), and whether a cell is zero, from one pass of
+        ``np.abs`` into a reused leaf buffer; read by both
+        :attr:`rearrangement` and :meth:`l1_norm`."""
         flat = self.values.ravel()
         buf = np.empty(min(flat.size, _LEAF_CELLS))
         zero = False
@@ -285,14 +354,11 @@ class GridFunction:
             zero = zero or not b.min() > 0.0
             return np.sum(b)
 
-        return _pairwise_sum(flat.size, leaf), zero
+        with np.errstate(over="ignore"):
+            return _pairwise_sum(flat.size, leaf), zero
 
     def l1_norm(self) -> float:
-        total = self.__dict__.get("_abs_sum")
-        if total is None:  # inf on overflow, as the rearrangement's sum; users refuse it
-            with np.errstate(over="ignore"):
-                total = self._abs_leaves()[0]
-        return total * self.cell_measure
+        return self._abs_leaves[0] * self.cell_measure
 
 
 def from_sampler(

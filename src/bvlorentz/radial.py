@@ -18,7 +18,6 @@ from .rearrange import StepFunction, step_from_pairs, unit_ball_volume
 
 __all__ = [
     "RadialStep",
-    "annulus_indicator",
     "dual_pairing_inverse_radius",
     "piecewise_tv",
     "radial_tv",
@@ -91,13 +90,6 @@ class RadialStep:
 
     def l1_norm(self) -> float:
         return float(np.sum(np.abs(self.values) * self.shell_measures()))
-
-
-def annulus_indicator(dim: int) -> RadialStep:
-    """Indicator of the shell 1 < |x| <= 2."""
-    if dim < 2:
-        raise UnsupportedDimensionError("the annulus construction needs dim >= 2")
-    return RadialStep(dim, np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0]))
 
 
 def staircase(dim: int, n: int) -> RadialStep:

@@ -169,8 +169,6 @@ def _step_from_magnitudes(v: np.ndarray, m: float) -> StepFunction | None:
     first = np.empty(n + 1, dtype=bool)
     first[0] = first[n] = True
     np.not_equal(v[1:], v[:-1], out=first[1:n])
-    if np.count_nonzero(first) == n + 1:  # all distinct, and 1 * m is m
-        return StepFunction._unchecked(v[::-1].copy(), np.full(n, m))
     starts = np.flatnonzero(first)  # the last is n
     return StepFunction._unchecked(v[starts[-2::-1]], np.diff(starts)[::-1] * m)
 

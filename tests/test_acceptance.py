@@ -24,7 +24,7 @@ from bvlorentz.profiles import (
     tent_bump,
     two_profile_sequence,
 )
-from bvlorentz.radial import annulus_indicator, staircase
+from bvlorentz.radial import RadialStep, staircase
 from bvlorentz.rearrange import (
     LorentzIndex,
     critical_exponent,
@@ -82,7 +82,8 @@ def test_criterion_1_counterexample_closed_forms():
 
 def test_criterion_2_definition_equality():
     samples = list(corpus_steps(seed=11, count=50))
-    samples.append(annulus_indicator(2).rearrangement)
+    # the indicator of the shell 1 < |x| <= 2
+    samples.append(RadialStep(2, np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0])).rearrangement)
     samples += [staircase(2, n).rearrangement for n in range(1, 13)]
 
     pairs = [(2.0, 1.0), (2.0, 1.5), (2.0, 2.0), (2.0, math.inf), (1.5, 1.2), (3.0, 2.5)]

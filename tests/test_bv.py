@@ -1,12 +1,14 @@
 """Total variation: exactness, chain rule, lattice splitting."""
+import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bvlorentz import bv
+from bvlorentz import grid
 from bvlorentz.bv import (
     ScalarC1,
     SupportViolationError,
@@ -178,9 +180,10 @@ def test_tanh_contracts_variation(u):
 def _reference_lattice_tv_sum(u):
     """The former implementation: cubes from floor(float centres) of the
     nonzero cells, one dict update per nonzero cell, in flat cell order."""
-    from bvlorentz.bv import SPLITTING_SLACK, TVReport, _local_contributions
+    from bvlorentz.bv import SPLITTING_SLACK, TVReport
 
-    origin, contrib = _local_contributions(u)
+    contrib = u.face_contributions()
+    origin = tuple(o - 1 for o in u.origin)
     flat = contrib.ravel()
     nz = np.flatnonzero(flat)
     cells = np.unravel_index(nz, contrib.shape)
@@ -254,9 +257,10 @@ def test_lattice_split_keys_only_the_nonzero_cells():
 def _former_lattice_tv_sum(u):
     """The former booking: ``sums`` and ``first`` over every cube of the
     box's cube lattice, whatever the number of nonzero cells."""
-    from bvlorentz.bv import SPLITTING_SLACK, TVReport, _axis_cubes, _local_contributions
+    from bvlorentz.bv import SPLITTING_SLACK, TVReport, _axis_cubes
 
-    origin, contrib = _local_contributions(u)
+    contrib = u.face_contributions()
+    origin = tuple(o - 1 for o in u.origin)
     flat = contrib.ravel()
     nz = np.flatnonzero(flat)
     axes = [
@@ -343,9 +347,24 @@ def test_lattice_split_refuses_cube_coordinates_beyond_int64(level):
         lattice_tv_sum(u)
 
 
+@pytest.mark.parametrize("dim, level", [(2, -511), (3, -340)])
+def test_lowest_levels_overflow_the_variation_with_no_warning(dim, level):
+    # each face weighs h^{dim-1} = 2^{-level(dim-1)}, so every face product
+    # with 1e300 overflows: the region sum is inf and the lattice split
+    # refuses the cube coordinates, with no warning on the way
+    def grid_of_1e300():
+        return GridFunction(dim, level, (0,) * dim, (4,) * dim, np.full((4,) * dim, 1e300))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=rf"^level {level}: .* do not fit a 64-bit integer$"):
+            lattice_tv_sum(grid_of_1e300())
+        assert total_variation_on(grid_of_1e300(), full_region(dim)) == math.inf
+
+
 # -- the face-slab kernel against the former zero-padded kernel ---------------
 
-def _reference_local_contributions(u):
+def _reference_face_contributions(u):
     """The former kernel: forward differences of a zero-padded copy."""
     padded = np.pad(u.values, (1, 1))
     acc = np.zeros_like(padded)
@@ -356,7 +375,7 @@ def _reference_local_contributions(u):
         )
         acc[head] += d
     h_face = u.spacing ** (u.dim - 1)
-    return tuple(o - 1 for o in u.origin), acc * h_face
+    return acc * h_face
 
 
 def _assert_same_variation(u):
@@ -366,15 +385,16 @@ def _assert_same_variation(u):
         cube_region(u.dim, u.level, u.origin, 1),
     ]
     with np.errstate(over="ignore"):  # values near 1e305 overflow on purpose
-        origin, contrib = bv._local_contributions(u)
-        ref_origin, ref = _reference_local_contributions(u)
+        # a fresh copy, so that the streamed variation runs, not the cached sum
+        streamed = total_variation(GridFunction(u.dim, u.level, u.origin, u.extents, u.values))
+        contrib = u.face_contributions()
+        ref = _reference_face_contributions(u)
         new_on = [total_variation_on(u, r) for r in regions]
         new_split = lattice_tv_sum(u)
-        with mock.patch.object(bv, "_local_contributions", _reference_local_contributions):
+        with mock.patch.object(GridFunction, "face_contributions", _reference_face_contributions):
             ref_on = [total_variation_on(u, r) for r in regions]
             ref_split = lattice_tv_sum(u)
-        assert total_variation(u) == float(np.sum(ref))
-    assert origin == ref_origin
+        assert streamed == total_variation(u) == float(np.sum(ref))
     assert contrib.shape == ref.shape and contrib.tobytes() == ref.tobytes()
     assert new_on == ref_on
     assert new_split.total == ref_split.total
@@ -460,7 +480,7 @@ def test_variation_kernel_extreme_scales_reach_subnormal_and_inf():
 def test_variation_kernel_matches_padded_reference_across_slabs(slab_cells, u):
     # slabs of one row, of a few rows and rows longer than the slab, so the
     # padding rows fall at every position inside a slab
-    with mock.patch.object(bv, "_SLAB_CELLS", slab_cells):
+    with mock.patch.object(grid, "_SLAB_CELLS", slab_cells):
         _assert_same_variation(u)
 
 
@@ -469,7 +489,7 @@ def test_face_touching_grids_across_slabs(slab_cells):
     for u in _FACE_TOUCHING:
         for axis in range(u.dim):
             assert np.all(np.moveaxis(u.values, axis, 0)[[0, -1]] != 0.0)
-        with mock.patch.object(bv, "_SLAB_CELLS", slab_cells):
+        with mock.patch.object(grid, "_SLAB_CELLS", slab_cells):
             _assert_same_variation(u)
 
 
@@ -478,7 +498,7 @@ def test_face_touching_grids_across_slabs(slab_cells):
 def test_variation_kernel_across_slabs_on_corpus(slab_cells, dim):
     from bvlorentz.corpus import corpus_grids
 
-    with mock.patch.object(bv, "_SLAB_CELLS", slab_cells):
+    with mock.patch.object(grid, "_SLAB_CELLS", slab_cells):
         for u in corpus_grids(3, dim, 5):
             _assert_same_variation(u)
 
@@ -488,7 +508,7 @@ def test_variation_kernel_crosses_the_real_slab_size(extents):
     rng = np.random.default_rng(len(extents))
     vals = np.round(rng.standard_normal(extents), 2) * (rng.random(extents) < 0.7)
     u = GridFunction(len(extents), 4, (-3,) * len(extents), extents, vals)
-    assert np.prod([n + 2 for n in extents]) > 2 * bv._SLAB_CELLS
+    assert np.prod([n + 2 for n in extents]) > 2 * grid._SLAB_CELLS
     _assert_same_variation(u)
 
 
@@ -497,7 +517,7 @@ def test_variation_kernel_allocates_only_its_output():
     u = GridFunction(2, 10, (0, 0), (1024, 1024), rng.standard_normal((1024, 1024)))
     tracemalloc.start()
     try:
-        _, contrib = bv._local_contributions(u)
+        contrib = u.face_contributions()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -510,13 +530,13 @@ def test_variation_kernel_allocates_only_its_output():
 def kernel_calls(monkeypatch):
     # the row kernel that both the streamed variation and the full array run
     calls = []
-    kernel = bv._face_rows
+    kernel = grid._face_rows
 
     def counted(u):
         calls.append(u)
         return kernel(u)
 
-    monkeypatch.setattr(bv, "_face_rows", counted)
+    monkeypatch.setattr(grid, "_face_rows", counted)
     return calls
 
 

@@ -22,7 +22,7 @@ from bvlorentz import rearrange
 from bvlorentz import counterexample as cx
 from bvlorentz.cli import main
 from bvlorentz.corpus import corpus_grids
-from bvlorentz.grid import _LEAF_CELLS, GridFunction, InputError, load_grid, save_grid
+from bvlorentz.grid import _LEAF_CELLS, _SLAB_CELLS, GridFunction, InputError, load_grid, save_grid
 from bvlorentz.group import DyadicVector, GroupElement
 from bvlorentz.multiscale import DyadicSum, Term
 from bvlorentz.profiles import load_sequence, save_sequence, two_profile_sequence
@@ -430,7 +430,7 @@ def test_threaded_norms_holds_at_most_one_padded_field_more(tmp_path, dim, n, le
     former = _peak(_former_norms, cfg)
     threaded = _peak(main, argv)
     row_cells = (n + 2) ** (dim - 1)  # one padded axis-0 row
-    worker = (_LEAF_CELLS + row_cells + 2 * (bv._SLAB_CELLS + row_cells)) * 8 + (64 << 10)
+    worker = (_LEAF_CELLS + row_cells + 2 * (_SLAB_CELLS + row_cells)) * 8 + (64 << 10)
     assert threaded <= former + worker
     assert (tmp_path / "norms.json").read_bytes() == (tmp_path / "former.json").read_bytes()
 

@@ -1,7 +1,10 @@
 """Grid construction, exact bookkeeping, box queries, serialization."""
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bvlorentz import grid
 from bvlorentz.grid import (
     DEFAULT_CELL_GUARD,
     DimensionMismatchError,
@@ -38,7 +42,7 @@ from bvlorentz.grid import (
     trim,
 )
 from bvlorentz.group import DyadicVector, GroupElement, act
-from bvlorentz.radial import annulus_indicator, to_grid
+from bvlorentz.radial import RadialStep, to_grid
 from bvlorentz.rearrange import _step_from_magnitudes
 
 
@@ -344,7 +348,7 @@ GUARD_SITES = {
     "act": lambda: act(GroupElement(0, DyadicVector((1, 1), 13)), _ones()),
     "linear_combine": lambda: linear_combine([1.0, 1.0], [_ones(n=1), _ones((2**14 - 1,) * 2, 1)]),
     "resample_to": lambda: resample_to(_ones(), 0, (0, 0), (2**14, 2**14)),
-    "to_grid": lambda: to_grid(annulus_indicator(2), 12),
+    "to_grid": lambda: to_grid(RadialStep(2, np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0])), 12),
 }
 
 
@@ -455,24 +459,38 @@ def test_l1_sum_and_steps_equal_the_former_full_array_formulas():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_streamed_variation_is_the_sum_of_the_face_array():
-    from bvlorentz import bv
-
     for u in _leaf_grids():
         fresh = GridFunction(u.dim, u.level, u.origin, u.extents, u.values)
         with np.errstate(over="ignore"):
             total = float(np.sum(u.face_contributions()))
         assert fresh.variation == total
     # slabs of at most 7 cells, so a leaf's rows take many fills
-    with mock.patch.object(bv, "_SLAB_CELLS", 7):
+    with mock.patch.object(grid, "_SLAB_CELLS", 7):
         for u in _leaf_grids()[-4:-1]:
             fresh = GridFunction(u.dim, u.level, u.origin, u.extents, u.values)
             assert fresh.variation == float(np.sum(u.face_contributions()))
 
 
+def test_grid_computes_variation_and_l1_norm_without_importing_bv():
+    # a fresh interpreter, so that no other test's import of bvlorentz.bv counts
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from bvlorentz.grid import GridFunction",
+        "u = GridFunction(2, 2, (0, 0), (4, 4), np.indices((4, 4)).sum(axis=0) % 2.0)",
+        "tv = u.variation",
+        "assert float(np.sum(u.face_contributions())) == tv > 0.0, tv",
+        "assert u.l1_norm() == 0.5, u.l1_norm()",
+        "assert 'bvlorentz.bv' not in sys.modules, sorted(m for m in sys.modules if m.startswith('bvlorentz'))",
+    ])
+    src = str(Path(grid.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 @pytest.mark.parametrize("extents", [(512, 512), (64, 64, 64)])
 def test_streamed_variation_makes_no_padded_array(extents):
-    from bvlorentz import bv  # imported before the peak is taken
-
     u = GridFunction(len(extents), 6, (0,) * len(extents), extents, np.random.default_rng(8).random(extents))
     padded = math.prod(n + 2 for n in extents) * 8
     tracemalloc.start()
@@ -484,7 +502,7 @@ def test_streamed_variation_makes_no_padded_array(extents):
     # one leaf plus one padded row, and the kernel's slab buffers: about a
     # third of the padded per-cell array
     assert peak < padded / 2
-    assert tv == float(np.sum(bv._local_contributions(u)[1]))
+    assert tv == float(np.sum(u.face_contributions()))
 
 
 def _one_percent_support(n):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bvlorentz import bv, layers
+from bvlorentz import bv, grid, layers
 from bvlorentz.bv import compose_scalar, total_variation
 from bvlorentz.grid import GridFunction, Region, UnsupportedDimensionError
 from bvlorentz.layers import (
@@ -269,7 +269,7 @@ def test_band_sums_match_region_reference(u):
 def test_audit_runs_the_kernel_once_and_tests_no_points(monkeypatch):
     u = corpus_grids(seed=4, dim=2, count=1)[0]
     calls = []
-    kernel = bv._face_rows
+    kernel = grid._face_rows
 
     def counted(v):
         calls.append(v)
@@ -278,7 +278,7 @@ def test_audit_runs_the_kernel_once_and_tests_no_points(monkeypatch):
     def no_points(self, pts):
         raise AssertionError("band sums need no point membership")
 
-    monkeypatch.setattr(bv, "_face_rows", counted)
+    monkeypatch.setattr(grid, "_face_rows", counted)
     monkeypatch.setattr(Region, "contains_points", no_points)
     audit = layer_energy_audit(u)
     # the band array, whose sum is the cached variation, then one composed

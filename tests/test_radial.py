@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from bvlorentz.grid import UnsupportedDimensionError, box_mass
 from bvlorentz.radial import (
     RadialStep,
-    annulus_indicator,
     dual_pairing_inverse_radius,
     piecewise_tv,
     radial_tv,
@@ -55,23 +54,26 @@ def test_non_finite_radial_data_is_refused(radii, values, message):
         RadialStep(2, np.array(radii), np.array(values))
 
 
+def _annulus(dim):
+    """Indicator of the shell 1 < |x| <= 2."""
+    return RadialStep(dim, np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0]))
+
+
 def test_shell_measures_2d():
-    u = annulus_indicator(2)
+    u = _annulus(2)
     # area of 1 < |x| <= 2 is pi(4 - 1)
     np.testing.assert_allclose(u.shell_measures(), [math.pi, 3.0 * math.pi])
     assert u.l1_norm() == pytest.approx(3.0 * math.pi, rel=1e-14)
-    with pytest.raises(UnsupportedDimensionError):
-        annulus_indicator(1)
 
 
 def test_evaluate_open_inner_boundary():
-    u = annulus_indicator(2)
+    u = _annulus(2)
     out = u.evaluate(np.array([0.5, 1.0, 1.5, 2.0, 2.5]))
     assert out.tolist() == [0.0, 0.0, 1.0, 1.0, 0.0]
 
 
 def test_annulus_tv_closed_form():
-    u = annulus_indicator(2)
+    u = _annulus(2)
     # jumps of size 1 at radii 1 and 2: 2 pi (1 + 2)
     assert radial_tv(u) == pytest.approx(6.0 * math.pi, rel=1e-14)
     # a single nonzero shell has no shared interfaces, so both sums agree
@@ -105,7 +107,7 @@ def test_staircase_closed_forms_2d():
 
 
 def test_rearrangement_is_cached_from_the_shells():
-    cases = [annulus_indicator(2), annulus_indicator(3), staircase(3, 5)]
+    cases = [_annulus(2), _annulus(3), staircase(3, 5)]
     cases.append(RadialStep(2, np.array([0.0, 0.5, 1.0, 2.0]), np.array([-1.0, 3.0, -1.0])))
     cases += [staircase(2, n) for n in range(1, 13)]
     for u in cases:
@@ -125,7 +127,7 @@ def test_pairing_needs_dim_two():
 
 
 def test_to_grid_sampling():
-    u = annulus_indicator(2)
+    u = _annulus(2)
     g = to_grid(u, 5)
     # grid covers [-2, 2]^2
     np.testing.assert_allclose(np.asarray(g.origin) * g.spacing, [-2.0, -2.0])
