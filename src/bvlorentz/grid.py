@@ -658,7 +658,7 @@ def save_grid(u: GridFunction, path: str | Path) -> None:
         "origin": list(u.origin),
         "extents": list(u.extents),
     }
-    Path(str(path) + ".json").write_text(json.dumps(side, indent=2, sort_keys=True) + "\n")
+    Path(str(path) + ".json").write_text(_json_text(side, str(path) + ".json"))
 
 
 def load_grid(path: str | Path) -> GridFunction:

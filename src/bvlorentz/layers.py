@@ -189,16 +189,15 @@ def layer_energy_audit(
     contrib = u.face_contributions()
     tv = total_variation(u)
 
-    # boundary faces sit on the padding ring, which every band mask leaves False
-    band = np.zeros(contrib.shape, dtype=bool)
+    # band masks cover the interior cells; the boundary faces on the padding ring are in no band
+    inner = contrib[(slice(1, -1),) * u.dim]
     band_tv: dict[int, float] = {}
     chain_reports: dict[int, ChainRuleReport] = {}
     # per color class, the union of the supports of its layers so far
     colored: dict[int, np.ndarray] = {}
     disjoint_ok = True
     for j in scales:
-        band[(slice(1, -1),) * u.dim] = level_band(u, profile, j)
-        band_tv[j] = float(np.sum(contrib[band]))
+        band_tv[j] = float(np.sum(inner[level_band(u, profile, j)]))
         layer, chain_reports[j] = compose_scalar(scaled_chi_function(profile, j), u)
         support = layer.values != 0.0
         seen = colored.setdefault(color_class(j), np.zeros_like(support))

@@ -69,32 +69,23 @@ class DyadicSum:
 
     # -- cluster decomposition ------------------------------------------------
     def clusters(self) -> list[GridFunction]:
-        """Concrete grid functions with pairwise separated supports."""
+        """Concrete grid functions with pairwise separated supports: the sums,
+        in term order, of touching nonzero terms, listed by their first terms."""
         if self._cluster_cache is not None:
             return self._cluster_cache
         realized = [t.realized for t in self.terms if np.any(t.realized.values)]
-        n = len(realized)
-        parent = list(range(n))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
         # closed boxes at the finest level touch when they meet on every axis
         level = max((r.level for r in realized), default=0)
         boxes = [_footprint(r, level) for r in realized]
-        for i in range(n):
-            for j in range(i + 1, n):
-                (lo1, hi1), (lo2, hi2) = boxes[i], boxes[j]
-                if all(max(a, b) <= min(c, e) for a, b, c, e in zip(lo1, lo2, hi1, hi2)):
-                    parent[find(i)] = find(j)
-        groups: dict[int, list[GridFunction]] = {}
-        for i, r in enumerate(realized):
-            groups.setdefault(find(i), []).append(r)
+        first: list[int] = []  # per term so far, the first term of its group
+        for i, (lo, hi) in enumerate(boxes):
+            hit = {f for f, (lo2, hi2) in zip(first, boxes)
+                   if all(max(a, b) <= min(c, e) for a, b, c, e in zip(lo, lo2, hi, hi2))}
+            root = min(hit, default=i)
+            first = [root if f in hit else f for f in first] + [root]
         out = []
-        for members in groups.values():
+        for f in sorted(set(first)):
+            members = [r for r, g in zip(realized, first) if g == f]
             if len(members) == 1:
                 flat = members[0]
             else:

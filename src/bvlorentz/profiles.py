@@ -512,21 +512,26 @@ def staircase_sequence(ns, dim: int = 2) -> list[DyadicSum]:
 # -- directory round-trip --------------------------------------------------------
 
 def save_sequence(dirpath: str, elements) -> None:
-    os.makedirs(dirpath, exist_ok=True)
+    """Write each term's grid and ``manifest.json`` into ``dirpath``; a NaN or
+    infinite coefficient is refused with InputError before anything is written."""
     elements = [dyadic_sum(u) for u in elements]
+    grids = {}
     manifest = {"schema_version": 1, "dim": elements[0].dim, "elements": []}
     for i, e in enumerate(elements):
         entry = {"terms": []}
         for t, term in enumerate(e.terms):
             fname = f"element{i}_term{t}.grid"
-            save_grid(term.u, os.path.join(dirpath, fname))
+            grids[fname] = term.u
             entry["terms"].append(
                 {"coeff": term.coeff, "g": term.g.to_dict(), "grid": fname}
             )
         manifest["elements"].append(entry)
+    text = _json_text(manifest, os.path.join(dirpath, "manifest.json"))
+    os.makedirs(dirpath, exist_ok=True)
+    for fname, u in grids.items():
+        save_grid(u, os.path.join(dirpath, fname))
     with open(os.path.join(dirpath, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_sequence(dirpath: str) -> list[DyadicSum]:

@@ -414,6 +414,84 @@ def test_integer_touch_test_equals_former_float_test(dim, data):
     assert len(s.clusters()) == (1 if touch else 2)
 
 
+def _union_find_clusters(s):
+    """The former ``DyadicSum.clusters``: union-find with path halving over
+    all pairs of nonzero terms, groups keyed by their root."""
+    realized = [t.realized for t in s.terms if np.any(t.realized.values)]
+    n = len(realized)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    level = max((r.level for r in realized), default=0)
+    boxes = [grid._footprint(r, level) for r in realized]
+    for i in range(n):
+        for j in range(i + 1, n):
+            (lo1, hi1), (lo2, hi2) = boxes[i], boxes[j]
+            if all(max(a, b) <= min(c, e) for a, b, c, e in zip(lo1, lo2, hi1, hi2)):
+                parent[find(i)] = find(j)
+    groups = {}
+    for i, r in enumerate(realized):
+        groups.setdefault(find(i), []).append(r)
+    out = []
+    for members in groups.values():
+        if len(members) == 1:
+            flat = members[0]
+        else:
+            flat = grid.trim(grid.linear_combine([1.0] * len(members), members))
+        if np.any(flat.values):
+            out.append(flat)
+    return out
+
+
+@st.composite
+def _touching_sums(draw):
+    """2-6 terms of mixed levels: free draws near the origin, draws moved far
+    along the first axis, all-zero terms, full boxes meeting an earlier term
+    at its upper corner only, and full bridges over the boxes of two earlier
+    terms, which join their groups."""
+    dim = draw(st.integers(1, 3))
+    s = DyadicSum(dim, ())
+    for _ in range(draw(st.integers(2, 6))):
+        u = draw(_dyadic_grids(dim, (-1, 1), (-4, 4), 3))
+        placed = [t.realized for t in s.terms if np.any(t.realized.values)]
+        how = draw(st.sampled_from(["free", "far", "zero", "corner", "bridge"]))
+        if how == "far":
+            shift = 12 * len(s.terms) << (u.level + 1)
+            u = GridFunction(dim, u.level, (u.origin[0] + shift,) + u.origin[1:], u.extents, u.values)
+        elif how == "zero":
+            u = GridFunction(dim, u.level, u.origin, u.extents, np.zeros(u.extents))
+        elif how == "corner" and placed:
+            r = draw(st.sampled_from(placed))
+            level = max(u.level, r.level)
+            origin = tuple((o + n) << (level - r.level) for o, n in zip(r.origin, r.extents))
+            u = GridFunction(dim, level, origin, u.extents, np.full(u.extents, 0.75))
+        elif how == "bridge" and len(placed) >= 2:
+            two = draw(st.lists(st.integers(0, len(placed) - 1), min_size=2, max_size=2, unique=True))
+            pair = [placed[i] for i in two]
+            level = max(r.level for r in pair)
+            lo, hi = zip(*(grid._footprint(r, level) for r in pair))
+            origin = tuple(map(min, zip(*lo)))
+            extents = tuple(b - a for a, b in zip(origin, map(max, zip(*hi))))
+            u = GridFunction(dim, level, origin, extents, np.full(extents, -0.5))
+        s = s.with_term(draw(st.sampled_from([1.0, -1.0, 0.5])), identity(dim), u)
+    return s
+
+
+@given(_touching_sums())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_grouping_equals_former_union_find(s):
+    got, want = s.clusters(), _union_find_clusters(s)
+    assert len(got) == len(want)
+    for c, w in zip(got, want):
+        assert (c.level, c.origin, c.extents) == (w.level, w.origin, w.extents)
+        assert c.values.tobytes() == w.values.tobytes()
+
+
 @given(st.integers(1, 3), st.integers(1, 6), st.data())
 @settings(max_examples=300, deadline=None)
 def test_integer_window_test_equals_former_float_test(dim, radius, data):

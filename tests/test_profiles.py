@@ -188,6 +188,16 @@ def test_sequence_roundtrip(tmp_path):
             np.testing.assert_array_equal(t1.u.values, t2.u.values)
 
 
+@pytest.mark.parametrize("coeff", [math.inf, math.nan])
+def test_sequence_with_a_coefficient_json_cannot_hold_is_refused_before_any_file(tmp_path, coeff):
+    seq = two_profile_sequence((2, 3, 4), level=4)
+    seq[1] = seq[1].with_term(coeff, seq[1].terms[0].g, seq[1].terms[0].u)
+    d = tmp_path / "seq"
+    with pytest.raises(InputError, match="manifest.json: output holds a value that overflows"):
+        save_sequence(str(d), seq)
+    assert not d.exists()
+
+
 def test_decomposition_roundtrip(tmp_path, two_profile_decomp):
     decomp, _ = two_profile_decomp
     d = tmp_path / "decomp"
