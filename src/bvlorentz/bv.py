@@ -146,17 +146,20 @@ def _axis_cubes(origin: int, n: int, level: int) -> np.ndarray:
 
     Integer arithmetic only: at level L >= 0 a cell of index k lies in cube
     k >> L; at L < 0 each cell spans 2^-L cubes and its center lies in cube
-    (k << -L) + 2^(-L-1).  Coordinates that do not fit an int64 are refused,
-    checked on Python ints before any is computed.
+    (k << -L) + 2^(-L-1) = (2k + 1) * 2^(-L-1).  Coordinates that do not fit
+    an int64 are refused, checked on Python ints before any is computed; the
+    refusal prints them as m*2^e with m odd, not in hundreds of digits.
     """
-    ends = (origin, origin + n - 1)
+    cells = (origin, origin + n - 1)
+    ends, text = cells, [str(k) for k in cells]
     if level < 0:
-        ends = tuple((k << -level) + (1 << (-level - 1)) for k in ends)
+        ends = tuple((2 * k + 1) << (-level - 1) for k in cells)
+        text = [f"{2 * k + 1}*2^{-level - 1}" for k in cells]
     int64 = np.iinfo(np.int64)
     if not all(int64.min <= k <= int64.max for k in ends):
         raise InputError(
-            f"level {level}: unit-cube coordinates {ends[0]}..{ends[1]} of cells "
-            f"{origin}..{origin + n - 1} do not fit a 64-bit integer"
+            f"level {level}: unit-cube coordinates {text[0]}..{text[1]} of cells "
+            f"{cells[0]}..{cells[1]} do not fit a 64-bit integer"
         )
     k = origin + np.arange(n, dtype=np.int64)
     if level >= 0:

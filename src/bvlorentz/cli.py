@@ -18,13 +18,11 @@ point checks its own arguments; this module checks only what it parses.
 from __future__ import annotations
 
 import argparse
-import contextvars
 import functools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -152,23 +150,19 @@ def cmd_norms(cfg: dict) -> int:
     p = critical_exponent(u.dim) if u.dim >= 2 else None
     # one key per q: a repeated q keeps its first place and its one value
     keys = {f"q{q:g}": q for q in qs}
-    # The per-face pass does not need the sort, so one worker runs it
-    # meanwhile, in a copy of this context so that it sees the caller's numpy
-    # errstate.  This thread sorts (after one leaf pass that sums |u|, for
-    # L1) and computes the table from u*; each norm of a zero u is 0.0.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        faces = pool.submit(contextvars.copy_context().run, bv.total_variation, u)
-        step = u.rearrangement
-        l1 = u.l1_norm()
-        p2 = lebesgue_norm(u, 2.0)
-        lebesgue = {"p2": p2}
-        critical = {}
-        if p is not None:
-            # in 2-D the critical exponent is 2: pcrit is the p2 norm
-            lebesgue["pcrit"] = p2 if p == 2.0 else lebesgue_norm(u, p)
-            table = {key: lorentz_norm(u, LorentzIndex(p, q)) for key, q in keys.items()}
-            critical = {"critical_exponent": p, "lorentz_critical": table}
-        tv = faces.result()
+    # L1 comes from the leaf pass over |u| that precedes the sort; each norm
+    # of a zero u is 0.0
+    step = u.rearrangement
+    l1 = u.l1_norm()
+    p2 = lebesgue_norm(u, 2.0)
+    lebesgue = {"p2": p2}
+    critical = {}
+    if p is not None:
+        # in 2-D the critical exponent is 2: pcrit is the p2 norm
+        lebesgue["pcrit"] = p2 if p == 2.0 else lebesgue_norm(u, p)
+        table = {key: lorentz_norm(u, LorentzIndex(p, q)) for key, q in keys.items()}
+        critical = {"critical_exponent": p, "lorentz_critical": table}
+    tv = bv.total_variation(u)
     # keys in the order the overflow check names the first bad one
     doc: dict = {
         "schema_version": SCHEMA_VERSION,

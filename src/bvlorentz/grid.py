@@ -648,8 +648,9 @@ def save_grid(u: GridFunction, path: str | Path) -> None:
     header = struct.pack("<qq", u.dim, u.level)
     header += struct.pack(f"<{u.dim}q", *u.origin)
     header += struct.pack(f"<{u.dim}q", *u.extents)
-    payload = np.ascontiguousarray(u.values, dtype="<f8").tobytes()
-    path.write_bytes(_MAGIC + header + payload)
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC + header)
+        fh.write(memoryview(np.ascontiguousarray(u.values, dtype="<f8")).cast("B"))
     side = {
         "format": "bvlorentz-grid",
         "format_version": 1,

@@ -156,9 +156,12 @@ def _mass_pyramids(clusters: list[GridFunction], scale_window: int) -> list:
     for c in clusters:
         a, origin, sums = np.abs(c.values), tuple(map(int, c.origin)), []
         for p in range(max(0, c.level + scale_window) + 1):
-            a, origin = _halve(a, origin) if p else (a, origin)
-            k = int(a.argmax())
-            top = tuple(o + int(i) for o, i in zip(origin, np.unravel_index(k, a.shape)))
+            if p and a.size == 1:  # halving one cell only adds +0.0: keep it, shift its cell
+                origin = top = tuple(o >> 1 for o in origin)
+            else:
+                a, origin = _halve(a, origin) if p else (a, origin)
+                k = int(a.argmax())
+                top = tuple(o + int(i) for o, i in zip(origin, np.unravel_index(k, a.shape)))
             sums.append((origin, a, a.item(k), top))
         out.append((c.level, sums))
     return out

@@ -347,6 +347,20 @@ def test_lattice_split_refuses_cube_coordinates_beyond_int64(level):
         lattice_tv_sum(u)
 
 
+def test_lattice_refusal_prints_cube_coordinates_as_powers_of_two():
+    # the padded cells -1..2 of a 2-cell grid have their centres in cubes
+    # (2k + 1) * 2^339: one short line, not two 103-digit integers
+    u = GridFunction(1, -340, (0,), (2,), np.array([1.0, 2.0]))
+    with pytest.raises(InputError) as err:
+        lattice_tv_sum(u)
+    msg = str(err.value)
+    assert msg == (
+        "level -340: unit-cube coordinates -1*2^339..5*2^339 of cells -1..2 "
+        "do not fit a 64-bit integer"
+    )
+    assert "\n" not in msg and len(msg) < 160
+
+
 @pytest.mark.parametrize("dim, level", [(2, -511), (3, -340)])
 def test_lowest_levels_overflow_the_variation_with_no_warning(dim, level):
     # each face weighs h^{dim-1} = 2^{-level(dim-1)}, so every face product

@@ -8,7 +8,6 @@ import os
 import shutil
 import sys
 import tempfile
-import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -210,22 +209,18 @@ def test_norms_of_a_support_past_a_double_is_refused_with_one_line(tmp_path, cap
     assert not out.exists()
 
 
-def test_norms_worker_keeps_the_callers_errstate(tmp_path, capsys, monkeypatch):
-    # a multiply overflows on the worker before the per-face pass, and on
-    # this thread before each Lorentz norm: each must see the caller's
-    # over="ignore", or the overflow warning is raised there as an error.
-    # The L1 sum overflows (the TV, 2.5e304, does not), so the refusal
-    # names l1
+def test_norms_keeps_the_callers_errstate(tmp_path, capsys, monkeypatch):
+    # a multiply overflows before the per-face pass and before each Lorentz
+    # norm: each must see the caller's over="ignore", or the overflow warning
+    # is raised there as an error.  The L1 sum overflows (the TV, 2.5e304,
+    # does not), so the refusal names l1
     real_tv, real_lorentz = bv.total_variation, cli.lorentz_norm
-    tv_threads, lorentz_threads = [], []
 
     def overflowing_tv(u):
-        tv_threads.append(threading.current_thread() is not threading.main_thread())
         np.multiply(np.full(2, 1e300), 1e300)
         return real_tv(u)
 
     def overflowing_lorentz(u, idx):
-        lorentz_threads.append(threading.current_thread() is not threading.main_thread())
         np.multiply(np.full(2, 1e300), 1e300)
         return real_lorentz(u, idx)
 
@@ -242,24 +237,6 @@ def test_norms_worker_keeps_the_callers_errstate(tmp_path, capsys, monkeypatch):
                 f"norms: l1 of {p} overflows a double",
             )
     assert not out.exists()
-    assert tv_threads == [True]
-    assert lorentz_threads == [False] * 4  # one per q of the default --q-list
-
-
-@_OVERFLOWS
-def test_norms_joins_its_worker_on_refusal(tmp_path, capsys, dim, level, values, key):
-    p = _save_overflowing(tmp_path, dim, level, values)
-    before = threading.active_count()
-    with np.errstate(over="ignore"):
-        assert main(["norms", "--input", str(p)]) == 2
-    assert threading.active_count() == before
-    capsys.readouterr()
-
-
-def test_norms_joins_its_worker_on_success(tmp_path, saved_grid, capsys):
-    before = threading.active_count()
-    assert main(["norms", "--input", str(saved_grid), "--out", str(tmp_path / "n.json")]) == 0
-    assert threading.active_count() == before
 
 
 def _former_lebesgue_norm(s: StepFunction, p: float) -> float:
@@ -294,8 +271,7 @@ def _former_lorentz_norm(s: StepFunction, p: float, q: float) -> float:
 
 
 def _former_norms(cfg: dict) -> int:
-    """The former ``cmd_norms``: every value in sequence on one thread, each
-    power sum over full arrays."""
+    """The former ``cmd_norms``: each power sum over full arrays."""
     qs = cli._parse_q_list("norms", cfg["q_list"])
     u = load_grid(cfg["input"])
     step = u.rearrangement
@@ -389,7 +365,7 @@ def _smooth_256():
     + [GridFunction(3, 2, (0, 0, 0), (4, 4, 4), np.zeros((4, 4, 4))), _smooth_256()],
 )
 @pytest.mark.parametrize("q_list", [None, "2,inf,0.5,2,inf,1"])
-def test_threaded_norms_writes_the_former_bytes(tmp_path, u, q_list):
+def test_norms_writes_the_former_bytes(tmp_path, u, q_list):
     p = tmp_path / "u.grid"
     save_grid(u, p)
     cfg = {"input": str(p), "q_list": q_list or "1,1.5,2,inf", "out": str(tmp_path / "former.json")}
@@ -411,14 +387,12 @@ def _peak(fn, *args):
 @pytest.mark.parametrize(
     "dim, n, levels", [(2, 512, 4), (2, 512, None), (3, 64, None)], ids=["4", "None", "3d-None"]
 )
-def test_threaded_norms_holds_at_most_one_padded_field_more(tmp_path, dim, n, levels):
-    # the worker's peak is the streamed variation's buffer of one leaf and
+def test_norms_holds_at_most_one_padded_field_more(tmp_path, dim, n, levels):
+    # the per-face pass holds the streamed variation's buffer of one leaf and
     # one padded row, and the kernel's two slab buffers: no padded per-face
-    # array.  At worst it meets the sort's peak on the calling thread; few
-    # distinct values make the sort short, so the two peaks tend to meet.
-    # With distinct values the norm table is long, and the calling thread
-    # computes it after the sort.  64 KiB cover the pool's own objects
-    # (thread, future, context copy)
+    # array.  It runs after the sort, beside the rearrangement; few distinct
+    # values make the rearrangement short, and distinct values a long norm
+    # table
     vals = np.random.default_rng(5).random((n,) * dim) + 0.5
     if levels:
         vals = np.ceil(vals * levels)
@@ -428,54 +402,11 @@ def test_threaded_norms_holds_at_most_one_padded_field_more(tmp_path, dim, n, le
     argv = ["norms", "--input", str(p), "--out", str(tmp_path / "norms.json")]
     main(argv)  # first-call allocations stay out of both peaks
     former = _peak(_former_norms, cfg)
-    threaded = _peak(main, argv)
+    peak = _peak(main, argv)
     row_cells = (n + 2) ** (dim - 1)  # one padded axis-0 row
-    worker = (_LEAF_CELLS + row_cells + 2 * (_SLAB_CELLS + row_cells)) * 8 + (64 << 10)
-    assert threaded <= former + worker
+    faces = (_LEAF_CELLS + row_cells + 2 * (_SLAB_CELLS + row_cells)) * 8
+    assert peak <= former + faces
     assert (tmp_path / "norms.json").read_bytes() == (tmp_path / "former.json").read_bytes()
-
-
-def test_norms_table_runs_on_the_calling_thread(tmp_path, monkeypatch):
-    # only the per-face pass runs on the worker; every Lebesgue and Lorentz
-    # norm of the table runs on this thread, and the bytes stay the former
-    p = tmp_path / "u.grid"
-    save_grid(corpus_grids(11, 3, 1)[0], p)
-    cfg = {"input": str(p), "q_list": "1,1.5,2,inf", "out": str(tmp_path / "former.json")}
-    assert _former_norms(cfg) == 0
-    ran = []
-
-    def record(name, fn):
-        def wrapped(*args):
-            ran.append((name, threading.current_thread() is threading.main_thread()))
-            return fn(*args)
-        return wrapped
-
-    monkeypatch.setattr(cli.bv, "total_variation", record("tv", bv.total_variation))
-    monkeypatch.setattr(cli, "lebesgue_norm", record("lebesgue", lebesgue_norm))
-    monkeypatch.setattr(cli, "lorentz_norm", record("lorentz", lorentz_norm))
-    out = tmp_path / "norms.json"
-    assert main(["norms", "--input", str(p), "--out", str(out)]) == 0
-    assert out.read_bytes() == (tmp_path / "former.json").read_bytes()
-    # p2 and pcrit (3-D), then one Lorentz norm per q
-    assert sorted(ran) == [("lebesgue", True)] * 2 + [("lorentz", True)] * 4 + [("tv", False)]
-
-
-def test_threaded_norms_under_frequent_thread_switches(tmp_path):
-    # both threads fill the grid's caches while switching every microsecond
-    p = tmp_path / "u.grid"
-    save_grid(corpus_grids(11, 3, 1)[0], p)
-    cfg = {"input": str(p), "q_list": "1,1.5,2,inf", "out": str(tmp_path / "former.json")}
-    assert _former_norms(cfg) == 0
-    former = (tmp_path / "former.json").read_bytes()
-    out = tmp_path / "norms.json"
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            assert main(["norms", "--input", str(p), "--out", str(out)]) == 0
-            assert out.read_bytes() == former
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_emit_refuses_non_finite_output(tmp_path):

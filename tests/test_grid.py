@@ -263,6 +263,24 @@ def _grid_bytes(dim, level, origin, extents, payload=b""):
 
 
 @pytest.mark.parametrize(
+    "dim, level, origin, extents",
+    [
+        (1, 3, (-5,), (7,)),
+        (2, -2, (-3, 4), (5, 2)),
+        (3, 1, (2, -1, -7), (2, 3, 4)),
+        (3, 0, (0, 0, 0), (1, 1, 1)),
+    ],
+)
+def test_save_grid_writes_the_documented_layout(tmp_path, dim, level, origin, extents):
+    # magic, dim/level/origin/extents as little-endian int64, then the
+    # row-major little-endian float64 values
+    vals = np.random.default_rng(dim).normal(size=extents)
+    p = tmp_path / "u.grid"
+    save_grid(GridFunction(dim, level, origin, extents, vals), p)
+    assert p.read_bytes() == _grid_bytes(dim, level, origin, extents, vals.astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize(
     "raw, why",
     [
         (b"BVLGRID2" + b"\x00" * 64, "not a grid file (bad magic)"),

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvlorentz import multiscale, profiles
 from bvlorentz.bv import total_variation
@@ -14,6 +15,7 @@ from bvlorentz.grid import (
     GridFunction,
     InputError,
     MemoryGuardError,
+    _halve,
     _overlap_box,
     box_mass,
     load_grid,
@@ -234,6 +236,46 @@ def _box(c):
     """Float corners of a grid's box, from origin times spacing."""
     o = np.asarray(c.origin, dtype=float)
     return o * c.spacing, (o + np.asarray(c.extents, dtype=float)) * c.spacing
+
+
+def _halving_pyramid(c, scale_window):
+    """The pyramid of one cluster with a ``_halve`` call at every level."""
+    a, origin, sums = np.abs(c.values), tuple(map(int, c.origin)), []
+    for p in range(max(0, c.level + scale_window) + 1):
+        a, origin = _halve(a, origin) if p else (a, origin)
+        k = int(a.argmax())
+        top = tuple(o + int(i) for o, i in zip(origin, np.unravel_index(k, a.shape)))
+        sums.append((origin, a, a.item(k), top))
+    return c.level, sums
+
+
+pyramid_clusters = st.integers(1, 3).flatmap(
+    lambda dim: st.builds(
+        lambda level, origin, extents, seed, zeros: GridFunction(
+            dim, level, tuple(origin), tuple(extents),
+            np.random.default_rng(seed).normal(size=tuple(extents))
+            * (np.random.default_rng(seed + 1).random(tuple(extents)) >= zeros),
+        ),
+        st.integers(-4, 6),
+        st.lists(st.integers(-37, 37), min_size=dim, max_size=dim),
+        st.lists(st.integers(1, 5), min_size=dim, max_size=dim),
+        st.integers(0, 2**16),
+        st.sampled_from([0.0, 0.5]),
+    )
+)
+
+
+@given(pyramid_clusters, st.integers(0, 12))
+@settings(max_examples=80, deadline=None)
+def test_mass_pyramids_equal_halving_at_every_level(c, scale_window):
+    # past one cell, the kept array and maximum are those that halving gives,
+    # bit for bit, with the same origins and cells
+    [(level, sums)] = profiles._mass_pyramids([c], scale_window)
+    ref_level, ref = _halving_pyramid(c, scale_window)
+    assert level == ref_level and len(sums) == len(ref)
+    for (origin, a, vmax, top), (r_origin, r_a, r_vmax, r_top) in zip(sums, ref):
+        assert (origin, vmax, top) == (r_origin, r_vmax, r_top)
+        assert a.shape == r_a.shape and a.tobytes() == r_a.tobytes()
 
 
 def _reference_best_cube(clusters, s, dim):
