@@ -31,7 +31,7 @@ from . import counterexample as cx
 from . import layers
 from . import profiles as prof
 from .corpus import corpus_elements, corpus_grids, corpus_steps
-from .grid import GridFunction, InputError, MemoryGuardError, _json_text, load_grid
+from .grid import GridFunction, InputError, MemoryGuardError, _json_text, _write_files, load_grid
 from .group import isometry_defects
 from .rearrange import (
     LorentzIndex,
@@ -129,15 +129,11 @@ def _first_non_finite(doc: dict, prefix: str = "") -> str | None:
 
 def _emit(doc: dict, path: str | None) -> None:
     text = _json_text(doc, path or "stdout")
-    if path:
-        _write_text(text, path)
+    if path:  # written here, not through _write_files: a missing parent directory is refused
+        with open(path, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _write_text(text: str, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 # -- norms ---------------------------------------------------------------------
@@ -199,17 +195,14 @@ def cmd_counterexample(cfg: dict) -> int:
         # before any file is written: an oversized quadrature leaves no partial output
         probe = cx.dvanishing_probe(dim, tuple(range(1, n_max + 1)), quad_level=cfg["quad_level"])
         ok = ok and cx.probe_ok(probe)
-    # every output is serialized before any file is written
-    texts = {
+    files = {
         "counterexample.csv": "\n".join(rep.csv_lines()) + "\n",
-        "counterexample.json": _json_text(rep.to_dict(), "counterexample.json"),
+        "counterexample.json": rep.to_dict(),
         "counterexample.plt": cx.gnuplot_script("counterexample.csv", qs),
     }
     if probe is not None:
-        texts["probe.json"] = _json_text(probe.to_dict(), "probe.json")
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-    for name, text in texts.items():
-        _write_text(text, os.path.join(cfg["out_dir"], name))
+        files["probe.json"] = probe.to_dict()
+    _write_files(cfg["out_dir"], files)
     if probe is not None:
         print(
             f"probe: best captured mass fits n^{probe.fit_exponent:.3f} "
@@ -251,7 +244,7 @@ def cmd_decompose(cfg: dict) -> int:
         )
     text = _json_text(doc, "audits.json")  # both JSON files are checked before either is written
     prof.save_decomposition(cfg["out_dir"], decomp)
-    _write_text(text, os.path.join(cfg["out_dir"], "audits.json"))
+    _write_files(cfg["out_dir"], {"audits.json": text})
     print(
         f"decompose: {len(decomp.profiles)} profiles, terminated by "
         f"{decomp.terminated_by}, audits {'ok' if doc['ok'] else 'FAILED'}"

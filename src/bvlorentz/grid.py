@@ -639,27 +639,33 @@ def _json_text(doc: dict, name: str) -> str:
 
 
 def save_grid(u: GridFunction, path: str | Path) -> None:
-    """Single self-describing binary file plus a JSON sidecar.
+    """Single self-describing binary file.
 
     Layout: magic, then dim/level/origin/extents as little-endian int64,
     then the row-major float64 values.  Round-trips bit-exactly.
     """
-    path = Path(path)
     header = struct.pack("<qq", u.dim, u.level)
     header += struct.pack(f"<{u.dim}q", *u.origin)
     header += struct.pack(f"<{u.dim}q", *u.extents)
     with open(path, "wb") as fh:
         fh.write(_MAGIC + header)
         fh.write(memoryview(np.ascontiguousarray(u.values, dtype="<f8")).cast("B"))
-    side = {
-        "format": "bvlorentz-grid",
-        "format_version": 1,
-        "dim": u.dim,
-        "level": u.level,
-        "origin": list(u.origin),
-        "extents": list(u.extents),
-    }
-    Path(str(path) + ".json").write_text(_json_text(side, str(path) + ".json"))
+
+
+def _write_files(dirpath: str | Path, files: dict) -> None:
+    """Write ``files``, name -> grid, text or JSON doc, into ``dirpath`` in order.
+
+    Every doc is serialized first, so one that JSON cannot hold raises
+    InputError before the directory is made or any file is written.
+    """
+    files = {name: _json_text(body, name) if isinstance(body, dict) else body
+             for name, body in files.items()}
+    os.makedirs(dirpath, exist_ok=True)
+    for name, body in files.items():
+        if isinstance(body, GridFunction):
+            save_grid(body, os.path.join(dirpath, name))
+        else:
+            Path(dirpath, name).write_text(body)
 
 
 def load_grid(path: str | Path) -> GridFunction:

@@ -40,11 +40,10 @@ from .grid import (
     InputError,
     MemoryGuardError,
     _halve,
-    _json_text,
     _overlap_box,
+    _write_files,
     from_sampler,
     load_grid,
-    save_grid,
     trim,
 )
 from .group import DEFAULT_SCALE_BOUND, DyadicVector, GroupElement, _placement, inverse
@@ -515,26 +514,29 @@ def staircase_sequence(ns, dim: int = 2) -> list[DyadicSum]:
 # -- directory round-trip --------------------------------------------------------
 
 def save_sequence(dirpath: str, elements) -> None:
-    """Write each term's grid and ``manifest.json`` into ``dirpath``; a NaN or
-    infinite coefficient is refused with InputError before anything is written."""
+    """Write each term's grid and then ``manifest.json`` into ``dirpath``.
+
+    An empty list, elements of more than one dimension or a NaN or infinite
+    coefficient is refused with InputError before anything is written.
+    """
     elements = [dyadic_sum(u) for u in elements]
-    grids = {}
-    manifest = {"schema_version": 1, "dim": elements[0].dim, "elements": []}
+    if not elements:
+        raise InputError("save_sequence: a sequence needs at least one element")
+    dim = elements[0].dim
+    files = {}
+    manifest = {"schema_version": 1, "dim": dim, "elements": []}
     for i, e in enumerate(elements):
+        if e.dim != dim:
+            raise InputError(f"save_sequence: element {i} has dim {e.dim}, element 0 has dim {dim}")
         entry = {"terms": []}
         for t, term in enumerate(e.terms):
             fname = f"element{i}_term{t}.grid"
-            grids[fname] = term.u
+            files[fname] = term.u
             entry["terms"].append(
                 {"coeff": term.coeff, "g": term.g.to_dict(), "grid": fname}
             )
         manifest["elements"].append(entry)
-    text = _json_text(manifest, os.path.join(dirpath, "manifest.json"))
-    os.makedirs(dirpath, exist_ok=True)
-    for fname, u in grids.items():
-        save_grid(u, os.path.join(dirpath, fname))
-    with open(os.path.join(dirpath, "manifest.json"), "w") as fh:
-        fh.write(text)
+    _write_files(dirpath, {**files, "manifest.json": manifest})
 
 
 def load_sequence(dirpath: str) -> list[DyadicSum]:
@@ -597,11 +599,8 @@ def save_decomposition(dirpath: str, decomp: ProfileDecomposition) -> None:
     a value that overflows a double, which JSON cannot hold.
     """
     doc = decomp.to_dict()
-    for i in range(len(decomp.profiles)):
-        doc["profiles"][i]["grid"] = f"profile{i}.grid"
-    text = _json_text(doc, "decomposition.json")
-    os.makedirs(dirpath, exist_ok=True)
+    files = {}
     for i, p in enumerate(decomp.profiles):
-        save_grid(p.function, os.path.join(dirpath, f"profile{i}.grid"))
-    with open(os.path.join(dirpath, "decomposition.json"), "w") as fh:
-        fh.write(text)
+        files[f"profile{i}.grid"] = p.function
+        doc["profiles"][i]["grid"] = f"profile{i}.grid"
+    _write_files(dirpath, {**files, "decomposition.json": doc})

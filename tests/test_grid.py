@@ -1,5 +1,4 @@
 """Grid construction, exact bookkeeping, box queries, serialization."""
-import json
 import math
 import os
 import struct
@@ -242,14 +241,32 @@ def test_save_load_roundtrip(tmp_path, single_cell):
     assert back.origin == single_cell.origin
     assert back.extents == single_cell.extents
     np.testing.assert_array_equal(back.values, single_cell.values)
-    side = json.loads((tmp_path / "u.grid.json").read_text())
-    assert side == {"format": "bvlorentz-grid", "format_version": 1, "dim": 2, "level": 2,
-                    "origin": [0, 0], "extents": [4, 4]}
+    assert os.listdir(tmp_path) == ["u.grid"]  # one self-describing file, no sidecar
 
     bad = tmp_path / "bad.grid"
     bad.write_bytes(b"NOTAGRID" + b"\x00" * 64)
     with pytest.raises(ValueError):
         load_grid(bad)
+
+
+def test_write_files_puts_grids_texts_and_docs_under_their_names(tmp_path, single_cell):
+    d = tmp_path / "out"
+    grid._write_files(d, {"u.grid": single_cell, "note.txt": "a\nb\n", "doc.json": {"b": 1.5, "a": [1]}})
+    assert sorted(os.listdir(d)) == ["doc.json", "note.txt", "u.grid"]
+    back = load_grid(d / "u.grid")
+    assert (back.level, back.origin, back.extents) == (2, (0, 0), (4, 4))
+    np.testing.assert_array_equal(back.values, single_cell.values)
+    assert (d / "note.txt").read_text() == "a\nb\n"
+    assert (d / "doc.json").read_text() == '{\n  "a": [\n    1\n  ],\n  "b": 1.5\n}\n'
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_write_files_refuses_a_doc_json_cannot_hold_before_the_directory(tmp_path, single_cell, bad):
+    d = tmp_path / "out"
+    files = {"u.grid": single_cell, "note.txt": "x\n", "doc.json": {"nested": {"v": bad}}}
+    with pytest.raises(InputError, match="^doc.json: output holds a value that overflows a double$"):
+        grid._write_files(d, files)
+    assert not d.exists()
 
 
 def _grid_bytes(dim, level, origin, extents, payload=b""):

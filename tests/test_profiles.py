@@ -195,7 +195,23 @@ def test_sequence_with_a_coefficient_json_cannot_hold_is_refused_before_any_file
     seq = two_profile_sequence((2, 3, 4), level=4)
     seq[1] = seq[1].with_term(coeff, seq[1].terms[0].g, seq[1].terms[0].u)
     d = tmp_path / "seq"
-    with pytest.raises(InputError, match="manifest.json: output holds a value that overflows"):
+    with pytest.raises(InputError, match="^manifest.json: output holds a value that overflows a double$"):
+        save_sequence(str(d), seq)
+    assert not d.exists()
+
+
+@pytest.mark.parametrize(
+    "seq, why",
+    [
+        ([], "a sequence needs at least one element"),
+        (two_profile_sequence((2, 3), level=3) + two_profile_sequence((4,), dim=3, level=3),
+         "element 2 has dim 3, element 0 has dim 2"),
+    ],
+    ids=["empty", "mixed-dims"],
+)
+def test_sequence_without_one_dimension_is_refused_before_any_file(tmp_path, seq, why):
+    d = tmp_path / "seq"
+    with pytest.raises(InputError, match=f"^save_sequence: {why}$"):
         save_sequence(str(d), seq)
     assert not d.exists()
 
