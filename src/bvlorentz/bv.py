@@ -12,11 +12,11 @@ sharp indicators it converges to the anisotropic perimeter, about 4/pi times
 the Euclidean one for disks; all audits therefore compare ratios and
 invariances, never absolute perimeters.
 
-The per-face kernel lives in :mod:`bvlorentz.grid`: the total is the cached
-:attr:`GridFunction.variation`, and every reader of the per-cell array over
-the padded box (region sums here, the lattice split, the layer audit) gets
-it from :meth:`GridFunction.face_contributions`, whose lowest cell is
-``origin - 1`` on every axis.
+The per-face kernel in :mod:`bvlorentz.grid` fills any range of cells of the
+padded box, whose lowest cell is ``origin - 1`` on every axis: the cached
+:attr:`GridFunction.variation` sums it leaf by leaf, and every reader of the
+whole per-cell array (region sums here, the lattice split, the layer audit)
+gets it from :meth:`GridFunction.face_contributions`, a slab of rows at a time.
 """
 from __future__ import annotations
 

@@ -69,8 +69,10 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
             choices = typ if isinstance(typ, tuple) else None
             typ = str if choices else typ
             try:
-                if value is not None or cfg[key] is not None:
+                if value is not None:
                     loaded[key] = typ(str(value))
+                elif cfg[key] is not None and choices is None:  # null keeps a null default only
+                    raise ValueError
             except ValueError:
                 why = f"config key {key!r} must be {typ.__name__}, got {value!r}"
                 raise InputError(f"{command}: {why}") from None

@@ -118,35 +118,34 @@ def _pairwise_sum(n: int, leaf: Callable[[int, int], float], i: int = 0) -> floa
     return _pairwise_sum(m, leaf, i) + _pairwise_sum(n - m, leaf, i + m)
 
 
-#: Cells of one slab of padded axis-0 rows (2^15 doubles, 256 KiB), so a
-#: slab's padded copy, its scratch and its output rows stay in cache.
+#: Cells of the slabs of whole padded rows that ``face_contributions`` fills
+#: (2^15 doubles, 256 KiB), so a slab's copy, scratch and output stay in cache.
 _SLAB_CELLS = 1 << 15
 
 
-def _face_rows(u: GridFunction) -> tuple[int, int, Callable[[int, int, np.ndarray], None]]:
+def _face_cells(u: GridFunction) -> tuple[int, Callable[[int, int, np.ndarray], np.ndarray]]:
     """Per-cell variation, attributed to the base cell of each forward pair,
     h^{dim-1} * sum_k |forward difference| over the padded index domain (one
-    cell beyond the box on every side), a slab of axis-0 rows at a time.
+    cell beyond the box on every side), in flat row-major order.
 
-    Returns the rows per slab (about ``_SLAB_CELLS`` cells), the cells per
-    padded row and ``fill(r0, r1, out)``, which writes padded rows r0..r1-1,
-    at most one slab, into the flat array ``out``.
+    Returns the padded cell count and ``fill(i, j, out)``, which writes
+    padded cells i..j-1 into the flat array ``out`` and returns it.
 
-    A slab's rows, plus the one above them, are copied into a reused
-    zero-padded buffer.  The axis-0 term |pad[i+1] - pad[i]| is written
-    straight into the output rows.  Each other axis k, in axis order, adds
-    one contiguous shifted difference |flat[s:] - flat[:-s]| of the slab's
-    flat padded rows into the flat output rows, through one reused scratch
-    buffer, where s is the product of the padded extents after axis k.  The
-    rows are then scaled by h^{dim-1} in place.
+    The padded axis-0 rows that the range and its axis-0 neighbours meet are
+    copied into a reused zero-padded buffer, regrown only when a range meets
+    more rows than any before it.  The axis-0 term |flat[c+R] - flat[c]|,
+    with R cells per padded row, is written straight into ``out``.  Each
+    other axis k, in axis order, adds |flat[c+s] - flat[c]| through one
+    reused scratch buffer, where s is the product of the padded extents
+    after axis k.  ``out`` is then scaled by h^{dim-1} in place.
 
     The bits are those of forward differences of a zero-padded copy, summed
     from a zero accumulator in axis order (the former kernel): each cell
     gets the same terms in the same order and the same scaling, whatever
-    the slabs.  Writing the first term instead of adding it to 0.0 is
-    exact, since 0.0 + t == t for t >= +0.  A shifted difference that
-    leaves a cell on the last padded index of axis k wraps to index 0 of
-    axis k further on; both of those cells are padding, so it adds
+    the range.  Writing the first term instead of adding it to 0.0 is
+    exact, since 0.0 + t == t for t >= +0.  A shifted difference from a
+    cell on the last padded index of axis k reads index 0 of axis k further
+    on, or a zero row past the box; both cells are padding, so it adds
     |0 - 0| = +0.0, as do faces between two padding cells, and adding +0.0
     leaves a sum of absolute values unchanged.
     """
@@ -154,32 +153,40 @@ def _face_rows(u: GridFunction) -> tuple[int, int, Callable[[int, int, np.ndarra
     n0, rest = v.shape[0], v.shape[1:]
     row_shape = tuple(n + 2 for n in rest)
     row_cells = math.prod(row_shape)
-    rows = max(1, min(n0 + 2, _SLAB_CELLS // row_cells))
-    pad = np.zeros((rows + 1,) + row_shape)  # only its inner cells are ever written
-    scratch = np.empty(rows * row_cells if rest else 0)  # a 1-D grid has no other axis
     inner = (slice(1, -1),) * len(rest)
     # flat stride of one step along each axis after the first
     strides = [math.prod(row_shape[k:]) for k in range(1, u.dim)]
     h_face = u.spacing ** (u.dim - 1)
+    pad = scratch = np.empty(0)
 
-    def fill(r0: int, r1: int, out: np.ndarray) -> None:
-        # buffer row j is padded row r0 + j, i.e. row r0 + j - 1 of v when inside
-        slab_pad = pad[: r1 - r0 + 1]
-        lo, hi = max(1 - r0, 0), min(n0 + 1 - r0, r1 - r0 + 1)
-        slab_pad[:lo] = 0.0
-        slab_pad[(slice(lo, hi),) + inner] = v[r0 + lo - 1 : r0 + hi - 1]
-        slab_pad[hi:] = 0.0
-        np.subtract(slab_pad[1:], slab_pad[:-1], out=out.reshape((r1 - r0,) + row_shape))
+    def fill(i: int, j: int, out: np.ndarray) -> np.ndarray:
+        nonlocal pad, scratch
+        # padded rows r0..r1-1 hold the range and its axis-0 neighbours
+        n, r0, r1 = j - i, i // row_cells, (j - 1) // row_cells + 2
+        if len(pad) < r1 - r0:
+            pad = None  # freed before the larger buffer is made
+            pad = np.zeros((r1 - r0,) + row_shape)  # only its inner cells are ever written
+        if strides and len(scratch) < n:  # a 1-D grid has no other axis
+            scratch = None
+            scratch = np.empty(n)
+        # buffer row k is padded row r0 + k, i.e. row r0 + k - 1 of v when inside
+        rows = pad[: r1 - r0]
+        lo, hi = max(1 - r0, 0), min(n0 + 1 - r0, r1 - r0)
+        rows[:lo] = 0.0
+        rows[(slice(lo, hi),) + inner] = v[r0 + lo - 1 : r0 + hi - 1]
+        rows[hi:] = 0.0
+        flat = rows.reshape(-1)[i - r0 * row_cells :]  # flat[0] is padded cell i
+        np.subtract(flat[row_cells : row_cells + n], flat[:n], out=out)
         np.abs(out, out=out)
-        base = slab_pad[:-1].reshape(-1)
         for s in strides:
-            diff = scratch[: base.size - s]
-            np.subtract(base[s:], base[:-s], out=diff)
+            diff = scratch[:n]
+            np.subtract(flat[s : s + n], flat[:n], out=diff)
             np.abs(diff, out=diff)
-            out[:-s] += diff
+            out += diff
         out *= h_face
+        return out
 
-    return rows, row_cells, fill
+    return (n0 + 2) * row_cells, fill
 
 
 def _cell_centers(level: int, origin: Sequence[int], extents: Sequence[int]) -> np.ndarray:
@@ -292,48 +299,35 @@ class GridFunction:
     def variation(self) -> float:
         """The per-face total variation (see :mod:`bvlorentz.bv`): the
         ``np.sum`` of :meth:`face_contributions`, bit for bit, with no array
-        of the whole box.  Each leaf of :func:`_pairwise_sum` is summed in
-        one buffer of a leaf and a padded row, into which the kernel fills
-        the rows reaching the leaf's end, after the unsummed cells move to
-        the front.  It is inf when the sum overflows a double, which its
-        users refuse.
+        of the whole box.  Each leaf of :func:`_pairwise_sum` is a range of
+        padded cells that the kernel fills into one reused leaf buffer,
+        which is then summed.  It is inf when the sum overflows a double,
+        which its users refuse.
         """
-        rows, row_cells, fill = _face_rows(self)
-        n_rows = self.extents[0] + 2
-        buf = np.empty(min(n_rows * row_cells, _LEAF_CELLS + row_cells))
-        base = row = 0  # buf[0] holds padded cell base; rows below row are filled
-
-        def leaf(i: int, j: int) -> float:
-            nonlocal base, row
-            if row * row_cells < j:
-                buf[: row * row_cells - i] = buf[i - base : row * row_cells - base]
-                base, end = i, -(-j // row_cells)
-                for r0 in range(row, end, rows):
-                    r1 = min(r0 + rows, end)
-                    fill(r0, r1, buf[r0 * row_cells - base : r1 * row_cells - base])
-                row = end
-            return np.sum(buf[i - base : j - base])
-
+        total, fill = _face_cells(self)
+        buf = np.empty(min(total, _LEAF_CELLS))
         with np.errstate(over="ignore"):
-            return _pairwise_sum(n_rows * row_cells, leaf)
+            return _pairwise_sum(total, lambda i, j: np.sum(fill(i, j, buf[: j - i])))
 
     def face_contributions(self) -> np.ndarray:
         """The per-cell variation over the padded box, whose lowest cell is
-        ``origin - 1`` on every axis (see :func:`_face_rows`), filled slab
-        by slab into the returned array, the only full-size allocation and
-        not kept.  Every reader of the whole array comes through here.
+        ``origin - 1`` on every axis (see :func:`_face_cells`), filled by
+        the kernel a slab of whole padded rows at a time into the returned
+        array, the only full-size allocation and not kept.  Every reader of
+        the whole array comes through here.
 
         Its sum is cached as :attr:`variation` on the way, so a caller that
         needs both the array and the total runs the kernel once.  A product
         that overflows is inf, with no warning; its users refuse it.
         """
-        rows, row_cells, fill = _face_rows(self)
+        total, fill = _face_cells(self)
         out = np.empty(tuple(n + 2 for n in self.extents))
         flat = out.reshape(-1)
+        row_cells = total // out.shape[0]
+        slab = max(1, _SLAB_CELLS // row_cells) * row_cells
         with np.errstate(over="ignore"):
-            for r0 in range(0, out.shape[0], rows):
-                r1 = min(r0 + rows, out.shape[0])
-                fill(r0, r1, flat[r0 * row_cells : r1 * row_cells])
+            for i in range(0, total, slab):
+                fill(i, min(i + slab, total), flat[i : i + slab])
             if "variation" not in self.__dict__:
                 self.__dict__["variation"] = float(np.sum(out))
         return out

@@ -542,15 +542,15 @@ def test_variation_kernel_allocates_only_its_output():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    # the row kernel that both the streamed variation and the full array run
+    # the per-face kernel that both the streamed variation and the full array run
     calls = []
-    kernel = grid._face_rows
+    kernel = grid._face_cells
 
     def counted(u):
         calls.append(u)
         return kernel(u)
 
-    monkeypatch.setattr(grid, "_face_rows", counted)
+    monkeypatch.setattr(grid, "_face_cells", counted)
     return calls
 
 

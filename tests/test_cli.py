@@ -388,9 +388,9 @@ def _peak(fn, *args):
     "dim, n, levels", [(2, 512, 4), (2, 512, None), (3, 64, None)], ids=["4", "None", "3d-None"]
 )
 def test_norms_holds_at_most_one_padded_field_more(tmp_path, dim, n, levels):
-    # the per-face pass holds the streamed variation's buffer of one leaf and
-    # one padded row, and the kernel's two slab buffers: no padded per-face
-    # array.  It runs after the sort, beside the rearrangement; few distinct
+    # the per-face pass holds the streamed variation's leaf buffer and the
+    # kernel's buffers of the padded rows a leaf meets and of its scratch: no
+    # padded per-face array.  It runs after the sort, beside the rearrangement; few distinct
     # values make the rearrangement short, and distinct values a long norm
     # table
     vals = np.random.default_rng(5).random((n,) * dim) + 0.5
@@ -665,6 +665,26 @@ def test_config_boolean_flag_needs_a_json_bool(tmp_path, capsys, value):
         f"counterexample: config key 'probe' must be true or false, got {value!r}",
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("norms", "q_list"), ("counterexample", "q_list"), ("counterexample", "out_dir"),
+     ("decompose", "out_dir"), ("audit", "dims")],
+)
+def test_config_null_for_a_flag_with_a_text_default_is_refused(tmp_path, capsys, monkeypatch,
+                                                                 command, key):
+    # a null is not the text "None": out_dir would write into ./None/
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: None}))
+    monkeypatch.chdir(tmp_path)
+    quick = ["--no-probe", "--n-max", "2"] if command == "counterexample" else []
+    _assert_refused(
+        capsys,
+        [command, "--config", str(cfg)] + quick,
+        f"{command}: config key {key!r} must be str, got None",
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_config_numbers_as_text_are_converted_like_flags(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Golden outputs: the byte contract of the command line as one test.
 
-A few small runs of ``decompose``, ``counterexample`` and ``norms`` go
-through ``cli.main`` in-process, together with the sequence directories and
-grid files they read.  Their file names, sha256 digests and exit codes must
-equal those in ``tests/golden.json``.  After a change that is meant to alter
+A few small runs of ``decompose``, ``counterexample``, ``norms`` and
+``audit`` go through ``cli.main`` in-process, together with the sequence
+directories and grid files they read.  Their file names, sha256 digests of
+files, stdout and stderr, and exit codes must equal those in
+``tests/golden.json``.  After a change that is meant to alter
 an output, rewrite the manifest with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -12,7 +13,9 @@ and say in CHANGES.md which digest changed and why.  A numpy release that
 changes a sum order fails this test too; the message then names both the
 recorded and the running numpy version.
 """
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -30,7 +33,8 @@ MANIFEST = Path(__file__).with_name("golden.json")
 
 def _runs(root: Path) -> dict:
     """Run each case in its own directory under ``root``; per case, its exit
-    code and the sha256 of every file in that directory, inputs included."""
+    code and the sha256 of its stdout, its stderr and every file in that
+    directory, inputs included."""
     cases = {}
     for name, seq, epsilon in (
         ("decompose-planted-l3", two_profile_sequence(range(1, 9), level=3), "0.1"),
@@ -49,12 +53,19 @@ def _runs(root: Path) -> dict:
         d.mkdir()
         save_grid(corpus_grids(7, dim, 4)[3], d / "u.grid")
         cases[d.name] = ["norms", "--input", str(d / "u.grid"), "--out", str(d / "norms.json")]
+    for negative in ("none", "broken-chi"):  # the document goes to stdout
+        cases[f"audit-{negative}"] = ["audit", "--seed", "7", "--dims", "1,2,3", "--count", "5",
+                                      "--negative-control", negative]
     runs = {}
     for name, argv in cases.items():
-        code = main(argv)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
         files = sorted(p for p in (root / name).rglob("*") if p.is_file())
         runs[name] = {
             "exit": code,
+            **{stream: hashlib.sha256(text.getvalue().encode()).hexdigest()
+               for stream, text in (("stdout", out), ("stderr", err))},
             "files": {str(p.relative_to(root / name)): hashlib.sha256(p.read_bytes()).hexdigest()
                       for p in files},
         }
@@ -70,6 +81,9 @@ def test_outputs_match_the_golden_manifest(tmp_path):
         have = got[name]
         assert have["exit"] == want["exit"], (
             f"{name}: exit {have['exit']}, recorded {want['exit']} ({versions})")
+        for stream in ("stdout", "stderr"):
+            assert have[stream] == want[stream], (
+                f"{name}: {stream} sha256 {have[stream]}, recorded {want[stream]} ({versions})")
         assert sorted(have["files"]) == sorted(want["files"]), (
             f"{name}: files {sorted(have['files'])}, recorded {sorted(want['files'])} ({versions})")
         for fname, digest in want["files"].items():

@@ -499,7 +499,7 @@ def test_streamed_variation_is_the_sum_of_the_face_array():
         with np.errstate(over="ignore"):
             total = float(np.sum(u.face_contributions()))
         assert fresh.variation == total
-    # slabs of at most 7 cells, so a leaf's rows take many fills
+    # slabs of 7 cells or of one padded row, so the array takes many fills
     with mock.patch.object(grid, "_SLAB_CELLS", 7):
         for u in _leaf_grids()[-4:-1]:
             fresh = GridFunction(u.dim, u.level, u.origin, u.extents, u.values)
@@ -534,10 +534,73 @@ def test_streamed_variation_makes_no_padded_array(extents):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one leaf plus one padded row, and the kernel's slab buffers: about a
-    # third of the padded per-cell array
+    # a leaf buffer, and the kernel's buffers of the padded rows a leaf
+    # meets and of its scratch: about a third of the padded per-cell array
     assert peak < padded / 2
     assert tv == float(np.sum(u.face_contributions()))
+
+
+# -- the per-face kernel over any range of padded cells -------------------------
+
+def _reference_faces(u):
+    """Forward differences of a zero-padded copy, summed onto 0.0 in axis
+    order and scaled by h^{dim-1}, flattened over the padded box."""
+    padded = np.pad(u.values, 1)
+    acc = np.zeros_like(padded)
+    for axis in range(u.dim):
+        acc[tuple(slice(0, n - (a == axis)) for a, n in enumerate(padded.shape))] += np.abs(
+            np.diff(padded, axis=axis))
+    return (acc * u.spacing ** (u.dim - 1)).ravel()
+
+
+_RANGE_KINDS = ("in-one-row", "across-rows", "padding-row", "anywhere")
+
+
+@st.composite
+def _kernel_ranges(draw):
+    """A grid and a few ranges [i, j) of its padded cells, each of a drawn kind."""
+    dim = draw(st.integers(1, 3))
+    if dim == 3 and draw(st.booleans()):
+        # a padded row of more than 2^15 cells: one leaf ends inside a row
+        extents = (draw(st.integers(1, 3)), 182, draw(st.integers(182, 200)))
+    else:
+        extents = tuple(draw(st.lists(st.integers(1, 9), min_size=dim, max_size=dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.standard_normal(extents) * (rng.random(extents) < 0.6)
+    u = GridFunction(dim, draw(st.integers(-3, 5)), (0,) * dim, extents, vals)
+    row = math.prod(n + 2 for n in extents[1:])
+    rows = extents[0] + 2
+    ranges = []
+    for kind in draw(st.lists(st.sampled_from(_RANGE_KINDS), min_size=1, max_size=5)):
+        if kind == "anywhere":
+            i = draw(st.integers(0, rows * row - 1))
+            j = draw(st.integers(i + 1, rows * row))
+        elif kind == "across-rows":
+            r = draw(st.integers(0, rows - 2))
+            i = r * row + draw(st.integers(0, row - 1))
+            j = draw(st.integers((r + 1) * row + 1, rows * row))
+        else:
+            r = draw(st.sampled_from([0, rows - 1]) if kind == "padding-row" else st.integers(0, rows - 1))
+            a = draw(st.integers(0, row - 1))
+            i, j = r * row + a, r * row + draw(st.integers(a + 1, row))
+        ranges.append((i, j))
+    return u, ranges
+
+
+@given(_kernel_ranges())
+@settings(max_examples=150, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_face_kernel_fills_any_range_as_the_padded_reference(case):
+    # one kernel serves every range in turn, so its buffers are reused and
+    # regrown between ranges of different lengths and rows
+    u, ranges = case
+    total, fill = grid._face_cells(u)
+    ref = _reference_faces(u)
+    assert total == ref.size
+    for i, j in ranges:
+        out = np.full(j - i, np.nan)  # a cell left unwritten fails the comparison
+        assert fill(i, j, out) is out
+        assert out.tobytes() == ref[i:j].tobytes(), (u.extents, i, j)
 
 
 def _one_percent_support(n):

@@ -269,7 +269,7 @@ def test_band_sums_match_region_reference(u):
 def test_audit_runs_the_kernel_once_and_tests_no_points(monkeypatch):
     u = corpus_grids(seed=4, dim=2, count=1)[0]
     calls = []
-    kernel = grid._face_rows
+    kernel = grid._face_cells
 
     def counted(v):
         calls.append(v)
@@ -278,7 +278,7 @@ def test_audit_runs_the_kernel_once_and_tests_no_points(monkeypatch):
     def no_points(self, pts):
         raise AssertionError("band sums need no point membership")
 
-    monkeypatch.setattr(grid, "_face_rows", counted)
+    monkeypatch.setattr(grid, "_face_cells", counted)
     monkeypatch.setattr(Region, "contains_points", no_points)
     audit = layer_energy_audit(u)
     # the band array, whose sum is the cached variation, then one composed
