@@ -14,18 +14,20 @@ invariances, never absolute perimeters.
 
 The per-face kernel in :mod:`bvlorentz.grid` fills any range of cells of the
 padded box, whose lowest cell is ``origin - 1`` on every axis: the cached
-:attr:`GridFunction.variation` sums it leaf by leaf, and every reader of the
-whole per-cell array (region sums here, the lattice split, the layer audit)
-gets it from :meth:`GridFunction.face_contributions`, a slab of rows at a time.
+:attr:`GridFunction.variation` and the lattice split read it leaf by leaf,
+and every reader of the whole per-cell array (region sums here, the layer
+audit) gets it from :meth:`GridFunction.face_contributions`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .grid import DimensionMismatchError, GridFunction, InputError, Region, _cell_centers, full_region
+from .grid import DimensionMismatchError, GridFunction, InputError, Region, full_region
+from .grid import _LEAF_CELLS, _cell_centers, _face_cells, _pairwise_sum
 
 __all__ = [
     "ChainRuleReport",
@@ -171,43 +173,51 @@ def lattice_tv_sum(u: GridFunction) -> TVReport:
     """Split TV over the integer lattice of unit cubes.
 
     Each cell's contribution is booked to the unit cube holding its center,
-    found by integer shifts of the cell index.  Keys are built for the
-    nonzero cells only: their indices are unraveled, each axis index is
-    looked up among that axis's distinct cube coordinates, and the ranks are
-    raveled into a dense cube key, so no key array of the full padded grid
-    is made.  Only the booked cubes are indexed, by sorting the keys, so no
-    array is sized by the cube lattice of the box.  ``np.bincount`` adds
-    each cube's contributions in flat cell order from 0.0, and ``per_cube``
-    lists the cubes in order of their first nonzero cell.  The sum over
-    cubes is checked against 3^dim times the total, the overlap factor
-    coming from differences that read one cell beyond each cube.
+    found by integer shifts of the cell index, as the per-face kernel fills
+    the leaves of :attr:`GridFunction.variation`: the total is that
+    variation bit for bit (cached if absent), and no padded array is made.
+    At level <= 0 each padded cell's center has a cube of its own, so each
+    nonzero cell is a booked cube.  At level L > 0 the coordinates k >> L
+    are consecutive, a dense lattice of about cells / 2^(L*dim) cubes that
+    ``np.add.at`` sums and ``np.minimum.at`` marks with each first cell.
+    ``per_cube`` lists the cubes by first nonzero cell, each summed in flat
+    cell order from 0.0.  The sum over cubes is checked against 3^dim times
+    the total: differences read one cell beyond each cube.
     """
-    contrib = u.face_contributions()
-    origin = tuple(o - 1 for o in u.origin)
-    flat = contrib.ravel()
-    nz = np.flatnonzero(flat)
-    # per axis: the distinct cube coordinates, and each padded cell's rank
-    # among them, so cube keys stay dense whatever the level
-    axes = [
-        np.unique(_axis_cubes(o, n, int(u.level)), return_inverse=True)
-        for o, n in zip(origin, contrib.shape)
-    ]
-    cube_shape = tuple(len(c) for c, _ in axes)
-    cells = np.unravel_index(nz, contrib.shape)
-    keys = np.ravel_multi_index(
-        tuple(rank[i] for (_, rank), i in zip(axes, cells)), cube_shape
-    )
-    # the booked cubes' keys, the position of each one's first nonzero cell
-    # and each nonzero cell's cube among them
-    booked, first, cube = np.unique(keys, return_index=True, return_inverse=True)
-    sums = np.bincount(cube, weights=flat[nz], minlength=booked.size)
-    order = np.argsort(first)  # first positions are distinct
-    ranks = np.unravel_index(booked[order], cube_shape)
-    coords = np.stack([c[r] for (c, _), r in zip(axes, ranks)], axis=-1)
-    per_cube: dict[tuple[int, ...], float] = dict(
-        zip(map(tuple, coords.tolist()), sums[order].tolist())
-    )
-    total = u.variation
+    level = int(u.level)
+    shape = tuple(n + 2 for n in u.extents)  # the padded box
+    cubes = [_axis_cubes(o - 1, n, level) for o, n in zip(u.origin, shape)]
+    cells, fill = _face_cells(u)
+    buf = np.empty(min(cells, _LEAF_CELLS))
+    found = []  # level <= 0: each leaf's nonzero cells and their contributions
+    if level > 0:
+        lattice = tuple(int(c[-1] - c[0]) + 1 for c in cubes)
+        sums, first = np.zeros(math.prod(lattice)), np.full(math.prod(lattice), cells)
+
+    def leaf(i: int, j: int) -> float:
+        out = fill(i, j, buf[: j - i])
+        nz = np.flatnonzero(out)
+        at, w = nz + i, out[nz]
+        if level <= 0:
+            found.append((at, w))
+        else:
+            key = np.ravel_multi_index([c[k] - c[0] for c, k in zip(cubes, np.unravel_index(at, shape))], lattice)
+            np.add.at(sums, key, w)
+            np.minimum.at(first, key, at)
+        return np.sum(out)
+
+    with np.errstate(over="ignore"):
+        total = _pairwise_sum(cells, leaf)
+    u.__dict__.setdefault("variation", total)
+    if level <= 0:
+        at, sums = (np.concatenate(a) for a in zip(*found))
+        coords = [c[k] for c, k in zip(cubes, np.unravel_index(at, shape))]
+    else:
+        booked = np.flatnonzero(first < cells)
+        booked = booked[np.argsort(first[booked])]  # first cells are distinct
+        coords = [c[0] + k for c, k in zip(cubes, np.unravel_index(booked, lattice))]
+        sums = sums[booked]
+    per_cube = dict(zip(zip(*(c.tolist() for c in coords)), sums.tolist()))
     sum_per_cube = float(sum(per_cube.values()))
     bound = 3**u.dim * total
     ok = sum_per_cube <= bound * (1.0 + SPLITTING_SLACK)

@@ -6,6 +6,8 @@ supports sit within a few units of the origin so group elements from
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .grid import GridFunction, from_sampler
@@ -41,9 +43,9 @@ def _bump(rng: np.random.Generator, dim: int) -> GridFunction:
     center = rng.uniform(-1.0, 1.0, dim)
     height = float(rng.uniform(0.5, 3.0))
 
-    def sampler(pts: np.ndarray) -> np.ndarray:
-        t = np.clip(1.0 - 2.0 * np.abs(pts - center) / width, 0.0, None)
-        return height * np.prod(t, axis=-1)
+    def sampler(mesh: tuple[np.ndarray, ...]) -> np.ndarray:
+        tents = (np.clip(1.0 - 2.0 * np.abs(x - c) / width, 0.0, None) for x, c in zip(mesh, center))
+        return height * math.prod(tents)
 
     box = tuple((c - width / 2.0, c + width / 2.0) for c in center)
     return from_sampler(dim, 5, box, sampler)

@@ -92,6 +92,12 @@ def _check_dim(dim: int) -> int:
     return dim
 
 
+def _check_level(dim: int, level: int) -> None:
+    if abs(level) * dim > _MAX_LEVEL_DIM:
+        measure = f"its cell measure 2^{-level * dim} is not a normal double"
+        raise InputError(f"level {level} is out of range for dimension {dim}: {measure}")
+
+
 def _guard(cells: int) -> None:
     if cells > DEFAULT_CELL_GUARD:
         count = cells if cells <= 2**64 else f"at least 2^{cells.bit_length() - 1}"
@@ -189,12 +195,16 @@ def _face_cells(u: GridFunction) -> tuple[int, Callable[[int, int, np.ndarray], 
     return (n0 + 2) * row_cells, fill
 
 
-def _cell_centers(level: int, origin: Sequence[int], extents: Sequence[int]) -> np.ndarray:
-    """Centers of the cells of a box at ``level``, as an array of shape (cells, dim)."""
+def _center_mesh(level: int, origin: Sequence[int], extents: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Cell centers of a box at ``level``, one array per axis, shaped to broadcast over the box."""
     h = 2.0 ** (-level)
     axes = [(o + np.arange(n, dtype=float) + 0.5) * h for o, n in zip(origin, extents)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
+
+
+def _cell_centers(level: int, origin: Sequence[int], extents: Sequence[int]) -> np.ndarray:
+    """Centers of the cells of a box at ``level``, as an array of shape (cells, dim)."""
+    return np.stack(np.broadcast_arrays(*_center_mesh(level, origin, extents)), -1).reshape(-1, len(extents))
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:
@@ -223,11 +233,7 @@ class GridFunction:
 
     def __post_init__(self) -> None:
         _check_dim(self.dim)
-        if abs(self.level) * self.dim > _MAX_LEVEL_DIM:
-            raise InputError(
-                f"level {self.level} is out of range for dimension {self.dim}: "
-                f"its cell measure 2^{-self.level * self.dim} is not a normal double"
-            )
+        _check_level(self.dim, self.level)
         if len(self.origin) != self.dim or len(self.extents) != self.dim:
             raise DimensionMismatchError(
                 f"origin/extents rank must equal dim={self.dim}"
@@ -314,7 +320,8 @@ class GridFunction:
         ``origin - 1`` on every axis (see :func:`_face_cells`), filled by
         the kernel a slab of whole padded rows at a time into the returned
         array, the only full-size allocation and not kept.  Every reader of
-        the whole array comes through here.
+        the whole array comes through here (the variation and the lattice
+        split read the kernel leaf by leaf instead).
 
         Its sum is cached as :attr:`variation` on the way, so a caller that
         needs both the array and the total runs the kernel once.  A product
@@ -359,32 +366,30 @@ def from_sampler(
     dim: int,
     level: int,
     box: Sequence[tuple[float, float]],
-    sampler: Callable[[np.ndarray], np.ndarray],
+    sampler: Callable[[tuple[np.ndarray, ...]], np.ndarray],
 ) -> GridFunction:
     """Sample ``sampler`` at cell centers of the dyadic cells covering ``box``.
 
     ``box`` is one (lo, hi) pair per axis; it is snapped outward to cell
-    boundaries at ``level``.  The sampler is called once, with all centers
-    as a ``(cells, dim)`` array, and returns one value per row (a scalar is
-    broadcast to every cell).
+    boundaries at ``level``; a level out of range is refused first.  The
+    sampler is called once, with the open mesh of cell centers (one array
+    per axis, as ``np.meshgrid(..., indexing="ij", sparse=True)`` gives),
+    and returns values that broadcast to the box: one per cell, or a scalar.
     """
     _check_dim(dim)
+    _check_level(dim, level)
     if len(box) != dim:
         raise DimensionMismatchError(f"box needs {dim} axis ranges")
     scale = 2.0**level
-    origin = []
-    extents = []
+    origin, extents = [], []
     for lo, hi in box:
         if not hi > lo:
             raise ValueError(f"box axis ({lo}, {hi}) has nonpositive length")
-        o = int(np.floor(lo * scale))
-        top = int(np.ceil(hi * scale))
-        origin.append(o)
-        extents.append(top - o)
+        origin.append(int(np.floor(lo * scale)))
+        extents.append(int(np.ceil(hi * scale)) - origin[-1])
     _guard(math.prod(extents))
-    pts = _cell_centers(level, origin, extents)
-    vals = np.broadcast_to(np.asarray(sampler(pts), dtype=np.float64), pts.shape[:1])
-    return GridFunction(dim, level, tuple(origin), tuple(extents), vals.reshape(extents))
+    vals = np.asarray(sampler(_center_mesh(level, origin, extents)), dtype=np.float64)
+    return GridFunction(dim, level, tuple(origin), tuple(extents), np.broadcast_to(vals, tuple(extents)))
 
 
 def refine(u: GridFunction, to_level: int) -> GridFunction:

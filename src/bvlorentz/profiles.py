@@ -481,9 +481,9 @@ def remainder_lorentz(decomp: ProfileDecomposition, p: float, q_list) -> list[di
 def tent_bump(dim: int = 2, level: int = 6, height: float = 1.0) -> GridFunction:
     """Separable tent on the unit cube, sampled at cell centers."""
 
-    def sampler(pts: np.ndarray) -> np.ndarray:
-        prof = np.clip(1.0 - np.abs(2.0 * pts - 1.0), 0.0, None)
-        return height * np.prod(prof, axis=-1)
+    def sampler(mesh: tuple[np.ndarray, ...]) -> np.ndarray:
+        tents = (np.clip(1.0 - np.abs(2.0 * x - 1.0), 0.0, None) for x in mesh)
+        return height * math.prod(tents)
 
     box = tuple((0.0, 1.0) for _ in range(dim))
     return from_sampler(dim, level, box, sampler)

@@ -8,12 +8,13 @@ where a grid would need millions of cells.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .grid import GridFunction, UnsupportedDimensionError, _check_dim, _frozen, _guard
+from .grid import GridFunction, UnsupportedDimensionError, _center_mesh, _check_dim, _check_level, _frozen, _guard
 from .rearrange import StepFunction, step_from_pairs, unit_ball_volume
 
 __all__ = [
@@ -158,14 +159,16 @@ def to_grid(u: RadialStep, level: int) -> GridFunction:
     The cube has n = 2k cells per axis with origin -k, so the cell centres
     (i + 1/2) h are symmetric about 0 and a mirrored centre has bitwise the
     same squared radius.  Only the (n/2)^dim centres of the positive orthant
-    are evaluated; the other orthants are mirror copies of them.
+    are evaluated; each orthant of the output is that block, reversed along
+    its negative axes.  A level out of range is refused first.
     """
+    _check_level(u.dim, level)
     k = int(np.ceil(u.outer_radius * 2**level))
     n = 2 * k
     _guard(n**u.dim)
-    axis = (np.arange(k) + 0.5) * 2.0 ** (-level)
-    mesh = np.meshgrid(*[axis] * u.dim, indexing="ij", sparse=True)
-    q = u.evaluate(np.sqrt(sum(m**2 for m in mesh)))
-    for a in range(u.dim):
-        q = np.concatenate((np.flip(q, a), q), axis=a)
-    return GridFunction(u.dim, level, (-k,) * u.dim, (n,) * u.dim, _frozen(q))
+    q = u.evaluate(np.sqrt(sum(m**2 for m in _center_mesh(level, (0,) * u.dim, (k,) * u.dim))))
+    out = np.empty((n,) * u.dim)
+    for negative in itertools.product((True, False), repeat=u.dim):
+        half = tuple(slice(k) if neg else slice(k, None) for neg in negative)
+        out[half] = q[tuple(slice(None, None, -1) if neg else slice(None) for neg in negative)]
+    return GridFunction(u.dim, level, (-k,) * u.dim, (n,) * u.dim, _frozen(out))

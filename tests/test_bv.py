@@ -337,6 +337,27 @@ def test_lattice_split_allocates_by_the_booked_cubes(level):
     assert rep == ref
 
 
+def test_lattice_split_makes_no_padded_array():
+    # the 92^3 level-5 annulus of a benchmark audit: the split books each
+    # leaf of the per-face kernel as it is filled, so it stays below even
+    # the padded kernel output that the former split built first
+    from bvlorentz.corpus import corpus_grids
+
+    u = corpus_grids(9, 3, 5)[3]
+    assert u.extents == (92, 92, 92) and u.level == 5
+    ref = _former_lattice_tv_sum(u)
+    u = corpus_grids(9, 3, 5)[3]  # no cached variation
+    tracemalloc.start()
+    try:
+        rep = lattice_tv_sum(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 94**3 * 8
+    assert rep == ref and list(rep.per_cube.items()) == list(ref.per_cube.items())
+    assert u.__dict__["variation"] == rep.total  # cached on the way
+
+
 @pytest.mark.parametrize("level", [-60, -61, -62, -63, -64])
 def test_lattice_split_refuses_cube_coordinates_beyond_int64(level):
     u = GridFunction(1, level, (3,), (3,), np.array([1.0, 0.0, 2.0]))

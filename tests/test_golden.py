@@ -56,6 +56,8 @@ def _runs(root: Path) -> dict:
     for negative in ("none", "broken-chi"):  # the document goes to stdout
         cases[f"audit-{negative}"] = ["audit", "--seed", "7", "--dims", "1,2,3", "--count", "5",
                                       "--negative-control", negative]
+    for seed in (8, 9, 10, 11):  # between them, every 3-D bump, annulus and lattice split
+        cases[f"audit-seed{seed}"] = ["audit", "--seed", str(seed), "--dims", "1,2,3", "--count", "5"]
     runs = {}
     for name, argv in cases.items():
         out, err = io.StringIO(), io.StringIO()

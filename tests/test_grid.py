@@ -41,7 +41,7 @@ from bvlorentz.grid import (
     trim,
 )
 from bvlorentz.group import DyadicVector, GroupElement, act
-from bvlorentz.radial import RadialStep, to_grid
+from bvlorentz.radial import RadialStep, staircase, to_grid
 from bvlorentz.rearrange import _step_from_magnitudes
 
 
@@ -704,11 +704,12 @@ def test_from_sampler_snaps_box_outward():
 
 
 def _sample_per_center(u, sampler):
-    """One sampler call per cell center, in row-major order."""
+    """One sampler call per cell center, in row-major order, with a tuple of
+    that center's per-axis coordinates."""
     vals = np.empty(u.extents)
     for idx in np.ndindex(*u.extents):
         center = (np.asarray(u.origin, dtype=float) + np.asarray(idx) + 0.5) * u.spacing
-        vals[idx] = float(sampler(center))
+        vals[idx] = float(sampler(tuple(center)))
     return vals
 
 
@@ -732,6 +733,48 @@ def test_from_sampler_matches_per_center_calls(monkeypatch, dim):
         np.testing.assert_array_equal(u.values, _sample_per_center(u, sampler))
     u = from_sampler(dim, 3, [(-0.3, 0.6)] * dim, lambda x: 2.5)
     np.testing.assert_array_equal(u.values, _sample_per_center(u, lambda x: 2.5))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_from_sampler_hands_the_open_mesh_to_a_non_separable_sampler(dim):
+    def sampler(x):
+        return x[0] * x[1] + x[-1]
+
+    seen = []
+    box = [(-0.7, 0.4), (0.1, 1.3), (-1.0, -0.2)][:dim]
+    u = from_sampler(dim, 3, box, lambda x: seen.append(x) or sampler(x))
+    assert len(seen) == 1 and len(seen[0]) == dim
+    # axis k varies along axis k only
+    assert [m.shape for m in seen[0]] == [tuple(n if a == k else 1 for a, n in enumerate(u.extents))
+                                          for k in range(dim)]
+    np.testing.assert_array_equal(u.values, _sample_per_center(u, sampler))
+
+
+def test_tent_bump_samples_without_a_per_cell_coordinate_array():
+    from bvlorentz.profiles import tent_bump
+
+    tracemalloc.start()
+    try:
+        u = tent_bump(3, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a (cells, dim) array of centres alone would be 3x the output
+    assert peak <= 3 * u.values.nbytes
+
+
+@pytest.mark.parametrize("level", [2000, -2000])
+def test_sampling_refuses_a_level_whose_cell_measure_is_not_normal(level):
+    for dim, call in (
+        (1, lambda: from_sampler(1, level, [(0.0, 1.0)], _never_called)),
+        (2, lambda: to_grid(staircase(2, 3), level=level)),
+    ):
+        with pytest.raises(InputError, match=f"^level {level} is out of range for dimension {dim}: "
+                           rf"its cell measure 2\^{-level * dim} is not a normal double$"):
+            call()
+    # a coarse level still in range covers the box with one cell
+    u = from_sampler(1, -600, [(0.0, 1.0)], lambda x: 3.0)
+    assert (u.origin, u.extents, u.values.tolist()) == ((0,), (1,), [3.0])
 
 
 small_grids = st.builds(
